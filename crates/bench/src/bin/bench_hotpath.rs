@@ -27,14 +27,9 @@
 //!
 //! The saturated section also measures the bit-tier lockstep workload
 //! with the packet-capture tap **on** vs **off**
-//! (`capture_{off,on}_slots_per_sec`, `capture_overhead_frac`). When a
-//! previous `BENCH_hotpath.json` exists at the output path, the
-//! capture-off rate must stay within 1% of the previous bit-lockstep
-//! figure — the observability layer must cost nothing when disabled.
-//! The previous report is parsed as real JSON ([`JsonValue::parse`]):
-//! with no previous file the gate passes vacuously, but a file that
-//! exists and is malformed fails the run instead of silently disabling
-//! the gate.
+//! (`capture_{off,on}_slots_per_sec`, `capture_overhead_frac`). The
+//! overhead is reported, not gated: speed regressions are judged by the
+//! `perfbench` benchmark (`perfbench/README.md`).
 //!
 //! Two fault rows ride the same section (`docs/FAULTS.md`): the
 //! bit-tier workload under a plan that fires mid-window
@@ -635,19 +630,7 @@ fn main() -> ExitCode {
         ),
     ];
 
-    // Read the previous report *before* overwriting it: the capture-off
-    // rate must not regress more than 1% against the last recorded
-    // bit-lockstep figure (the observability layer must cost nothing
-    // when disabled).
     let path = opts.json.as_deref().unwrap_or("BENCH_hotpath.json");
-    let prev_off = match previous_rate(path, "bit_lockstep_slots_per_sec") {
-        Ok(prev) => prev,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
     let doc = JsonValue::Obj(vec![
         ("coding_hotpath".to_string(), JsonValue::Arr(coding)),
         ("medium_scaling".to_string(), JsonValue::Arr(medium)),
@@ -717,43 +700,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    match prev_off {
-        Some(prev) if capture_off < prev * 0.99 => {
-            eprintln!(
-                "error: capture-off rate regressed more than 1% vs the previous \
-                 report ({capture_off:.0} vs {prev:.0} slots/s)"
-            );
-            return ExitCode::FAILURE;
-        }
-        Some(prev) => println!(
-            "capture-off overhead gate: {capture_off:.0} vs previous {prev:.0} slots/s, OK"
-        ),
-        None => println!("capture-off overhead gate: no previous {path}, passes vacuously"),
-    }
     println!("saturated rows nonzero, engines bit-exact, stat tier faster: OK");
     ExitCode::SUCCESS
-}
-
-/// Reads the previous `BENCH_hotpath.json` and extracts the numeric
-/// `key` from its `"saturated"` section. A missing file passes the gate
-/// vacuously (`Ok(None)`); a file that exists but does not parse as
-/// JSON or lacks the key is an **error** — a malformed report must fail
-/// the gate loudly, not silently disable it (reordered keys and pretty
-/// printing are fine, the document is parsed properly).
-fn previous_rate(path: &str, key: &str) -> Result<Option<f64>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("could not read previous report {path}: {e}")),
-    };
-    let doc =
-        JsonValue::parse(&text).map_err(|e| format!("previous report {path} is malformed: {e}"))?;
-    let rate = doc
-        .get("saturated")
-        .ok_or_else(|| format!("previous report {path} has no \"saturated\" section"))?
-        .get(key)
-        .ok_or_else(|| format!("previous report {path} has no \"saturated\".\"{key}\""))?
-        .as_f64()
-        .ok_or_else(|| format!("previous report {path}: \"{key}\" is not a number"))?;
-    Ok(Some(rate))
 }

@@ -159,6 +159,31 @@ impl SpatialConfig {
             (p.y / self.cell_size).floor() as i32,
         )
     }
+
+    /// For every position, the indices of the other positions within
+    /// interaction range, in ascending order — the in-range graph as
+    /// adjacency lists, found through the grid (each position is tested
+    /// only against its 3×3 cell neighbourhood).
+    pub fn neighbour_lists(&self, positions: &[Position]) -> Vec<Vec<usize>> {
+        let mut cells: BTreeMap<Cell, Vec<usize>> = BTreeMap::new();
+        for (i, &p) in positions.iter().enumerate() {
+            cells.entry(self.cell_of(p)).or_default().push(i);
+        }
+        positions
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let mut near: Vec<usize> = neighbor_cells(self.cell_of(p))
+                    .filter_map(|c| cells.get(&c))
+                    .flatten()
+                    .copied()
+                    .filter(|&j| j != i && self.path_loss.in_range(p, positions[j]))
+                    .collect();
+                near.sort_unstable();
+                near
+            })
+            .collect()
+    }
 }
 
 /// The 3×3 block of cells around `cell`, in row-major order.
@@ -623,52 +648,6 @@ impl Medium {
     /// model or for an unregistered source).
     pub fn position_of(&self, source: usize) -> Option<Position> {
         self.radios.get(source)?.as_ref().map(|r| r.pos)
-    }
-
-    /// Whether radios `a` and `b` are within interaction range.
-    /// Always true without a spatial model (everything shares one
-    /// point); `a == b` is always in range.
-    ///
-    /// # Panics
-    ///
-    /// Panics in spatial mode if either source is unregistered.
-    pub fn in_range(&self, a: usize, b: usize) -> bool {
-        let Some(spatial) = &self.cfg.spatial else {
-            return true;
-        };
-        if a == b {
-            return true;
-        }
-        spatial
-            .path_loss()
-            .in_range(self.radio(a).pos, self.radio(b).pos)
-    }
-
-    /// The registered radios within interaction range of `source`
-    /// (excluding `source` itself), in ascending id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics without a spatial model or if `source` is unregistered.
-    pub fn neighbors_of(&self, source: usize) -> Vec<usize> {
-        let spatial = self
-            .cfg
-            .spatial
-            .expect("neighbors_of requires ChannelConfig::spatial");
-        let me = self.radio(source);
-        let mut out = Vec::new();
-        for cell in neighbor_cells(me.cell) {
-            let Some(members) = self.cells.get(&cell) else {
-                continue;
-            };
-            for &m in members {
-                if m != source && spatial.path_loss().in_range(me.pos, self.radio(m).pos) {
-                    out.push(m);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
     }
 
     fn radio(&self, source: usize) -> &Radio {
@@ -1376,50 +1355,39 @@ impl Medium {
     /// collector. (Undelivered transmissions with no listeners are
     /// still reclaimed, one window late — the bound is `2 × retention`.)
     ///
-    /// The directory is rebuilt from the retained buckets afterwards,
-    /// so [`Medium::find`]'s binary-search invariant — every directory
-    /// row has its bucket entry and vice versa — holds by construction
-    /// under any retention predicate.
+    /// The directory drops exactly the ids the buckets dropped (one
+    /// merge walk over both sorted lists), so [`Medium::find`]'s
+    /// binary-search invariant — every directory row has its bucket
+    /// entry and vice versa — holds under any retention predicate.
     ///
     /// Call periodically; `retention` must exceed the modem delay plus the
     /// longest listener window so receptions are still materialisable.
     pub fn gc(&mut self, now: SimTime, retention: SimDuration) {
         let cutoff = now - retention;
-        let keep =
-            |t: &Transmission| t.end() >= cutoff || (!t.delivered && t.end() + retention >= cutoff);
+        let mut removed = Vec::new();
+        let mut keep = |t: &Transmission| {
+            let kept = t.end() >= cutoff || (!t.delivered && t.end() + retention >= cutoff);
+            if !kept {
+                removed.push(t.id);
+            }
+            kept
+        };
         for bucket in &mut self.channels {
-            bucket.retain(keep);
+            bucket.retain(&mut keep);
         }
         for buckets in self.cell_buckets.values_mut() {
             for bucket in buckets.iter_mut() {
-                bucket.retain(keep);
+                bucket.retain(&mut keep);
             }
         }
         self.cell_buckets
             .retain(|_, buckets| buckets.iter().any(|b| !b.is_empty()));
-        let mut dir = Vec::with_capacity(self.directory.len());
-        for bucket in &self.channels {
-            for t in bucket {
-                dir.push(DirEntry {
-                    id: t.id,
-                    rf_channel: t.rf_channel,
-                    cell: (0, 0),
-                });
-            }
-        }
-        for (&cell, buckets) in &self.cell_buckets {
-            for bucket in buckets {
-                for t in bucket {
-                    dir.push(DirEntry {
-                        id: t.id,
-                        rf_channel: t.rf_channel,
-                        cell,
-                    });
-                }
-            }
-        }
-        dir.sort_unstable_by_key(|e| e.id);
-        self.directory = dir;
+        removed.sort_unstable();
+        let mut gone = removed.iter().peekable();
+        self.directory.retain(|e| {
+            while gone.next_if(|&&id| id < e.id).is_some() {}
+            gone.next_if_eq(&&e.id).is_none()
+        });
     }
 
     /// Digest of the noise streams' RNG positions (see
@@ -2048,10 +2016,13 @@ mod tests {
         m.register_radio(0, Position::new(0.0, 0.0), 0);
         m.register_radio(1, Position::new(50.0, 0.0), 1);
         m.register_radio(2, Position::new(5.0, 0.0), 2);
-        assert!(m.in_range(0, 2) && !m.in_range(0, 1) && !m.in_range(1, 2));
-        assert_eq!(m.neighbors_of(0), vec![2]);
-        assert_eq!(m.neighbors_of(1), Vec::<usize>::new());
         assert_eq!(m.position_of(1), Some(Position::new(50.0, 0.0)));
+        let positions: Vec<Position> = (0..3).map(|d| m.position_of(d).unwrap()).collect();
+        assert_eq!(
+            m.spatial().unwrap().neighbour_lists(&positions),
+            vec![vec![2], vec![], vec![0]],
+            "only radios 0 and 2 are within range of each other"
+        );
         // Same channel, same instant: the far radio does not collide
         // with radio 0, the near one does.
         let a = m.begin_tx(0, 20, SimTime::ZERO, bits(300));

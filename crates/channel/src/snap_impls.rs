@@ -377,7 +377,12 @@ mod tests {
         let a = m.begin_tx(0, 7, SimTime::ZERO, BitVec::ones(120));
         let _far = m.begin_tx(2, 7, SimTime::ZERO, BitVec::ones(120));
         let mut back = roundtrip(&m);
-        assert_eq!(back.neighbors_of(0), m.neighbors_of(0));
+        assert_eq!(back.position_of(1), m.position_of(1));
+        // `quiet_near` reads the decoded cell index: radio 0 is on air
+        // at 10 µs, which an empty index would miss.
+        let t = SimTime::from_us(10);
+        assert!(!m.quiet_near(0, t));
+        assert_eq!(back.quiet_near(0, t), m.quiet_near(0, t));
         assert_eq!(back.last_end_of(2), m.last_end_of(2));
         assert_eq!(digest(&mut back, a), digest(&mut m, a));
     }

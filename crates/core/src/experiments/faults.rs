@@ -27,7 +27,7 @@ use btsim_kernel::{SimDuration, SimTime};
 use btsim_stats::{Record, Table};
 
 use crate::campaign::{Campaign, ExpOptions};
-use crate::fault::{FaultEvent, FaultKind, FaultPlan};
+use crate::fault::{FaultEvent, FaultKind, FaultPlan, UnknownFaultDevice};
 use crate::net::{
     form_scatternet, register_devices, schedule_bridge, BridgeLink, BridgePlan, FormationStatus,
     Recovery, RecoveryConfig, Router, ScatternetMap, Topology, MAX_RELAY_PAYLOAD,
@@ -1015,7 +1015,10 @@ impl FaultRecovery {
 /// post-window delivery ratio returns to ≈1. With recovery off the
 /// same crash strands every post-crash frame and overall delivery
 /// collapses to the analytic pre-crash floor.
-pub fn fault_recovery(opts: &ExpOptions) -> FaultRecovery {
+///
+/// Fails before any run starts when the fault plan targets a device
+/// the chain does not have.
+pub fn fault_recovery(opts: &ExpOptions) -> Result<FaultRecovery, UnknownFaultDevice> {
     let mut sim = opts.sim(paper_config());
     // The default supervisionTO (32 000 slots) would outlast the whole
     // measurement window; detection must fit inside the post grace.
@@ -1040,6 +1043,12 @@ pub fn fault_recovery(opts: &ExpOptions) -> FaultRecovery {
             )
         })
         .collect();
+    for (_, s) in &points {
+        s.cfg
+            .sim
+            .faults
+            .check_devices(FaultRecoveryScenario::topology(&s.cfg).device_count())?;
+    }
     let result = Campaign::sweep(points.iter().cloned()).options(opts).run();
     let rows = arms
         .iter()
@@ -1064,11 +1073,11 @@ pub fn fault_recovery(opts: &ExpOptions) -> FaultRecovery {
     let window =
         base.crash_slot + base.post_grace_slots + base.post_window_slots - base.traffic_start_slot;
     let analytic_floor = (base.crash_slot - base.traffic_start_slot) as f64 / window as f64;
-    FaultRecovery {
+    Ok(FaultRecovery {
         rows,
         analytic_floor,
         json: result.to_json().render(),
-    }
+    })
 }
 
 /// One churn-rate point of the `fault_churn` experiment.
@@ -1128,7 +1137,10 @@ impl FaultChurn {
 /// calendar while the supervisor re-pages each revived member.
 /// Delivery degrades gracefully as the mean up-time shrinks; every
 /// detected loss is either recovered or accounted as abandoned.
-pub fn fault_churn(opts: &ExpOptions) -> FaultChurn {
+///
+/// Fails before any run starts when the fault plan targets a device
+/// the piconet does not have.
+pub fn fault_churn(opts: &ExpOptions) -> Result<FaultChurn, UnknownFaultDevice> {
     let rates: [u64; 3] = [3_000, 6_000, 12_000];
     let points: Vec<(String, FaultChurnScenario)> = rates
         .iter()
@@ -1146,6 +1158,9 @@ pub fn fault_churn(opts: &ExpOptions) -> FaultChurn {
             )
         })
         .collect();
+    for (_, s) in &points {
+        s.cfg.sim.faults.check_devices(s.topo.device_count())?;
+    }
     let result = Campaign::sweep(points.iter().cloned()).options(opts).run();
     let rows = rates
         .iter()
@@ -1163,7 +1178,7 @@ pub fn fault_churn(opts: &ExpOptions) -> FaultChurn {
             }
         })
         .collect();
-    FaultChurn { rows }
+    Ok(FaultChurn { rows })
 }
 
 /// Result of the `fault_degrade_heal` experiment.
@@ -1194,19 +1209,27 @@ impl FaultDegradeHeal {
 /// mid-run and heals later. ARQ keeps the link alive through the
 /// degradation, so the signature is a goodput dip bracketed by two
 /// healthy windows rather than a supervision death.
-pub fn fault_degrade_heal(opts: &ExpOptions) -> FaultDegradeHeal {
+///
+/// Fails before any run starts when the fault plan targets a device
+/// the link does not have.
+pub fn fault_degrade_heal(opts: &ExpOptions) -> Result<FaultDegradeHeal, UnknownFaultDevice> {
     let scenario = FaultDegradeHealScenario::new(FaultDegradeHealConfig {
         sim: opts.sim(paper_config()),
         ..FaultDegradeHealConfig::default()
     });
+    scenario
+        .cfg
+        .sim
+        .faults
+        .check_devices(scenario.topo.device_count())?;
     let result = Campaign::new(scenario).options(opts).run();
     let p = &result.points[0];
-    FaultDegradeHeal {
+    Ok(FaultDegradeHeal {
         pre_bps: p.metric("pre_bps").mean(),
         during_bps: p.metric("during_bps").mean(),
         post_bps: p.metric("post_bps").mean(),
         delivered: p.metric("delivered").mean(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1223,7 +1246,7 @@ mod tests {
 
     #[test]
     fn fault_recovery_on_beats_the_floor_and_off_collapses_to_it() {
-        let f = fault_recovery(&opts(2));
+        let f = fault_recovery(&opts(2)).unwrap();
         let on = &f.rows[0];
         let off = &f.rows[1];
         assert!(
@@ -1248,7 +1271,7 @@ mod tests {
 
     #[test]
     fn fault_churn_recovers_revived_members() {
-        let f = fault_churn(&opts(1));
+        let f = fault_churn(&opts(1)).unwrap();
         // Fastest churn loses the most but still delivers something.
         let fast = &f.rows[0];
         let slow = &f.rows[2];
@@ -1272,7 +1295,7 @@ mod tests {
 
     #[test]
     fn fault_degrade_heal_dips_then_recovers() {
-        let f = fault_degrade_heal(&opts(1));
+        let f = fault_degrade_heal(&opts(1)).unwrap();
         assert!(f.pre_bps > 0.0);
         assert!(
             f.during_bps < f.pre_bps * 0.8,
@@ -1294,7 +1317,7 @@ mod tests {
         // arms deliver fully, no losses are recorded.
         let mut o = opts(1);
         o.faults = Some(FaultPlan::parse("crash@900000:dev=0").unwrap());
-        let f = fault_recovery(&o);
+        let f = fault_recovery(&o).unwrap();
         for r in &f.rows {
             assert!(
                 r.post_delivered >= 0.95,

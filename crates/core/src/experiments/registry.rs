@@ -280,17 +280,17 @@ static REGISTRY: [Experiment; 25] = [
     Experiment {
         name: "fault_recovery",
         description: "Fault-R — bridge death: self-healing re-formation vs the no-recovery floor",
-        runner: |o| Ok(run_fault_recovery(o)),
+        runner: run_fault_recovery,
     },
     Experiment {
         name: "fault_churn",
         description: "Fault-C — delivery under seeded device churn with supervised re-paging",
-        runner: |o| Ok(run_fault_churn(o)),
+        runner: run_fault_churn,
     },
     Experiment {
         name: "fault_degrade_heal",
         description: "Fault-D — goodput dip and recovery across a BER degrade/heal window",
-        runner: |o| Ok(run_fault_degrade_heal(o)),
+        runner: run_fault_degrade_heal,
     },
 ];
 
@@ -529,41 +529,49 @@ fn run_capture_scan(opts: &ExpOptions) -> ExpReport {
         .binary_artifact("capture_scan.btsnoop", f.btsnoop)
 }
 
-fn run_fault_recovery(opts: &ExpOptions) -> ExpReport {
+fn run_fault_recovery(opts: &ExpOptions) -> Result<ExpReport, String> {
     let mut opts = opts.clone();
     // Two arms of a bridged chain over a ~27k-slot window: cap runs.
     opts.runs = opts.runs.min(8);
-    let f = fault_recovery(&opts);
-    ExpReport::new("Fault-R — bridge death: self-healing re-formation vs the no-recovery floor")
+    let f = fault_recovery(&opts).map_err(|e| e.to_string())?;
+    Ok(
+        ExpReport::new(
+            "Fault-R — bridge death: self-healing re-formation vs the no-recovery floor",
+        )
         .note("(the chain's bridge crashes mid-traffic; the on arm re-forms through a slave)")
         .note(format!(
             "(analytic no-recovery delivery floor: {:.1}% — the pre-crash share of injections)",
             f.analytic_floor * 100.0
         ))
         .table(f.table())
-        .artifact("fault_recovery.json", f.json)
+        .artifact("fault_recovery.json", f.json),
+    )
 }
 
-fn run_fault_churn(opts: &ExpOptions) -> ExpReport {
+fn run_fault_churn(opts: &ExpOptions) -> Result<ExpReport, String> {
     let mut opts = opts.clone();
     // Three churn rates over a ~30k-slot window each: cap runs.
     opts.runs = opts.runs.min(8);
-    let f = fault_churn(&opts);
-    ExpReport::new("Fault-C — delivery under seeded device churn with supervised re-paging")
-        .note("(slaves crash/revive on a fixed calendar; the supervisor re-pages each revival)")
-        .table(f.table())
+    let f = fault_churn(&opts).map_err(|e| e.to_string())?;
+    Ok(
+        ExpReport::new("Fault-C — delivery under seeded device churn with supervised re-paging")
+            .note("(slaves crash/revive on a fixed calendar; the supervisor re-pages each revival)")
+            .table(f.table()),
+    )
 }
 
-fn run_fault_degrade_heal(opts: &ExpOptions) -> ExpReport {
+fn run_fault_degrade_heal(opts: &ExpOptions) -> Result<ExpReport, String> {
     let mut opts = opts.clone();
     opts.runs = opts.runs.min(8);
-    let f = fault_degrade_heal(&opts);
-    ExpReport::new("Fault-D — goodput dip and recovery across a BER degrade/heal window")
-        .note(format!(
-            "(overall delivery {:.1}% — ARQ keeps the link alive through the degradation)",
-            f.delivered * 100.0
-        ))
-        .table(f.table())
+    let f = fault_degrade_heal(&opts).map_err(|e| e.to_string())?;
+    Ok(
+        ExpReport::new("Fault-D — goodput dip and recovery across a BER degrade/heal window")
+            .note(format!(
+                "(overall delivery {:.1}% — ARQ keeps the link alive through the degradation)",
+                f.delivered * 100.0
+            ))
+            .table(f.table()),
+    )
 }
 
 #[cfg(test)]
@@ -597,6 +605,23 @@ mod tests {
             "fault_degrade_heal",
         ] {
             assert!(find(name).is_some(), "{name} missing from the registry");
+        }
+    }
+
+    #[test]
+    fn out_of_range_fault_device_is_an_error_not_a_panic() {
+        let opts = ExpOptions {
+            runs: 1,
+            threads: 1,
+            faults: Some(crate::FaultPlan::parse("crash@100:dev=99").unwrap()),
+            ..ExpOptions::quick()
+        };
+        for name in ["fault_recovery", "fault_churn", "fault_degrade_heal"] {
+            let err = find(name).unwrap().run(&opts).unwrap_err();
+            assert!(
+                err.contains("fault plan targets device 99"),
+                "{name}: {err}"
+            );
         }
     }
 

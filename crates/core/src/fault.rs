@@ -116,6 +116,28 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// A fault plan targets a device the simulated topology does not have
+/// ([`FaultPlan::check_devices`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnknownFaultDevice {
+    /// The largest device index the plan targets.
+    pub device: usize,
+    /// How many devices the topology has.
+    pub devices: usize,
+}
+
+impl std::fmt::Display for UnknownFaultDevice {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "fault plan targets device {}, but only {} devices exist",
+            self.device, self.devices
+        )
+    }
+}
+
+impl std::error::Error for UnknownFaultDevice {}
+
 /// A seeded, calendar-scheduled script of fault events, kept sorted by
 /// slot (stable: equal-slot events keep insertion order).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -164,6 +186,14 @@ impl FaultPlan {
     /// The largest device index any event targets.
     pub fn max_device(&self) -> Option<usize> {
         self.events.iter().filter_map(|e| e.device).max()
+    }
+
+    /// Checks that every device fault targets one of `devices` devices.
+    pub fn check_devices(&self, devices: usize) -> Result<(), UnknownFaultDevice> {
+        match self.max_device() {
+            Some(device) if device >= devices => Err(UnknownFaultDevice { device, devices }),
+            _ => Ok(()),
+        }
     }
 
     /// Restricts the plan to one shard: noise faults are kept verbatim

@@ -25,8 +25,7 @@ use btsim_baseband::{
     LinkController, Llid, RxDelivery, StatSide,
 };
 use btsim_channel::{
-    ChannelConfig, ChannelQuality, DutyClass, Interferer, Medium, Position, SpatialConfig, TxId,
-    TxStats,
+    ChannelConfig, ChannelQuality, DutyClass, Interferer, Medium, Position, TxId, TxStats,
 };
 use btsim_coding::BitVec;
 use btsim_fidelity::{ErrorModel, Fidelity};
@@ -37,7 +36,9 @@ use btsim_kernel::{
 use btsim_lmp::{LinkManager, LmEvent, LmOutput, LmRole};
 use btsim_power::{DeviceReport, PowerMonitor};
 
+mod index;
 mod snapshot;
+use index::{Indexes, WakeTree};
 pub use snapshot::SimSnapshot;
 
 /// Tolerance for a transmission starting marginally before a window
@@ -227,6 +228,30 @@ struct PendingWindow {
     channel: u8,
     from: SimTime,
     until: Option<SimTime>,
+}
+
+/// Deterministic scan-work counters: how many devices the per-event
+/// walks examined. They depend only on the simulated work, never on the
+/// host, so tests gate them exactly (`tests/spatial_sharding.rs`).
+#[derive(Debug, Clone, Copy, Default)]
+struct Cost {
+    /// Devices the `TxStart` listener walk examined.
+    listener_visits: u64,
+    /// Statistical-tier attempts: ticks that found a same-component
+    /// pair whose master sends data at that instant.
+    stat_attempts: u64,
+    /// Devices the attempts' component walks examined.
+    stat_walk_visits: u64,
+}
+
+impl Cost {
+    fn plus(self, o: Cost) -> Cost {
+        Cost {
+            listener_visits: self.listener_visits + o.listener_visits,
+            stat_attempts: self.stat_attempts + o.stat_attempts,
+            stat_walk_visits: self.stat_walk_visits + o.stat_walk_visits,
+        }
+    }
 }
 
 #[derive(Clone)]
@@ -432,13 +457,14 @@ impl SimBuilder {
     /// simulator (see `docs/SPATIAL.md`). Tracing, packet capture and
     /// metrics streaming need a single merged timeline, so any of them
     /// pins the build to the monolithic path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault plan targets a device that was never added
+    /// (check user-supplied plans with [`FaultPlan::check_devices`]).
     pub fn build(self) -> Simulator {
-        if let Some(max) = self.cfg.faults.max_device() {
-            assert!(
-                max < self.specs.len(),
-                "fault plan targets device {max}, but only {} devices exist",
-                self.specs.len()
-            );
+        if let Err(e) = self.cfg.faults.check_devices(self.specs.len()) {
+            panic!("{e}");
         }
         let pinned_mono = self.cfg.trace || self.cfg.capture || self.cfg.metrics_every.is_some();
         let workers = if pinned_mono {
@@ -453,50 +479,13 @@ impl SimBuilder {
         }
     }
 
-    /// Dense component ids (`0..n_components`, numbered in order of
-    /// each component's lowest device id) of the in-range graph over
-    /// `positions`.
-    fn components(positions: &[Position], spatial: &SpatialConfig) -> Vec<usize> {
-        let n = positions.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]]; // path halving
-                x = parent[x];
-            }
-            x
-        }
-        for i in 0..n {
-            for j in i + 1..n {
-                if spatial.path_loss().in_range(positions[i], positions[j]) {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent[ri.max(rj)] = ri.min(rj);
-                    }
-                }
-            }
-        }
-        let mut dense = vec![usize::MAX; n];
-        let mut next = 0;
-        let mut out = Vec::with_capacity(n);
-        for d in 0..n {
-            let root = find(&mut parent, d);
-            if dense[root] == usize::MAX {
-                dense[root] = next;
-                next += 1;
-            }
-            out.push(dense[root]);
-        }
-        out
-    }
-
     /// The component-per-shard build: one inner simulator per connected
     /// component, each constructed with the *global* device ids so its
     /// RNG streams (CLKN draw, controller seed, medium noise stream)
     /// are exactly the ones the monolithic build would have used.
     fn build_sharded(self, workers: usize) -> Simulator {
         let spatial = self.cfg.channel.spatial.expect("checked by build");
-        let comp_of = Self::components(&self.positions, &spatial);
+        let (_, comp_of) = index::in_range_graph(Some(&spatial), &self.positions);
         // A single component still goes through the delegation layer:
         // no parallelism to win, but `--shards` must not change
         // behaviour, and the differential tests lean on that.
@@ -535,9 +524,10 @@ impl SimBuilder {
             modem_delay: self.cfg.channel.modem_delay,
             peek: SimDuration::from_us(self.cfg.lc.peek_us),
             run_cap: SimTime::ZERO,
-            wake: Vec::new(),
+            wake: WakeTree::new(&[]),
             wake_seq: 0,
             steps_total: 0,
+            cost: Cost::default(),
             fidelity_promotions: 0,
             fidelity_demotions: 0,
             metrics: None,
@@ -547,6 +537,7 @@ impl SimBuilder {
             merge_done: vec![(0, 0); ncomp],
             workers,
             comp_of,
+            index: Indexes::default(),
             // The shell keeps the full (un-remapped) plan for
             // introspection; each shard holds — and schedules — its own
             // restriction.
@@ -588,13 +579,6 @@ impl SimBuilder {
             Some(g) => self.cfg.faults.restricted_to(g),
             None => self.cfg.faults.clone(),
         };
-        if let Some(max) = faults.max_device() {
-            assert!(
-                max < self.specs.len(),
-                "fault plan targets device {max}, but only {} devices exist",
-                self.specs.len()
-            );
-        }
         for (idx, ev) in faults.events().iter().enumerate() {
             let at = SimTime::from_ns(ev.at_slot * SimDuration::SLOT.ns());
             cal.schedule(at, Ev::Fault { idx });
@@ -635,10 +619,8 @@ impl SimBuilder {
         // spatial mode: a link pair only demotes for contention within
         // its own connected component, which is what keeps a monolithic
         // spatial run bit-identical to the sharded one.
-        let comp_of = match &self.cfg.channel.spatial {
-            Some(spatial) => Self::components(&self.positions, spatial),
-            None => Vec::new(),
-        };
+        let (near, comp_of) = index::in_range_graph(medium.spatial(), &self.positions);
+        let index = Indexes::new(devices.iter().map(|c| c.lc.addr()), near, &comp_of);
         let n = devices.len();
         Simulator {
             cal,
@@ -666,9 +648,10 @@ impl SimBuilder {
             run_cap: SimTime::ZERO,
             // All devices start in standby: nothing to wake for until a
             // command arrives (commands re-arm their device's wakeup).
-            wake: vec![None; n],
+            wake: WakeTree::new(&vec![None; n]),
             wake_seq: 0,
             steps_total: 0,
+            cost: Cost::default(),
             fidelity_promotions: 0,
             fidelity_demotions: 0,
             metrics: self.cfg.metrics_every.map(MetricsStream::new),
@@ -678,6 +661,7 @@ impl SimBuilder {
             merge_done: Vec::new(),
             workers: 1,
             comp_of,
+            index,
             faults,
             crashed: vec![false; n],
             muted: vec![false; n],
@@ -731,12 +715,15 @@ pub struct Simulator {
     /// batches past it, because the caller may mutate state (commands,
     /// new traffic) as soon as control returns.
     run_cap: SimTime,
-    /// Event-driven only: each device's next pending tick instant.
-    wake: Vec<Option<SimTime>>,
+    /// Event-driven only: each device's next pending tick instant, in
+    /// a min-tree so the earliest is O(1) to read.
+    wake: WakeTree,
     /// Invalidates superseded [`Ev::Wake`] instances.
     wake_seq: u64,
     /// Calendar events dispatched so far (engine-cost diagnostic).
     steps_total: u64,
+    /// Scan-work counters (metrics hub `cost.*`).
+    cost: Cost,
     /// Statistical-tier promotions observed so far (metrics hub).
     fidelity_promotions: u64,
     /// Statistical-tier demotions observed so far (metrics hub).
@@ -763,6 +750,9 @@ pub struct Simulator {
     /// device; empty without a spatial model (everything is one
     /// implicit component).
     comp_of: Vec<usize>,
+    /// Neighbour lists, component members, the address map (derived
+    /// from the fixed topology; rebuilt on restore, never snapshotted).
+    index: Indexes,
     /// The fault script driving [`Ev::Fault`] dispatches. In an inner
     /// shard this is already restricted to the shard's devices (local
     /// indices); the sharded shell keeps the full plan for
@@ -916,6 +906,10 @@ impl Simulator {
         s.push_counter("events.lc", self.events.len() as u64);
         s.push_counter("events.lm", self.lm_events.len() as u64);
         s.push_counter("capture.records", self.medium.capture().len() as u64);
+        let cost = self.shards.iter().fold(self.cost, |c, sh| c.plus(sh.cost));
+        s.push_counter("cost.listener_visits", cost.listener_visits);
+        s.push_counter("cost.stat_attempts", cost.stat_attempts);
+        s.push_counter("cost.stat_walk_visits", cost.stat_walk_visits);
         for d in 0..self.device_count() {
             let rep = self.power_report(d);
             let lc = self.lc(d);
@@ -1303,13 +1297,12 @@ impl Simulator {
             let (s, l) = self.shard_of[dev];
             return self.shards[s].power_report(l);
         }
-        let mut monitor = self.monitor.clone();
         let now = self.cal.now();
-        if let Some(w) = &self.devices[dev].active {
-            let end = now.max(w.opened_at);
-            monitor.add_rx(dev, w.opened_at, end);
-        }
-        monitor.report(dev, now)
+        let open = self.devices[dev]
+            .active
+            .as_ref()
+            .map(|w| (w.opened_at, now.max(w.opened_at)));
+        self.monitor.report_with_rx(dev, now, open)
     }
 
     // ----- sharding --------------------------------------------------------
@@ -1406,8 +1399,8 @@ impl Simulator {
                 // the same relative order the lockstep tick cascade
                 // establishes at every instant.
                 for dev in 0..self.devices.len() {
-                    if self.wake[dev] == Some(t) {
-                        self.wake[dev] = None;
+                    if self.wake.get(dev) == Some(t) {
+                        self.wake.set(dev, None);
                         self.tick_device(dev, t);
                         self.recompute_wakeup(dev, t + SimDuration::from_ns(1));
                     }
@@ -1449,14 +1442,18 @@ impl Simulator {
                 // Determine listeners now: open windows on this channel
                 // — in spatial mode, only on radios within interaction
                 // range of the transmitter (a far window stays open and
-                // never hears the packet).
+                // never hears the packet). The neighbour list is
+                // ascending, so listeners are in device order.
                 let mut listeners = Vec::new();
-                for (i, cell) in self.devices.iter_mut().enumerate() {
-                    if i == dev || cell.rx_busy_until > t || !self.medium.in_range(dev, i) {
+                let mut visits = 0;
+                for &i in self.index.neighbours(dev) {
+                    if i == dev {
                         continue;
                     }
-                    if self.crashed[i] || self.muted[i] {
-                        continue; // faulted radio hears nothing
+                    visits += 1;
+                    let cell = &mut self.devices[i];
+                    if cell.rx_busy_until > t || self.crashed[i] || self.muted[i] {
+                        continue; // busy, or a faulted radio that hears nothing
                     }
                     let Some(w) = &cell.active else { continue };
                     if w.channel != channel {
@@ -1469,6 +1466,7 @@ impl Simulator {
                         listeners.push(i);
                     }
                 }
+                self.cost.listener_visits += visits;
                 if !listeners.is_empty() {
                     let at = self
                         .medium
@@ -1634,12 +1632,12 @@ impl Simulator {
         let (m_dev, s_dev) = {
             let lc = &self.devices[dev].lc;
             if let Some(slave_addr) = lc.stat_master_attempt(t) {
-                let Some(s) = self.device_by_addr(slave_addr) else {
+                let Some(s) = self.index.device_by_addr(slave_addr) else {
                     return;
                 };
                 (dev, s)
             } else if let [link] = lc.slave_masters().as_slice() {
-                let Some(m) = self.device_by_addr(link.1) else {
+                let Some(m) = self.index.device_by_addr(link.1) else {
                     return;
                 };
                 if self.devices[m].lc.stat_master_attempt(t) != Some(lc.addr()) {
@@ -1654,12 +1652,18 @@ impl Simulator {
             // Out-of-range "pair": a shard would not even see the peer.
             return;
         }
+        self.cost.stat_attempts += 1;
         let m_addr = self.devices[m_dev].lc.addr();
         let now_slot = t.slots();
 
         // Stability gate: any failure here is contention; a promoted
-        // link demotes to bit level on this very slot.
-        let stable = self.devices[m_dev].lc.stat_master_stable(now_slot)
+        // link demotes to bit level on this very slot. Every condition
+        // is side-effect free, so the order only decides how soon a
+        // failing attempt stops: the third-device walk goes first, as
+        // on a dense floor a co-located piconet fails it at the first
+        // device it examines.
+        let stable = self.third_devices_idle(m_dev, s_dev, t)
+            && self.devices[m_dev].lc.stat_master_stable(now_slot)
             && self.devices[s_dev].lc.stat_slave_ready(m_addr, t)
             && self.devices[m_dev].lc.afh_map_at(now_slot)
                 == self.devices[s_dev].lc.afh_map_at(now_slot)
@@ -1733,33 +1737,15 @@ impl Simulator {
                 horizon = horizon.min(at);
             }
         }
-        for (d, cell) in self.devices.iter().enumerate() {
-            if d == m_dev || d == s_dev || !self.same_comp(d, m_dev) {
+        let mut visits = 0;
+        for &d in self.members_of(m_dev) {
+            if d == m_dev || d == s_dev {
                 continue;
             }
-            if cell.active.is_some()
-                || !cell.pending.is_empty()
-                || cell.rx_busy_until > t
-                || cell.lc.has_active_link()
-            {
-                // A third radio is active right now — or holds an
-                // active-mode link in a piconet of its own. The latter
-                // exchanges traffic (at least Tpoll keepalives) every
-                // few slots, and once such a pair is promoted too,
-                // that traffic no longer shows up as bit-level air
-                // time, so two mutually promoted pairs would batch
-                // straight past each other's collisions. Either way:
-                // co-channel contention for the tracker, not a horizon
-                // matter. A piconet member sleeping through a hold /
-                // sniff / park window is fine — its wakeup caps the
-                // batch horizon below, and waking demotes the pair
-                // here on the next attempt.
-                if self.devices[m_dev].lc.stat_promoted() {
-                    self.devices[m_dev].lc.set_stat_promoted(false);
-                    self.log_stat_event(m_dev, t, LcEvent::FidelityChanged { promoted: false });
-                }
-                return;
-            }
+            visits += 1;
+            // Third devices are idle (gated above): each may still
+            // wake — or have its manager act — inside the batch.
+            let cell = &self.devices[d];
             if let Some(w) = cell.lc.next_wakeup(t + SimDuration::from_ns(1)) {
                 horizon = horizon.min(w);
             }
@@ -1767,6 +1753,7 @@ impl Simulator {
                 horizon = horizon.min(SimTime::from_ns(slot * SimDuration::SLOT.ns()));
             }
         }
+        self.cost.stat_walk_visits += visits;
 
         // Run the batch, applying each slot pair as it is produced.
         // The controllers are borrowed per pair (a split_at_mut is
@@ -1848,6 +1835,39 @@ impl Simulator {
         self.comp_of.is_empty() || self.comp_of[a] == self.comp_of[b]
     }
 
+    /// The members of `dev`'s connected component, ascending (every
+    /// device without a spatial model).
+    fn members_of(&self, dev: usize) -> &[usize] {
+        self.index.members(self.comp_of.get(dev).copied())
+    }
+
+    /// Whether every device of the pair's component other than the
+    /// pair itself is idle: no radio activity right now and no
+    /// active-mode link of its own. Such a link exchanges traffic (at
+    /// least Tpoll keepalives) every few slots, and once its pair is
+    /// promoted too that traffic no longer shows up as bit-level air
+    /// time, so two mutually promoted pairs would batch straight past
+    /// each other's collisions. A piconet member sleeping through a
+    /// hold / sniff / park window is idle — its wakeup caps the batch
+    /// horizon, and waking demotes the pair on the next attempt.
+    fn third_devices_idle(&mut self, m_dev: usize, s_dev: usize, t: SimTime) -> bool {
+        let mut visits = 0;
+        let idle = self
+            .members_of(m_dev)
+            .iter()
+            .filter(|&&d| d != m_dev && d != s_dev)
+            .all(|&d| {
+                visits += 1;
+                let cell = &self.devices[d];
+                cell.active.is_none()
+                    && cell.pending.is_empty()
+                    && cell.rx_busy_until <= t
+                    && !cell.lc.has_active_link()
+            });
+        self.cost.stat_walk_visits += visits;
+        idle
+    }
+
     // ----- faults ----------------------------------------------------------
 
     /// Whether a fault currently touches `d` — crashed, muted, drifted,
@@ -1864,8 +1884,13 @@ impl Simulator {
     /// as [`LcEvent::FidelityChanged`] at the fault instant, so the
     /// event log pins the demotion to the fault under both engines.
     fn demote_promoted(&mut self, around: Option<usize>, t: SimTime) {
-        let hit: Vec<usize> = (0..self.devices.len())
-            .filter(|&d| around.is_none_or(|a| self.same_comp(a, d)))
+        let scope = match around {
+            Some(a) => self.members_of(a),
+            None => self.index.members(None),
+        };
+        let hit: Vec<usize> = scope
+            .iter()
+            .copied()
             .filter(|&d| self.devices[d].lc.stat_promoted())
             .collect();
         for d in hit {
@@ -1950,12 +1975,17 @@ impl Simulator {
     /// [`Medium::quiet_at`] without a spatial model. Scoping by
     /// component (not just the 3×3 cell neighbourhood) matches exactly
     /// what a sharded run's per-component medium observes.
-    fn comp_quiet(&self, dev: usize, at: SimTime) -> bool {
+    fn comp_quiet(&mut self, dev: usize, at: SimTime) -> bool {
         if self.comp_of.is_empty() {
             return self.medium.quiet_at(at);
         }
-        let comp = self.comp_of[dev];
-        (0..self.devices.len()).all(|d| self.comp_of[d] != comp || self.medium.last_end_of(d) <= at)
+        let mut visits = 0;
+        let quiet = self.members_of(dev).iter().all(|&d| {
+            visits += 1;
+            self.medium.last_end_of(d) <= at
+        });
+        self.cost.stat_walk_visits += visits;
+        quiet
     }
 
     /// Whether every RF channel the pair can hop to is free of
@@ -1965,11 +1995,6 @@ impl Simulator {
         (0..btsim_channel::RF_CHANNELS).all(|ch| {
             !map.is_none_or(|m| m.is_used(ch)) || self.medium.duty_class(ch) == DutyClass::Clear
         })
-    }
-
-    /// Index of the device with the given address, if any.
-    fn device_by_addr(&self, addr: BdAddr) -> Option<usize> {
-        self.devices.iter().position(|c| c.lc.addr() == addr)
     }
 
     /// Event-driven: refreshes `dev`'s pending wake from its controller
@@ -1988,7 +2013,7 @@ impl Simulator {
             let at = SimTime::from_ns((slot * slot_ns).max(floor.ns().div_ceil(slot_ns) * slot_ns));
             wake = Some(wake.map_or(at, |w| w.min(at)));
         }
-        self.wake[dev] = wake;
+        self.wake.set(dev, wake);
     }
 
     /// [`Simulator::recompute_wakeup`] + [`Simulator::arm_wake`].
@@ -2006,7 +2031,7 @@ impl Simulator {
     /// current instant — mirroring where the lockstep tick cascade sits
     /// relative to events scheduled from earlier instants.
     fn arm_wake(&mut self) {
-        let Some(at) = self.wake.iter().flatten().min().copied() else {
+        let Some(at) = self.wake.earliest() else {
             return;
         };
         self.wake_seq += 1;

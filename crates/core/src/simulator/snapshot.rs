@@ -21,7 +21,7 @@ use btsim_kernel::{Snap, SnapReader, SnapWriter, SnapshotError};
 const MAGIC: u32 = u32::from_le_bytes(*b"BTSN");
 
 /// Highest wire-format version this build reads and the one it writes.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 impl Snap for Engine {
     fn snap(&self, w: &mut SnapWriter) {
@@ -232,6 +232,9 @@ impl Snap for Simulator {
         self.wake.snap(w);
         w.put_u64(self.wake_seq);
         w.put_u64(self.steps_total);
+        w.put_u64(self.cost.listener_visits);
+        w.put_u64(self.cost.stat_attempts);
+        w.put_u64(self.cost.stat_walk_visits);
         w.put_u64(self.fidelity_promotions);
         w.put_u64(self.fidelity_demotions);
         self.metrics.snap(w);
@@ -249,7 +252,7 @@ impl Snap for Simulator {
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let sim = Simulator {
+        let mut sim = Simulator {
             cal: Calendar::unsnap(r)?,
             medium: Medium::unsnap(r)?,
             devices: Vec::unsnap(r)?,
@@ -266,9 +269,14 @@ impl Snap for Simulator {
             modem_delay: SimDuration::unsnap(r)?,
             peek: SimDuration::unsnap(r)?,
             run_cap: SimTime::unsnap(r)?,
-            wake: Vec::unsnap(r)?,
+            wake: WakeTree::unsnap(r)?,
             wake_seq: r.take_u64()?,
             steps_total: r.take_u64()?,
+            cost: Cost {
+                listener_visits: r.take_u64()?,
+                stat_attempts: r.take_u64()?,
+                stat_walk_visits: r.take_u64()?,
+            },
             fidelity_promotions: r.take_u64()?,
             fidelity_demotions: r.take_u64()?,
             metrics: Option::unsnap(r)?,
@@ -278,6 +286,7 @@ impl Snap for Simulator {
             merge_done: Vec::unsnap(r)?,
             workers: r.take_usize()?,
             comp_of: Vec::unsnap(r)?,
+            index: Indexes::default(),
             faults: FaultPlan::unsnap(r)?,
             crashed: Vec::unsnap(r)?,
             muted: Vec::unsnap(r)?,
@@ -285,6 +294,9 @@ impl Snap for Simulator {
             faults_applied: r.take_u64()?,
         };
         validate(&sim, r)?;
+        if !sim.sharded() {
+            sim.index = derive_index(&sim, r)?;
+        }
         Ok(sim)
     }
 }
@@ -307,7 +319,7 @@ fn validate(sim: &Simulator, r: &SnapReader<'_>) -> Result<(), SnapshotError> {
         if sim.crashed.len() != n || sim.muted.len() != n || sim.drifted.len() != n {
             return Err(r.malformed("fault flag array length mismatches device count"));
         }
-        if sim.faults.max_device().is_some_and(|max| max >= n) {
+        if sim.faults.check_devices(n).is_err() {
             return Err(r.malformed("fault plan targets unknown device"));
         }
         for (_, _, ev) in sim.cal.entries() {
@@ -350,6 +362,28 @@ fn validate(sim: &Simulator, r: &SnapReader<'_>) -> Result<(), SnapshotError> {
         }
     }
     Ok(())
+}
+
+/// Rebuilds a monolithic simulator's derived indexes, which the wire
+/// form leaves out, from the restored devices and radio positions — and
+/// rejects a component map those positions do not produce.
+fn derive_index(sim: &Simulator, r: &SnapReader<'_>) -> Result<Indexes, SnapshotError> {
+    let positions = match sim.medium.spatial() {
+        Some(_) => (0..sim.devices.len())
+            .map(|d| sim.medium.position_of(d))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| r.malformed("device without a registered radio"))?,
+        None => Vec::new(),
+    };
+    let (near, comp_of) = index::in_range_graph(sim.medium.spatial(), &positions);
+    if comp_of != sim.comp_of {
+        return Err(r.malformed("component map mismatches radio positions"));
+    }
+    Ok(Indexes::new(
+        sim.devices.iter().map(|c| c.lc.addr()),
+        near,
+        &comp_of,
+    ))
 }
 
 /// A point-in-time checkpoint of a [`Simulator`].

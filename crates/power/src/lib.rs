@@ -263,41 +263,30 @@ impl<P: Copy + Ord + Debug> PowerMonitor<P> {
         } else {
             acc.rx_ns += total;
         }
-        // Split the interval over the phase timeline.
-        let mut cursor = from;
-        while cursor < to {
-            // Find the phase active at `cursor` and its end.
-            let idx = match acc.timeline.binary_search_by(|(t, _)| t.cmp(&cursor)) {
-                Ok(i) => i,
-                Err(0) => 0,
-                Err(i) => i - 1,
-            };
-            let phase = acc.timeline[idx].1;
-            let seg_end = acc
-                .timeline
-                .get(idx + 1)
-                .map(|(t, _)| *t)
-                .unwrap_or(to)
-                .min(to);
-            let seg_end = seg_end.max(cursor);
-            let len = seg_end.since(cursor).ns();
-            let entry = acc.per_phase.entry(phase).or_default();
-            if is_tx {
-                entry.tx_ns += len;
-            } else {
-                entry.rx_ns += len;
-            }
-            if seg_end == cursor {
-                break;
-            }
-            cursor = seg_end;
-        }
+        split_over_phases(&acc.timeline, &mut acc.per_phase, from, to, is_tx);
     }
 
     /// Produces the report of `device` for the window `[0, end)`.
     pub fn report(&self, device: usize, end: SimTime) -> DeviceReport<P> {
+        self.report_with_rx(device, end, None)
+    }
+
+    /// [`PowerMonitor::report`] as if the receiver-on interval `open`
+    /// had been recorded first — how a caller folds in a window that is
+    /// still open, without touching (or cloning) the monitor.
+    pub fn report_with_rx(
+        &self,
+        device: usize,
+        end: SimTime,
+        open: Option<(SimTime, SimTime)>,
+    ) -> DeviceReport<P> {
         let acc = &self.devices[device];
         let mut phases = acc.per_phase.clone();
+        let mut rx_ns = acc.rx_ns;
+        if let Some((from, to)) = open.filter(|(from, to)| to > from) {
+            rx_ns += to.since(from).ns();
+            split_over_phases(&acc.timeline, &mut phases, from, to, false);
+        }
         // Fill in phase durations from the timeline.
         for (i, (start, phase)) in acc.timeline.iter().enumerate() {
             let stop = acc
@@ -312,10 +301,44 @@ impl<P: Copy + Ord + Debug> PowerMonitor<P> {
         }
         DeviceReport {
             tx: SimDuration::from_ns(acc.tx_ns),
-            rx: SimDuration::from_ns(acc.rx_ns),
+            rx: SimDuration::from_ns(rx_ns),
             total: end.since(SimTime::ZERO),
             phases,
         }
+    }
+}
+
+/// Attributes the RF-on interval `[from, to)` (non-empty) to the phases
+/// of `timeline` it overlaps.
+fn split_over_phases<P: Copy + Ord>(
+    timeline: &[(SimTime, P)],
+    per_phase: &mut BTreeMap<P, PhaseTotals>,
+    from: SimTime,
+    to: SimTime,
+    is_tx: bool,
+) {
+    let mut cursor = from;
+    while cursor < to {
+        // Find the phase active at `cursor` and its end.
+        let idx = match timeline.binary_search_by(|(t, _)| t.cmp(&cursor)) {
+            Ok(i) => i,
+            Err(0) => 0,
+            Err(i) => i - 1,
+        };
+        let phase = timeline[idx].1;
+        let seg_end = timeline.get(idx + 1).map(|(t, _)| *t).unwrap_or(to).min(to);
+        let seg_end = seg_end.max(cursor);
+        let len = seg_end.since(cursor).ns();
+        let entry = per_phase.entry(phase).or_default();
+        if is_tx {
+            entry.tx_ns += len;
+        } else {
+            entry.rx_ns += len;
+        }
+        if seg_end == cursor {
+            break;
+        }
+        cursor = seg_end;
     }
 }
 
@@ -498,6 +521,23 @@ mod tests {
         let p = PowerProfile::default();
         assert!(p.tx_mw > p.rx_mw);
         assert!(p.rx_mw > p.idle_mw);
+    }
+
+    #[test]
+    fn open_rx_window_folds_in_like_a_recorded_one() {
+        let mut mon: PowerMonitor<u8> = PowerMonitor::new(1, 0);
+        mon.set_phase(0, 1, us(100));
+        mon.add_rx(0, us(10), us(20));
+        for open in [(us(50), us(300)), (us(150), us(150)), (us(0), us(100))] {
+            let mut recorded = mon.clone();
+            recorded.add_rx(0, open.0, open.1);
+            assert_eq!(
+                mon.report_with_rx(0, us(300), Some(open)),
+                recorded.report(0, us(300)),
+                "open window {open:?}"
+            );
+        }
+        assert_eq!(mon.report_with_rx(0, us(300), None), mon.report(0, us(300)));
     }
 
     #[test]

@@ -278,6 +278,52 @@ fn sharded_faulted_floor_is_snapshot_transparent() {
     }
 }
 
+/// The `metrics_every` stream continues through a wire-form restore:
+/// every counter, the `cost.*` scan counters included, picks up where
+/// the original left off, so the restored run emits the same lines —
+/// totals and deltas — as the uninterrupted one. Only the wall-clock
+/// heartbeat may differ.
+#[test]
+fn metrics_stream_survives_a_bytes_restore() {
+    let deterministic = |lines: &str| -> Vec<String> {
+        lines
+            .lines()
+            .map(|l| {
+                l.split(",\"wall_slots_per_sec\"")
+                    .next()
+                    .unwrap()
+                    .to_string()
+            })
+            .collect()
+    };
+    for engine in [Engine::Lockstep, Engine::EventDriven] {
+        let mut cfg = DenseFloorConfig {
+            grid: (2, 2),
+            measure_slots: 1_500,
+            ..DenseFloorConfig::default()
+        };
+        cfg.sim.engine = engine;
+        cfg.sim.fidelity = Fidelity::Auto;
+        cfg.sim.metrics_every = Some(250);
+        let scenario = DenseFloorScenario::new(cfg);
+        // Split once formed: formation's transmissions have already
+        // run the counters up, and the measured phase adds to them.
+        let mut sim = scenario.form(31).expect("floor forms");
+        let visits = sim.metrics_snapshot().counter("cost.listener_visits");
+        assert!(visits > Some(0), "formation examined no listeners");
+        let bytes = sim.snapshot().to_bytes();
+        let mut restored = SimSnapshot::from_bytes(&bytes).unwrap().restore();
+        scenario.drive_formed(&mut sim);
+        scenario.drive_formed(&mut restored);
+        let lines = sim.metrics_lines();
+        assert_eq!(
+            deterministic(restored.metrics_lines()),
+            deterministic(lines),
+            "metrics lines diverged after a bytes restore ({engine:?})"
+        );
+    }
+}
+
 /// The formation split invariant behind campaign forking and
 /// `--resume`: `form(seed)` + `drive_formed` (through a snapshot
 /// roundtrip) equals the uninterrupted `run(seed)` bit-exactly.

@@ -258,3 +258,47 @@ fn stat_promotion_of_interior_link_ignores_out_of_range_cluster() {
         "an out-of-range cluster's traffic leaked into the interior pair's evolution"
     );
 }
+
+/// Scan work per unit over a dense floor's measured window: devices
+/// the `TxStart` listener walk examined per transmission, and devices
+/// the statistical tier's component walks examined per attempt.
+fn scan_visits_per_unit(grid: (usize, usize)) -> (f64, f64) {
+    let scenario = DenseFloorScenario::new(DenseFloorConfig {
+        grid,
+        sim: {
+            let mut sim = DenseFloorConfig::default().sim;
+            sim.engine = Engine::EventDriven;
+            sim.fidelity = Fidelity::Auto;
+            sim
+        },
+        ..DenseFloorConfig::default()
+    });
+    let mut sim = scenario.build(7);
+    scenario.prepare(&mut sim).expect("floor forms");
+    let before = sim.metrics_snapshot();
+    sim.run_until(sim.now() + SimDuration::from_slots(200));
+    let window = sim.metrics_snapshot().since(&before);
+    let count = |name: &str| window.counter(name).expect("hub counter") as f64;
+    assert!(count("cost.stat_attempts") > 0.0, "saturated pairs attempt");
+    (
+        count("cost.listener_visits") / count("medium.transmissions"),
+        count("cost.stat_walk_visits") / count("cost.stat_attempts"),
+    )
+}
+
+/// The scan work per transmission and per statistical-tier attempt is
+/// a property of one cluster, not of the floor: a 6×6 floor (144
+/// devices) examines exactly as many devices per unit as a 3×3 one
+/// (36), and never more than the rest of a cluster.
+#[test]
+fn scan_visits_do_not_depend_on_floor_size() {
+    let cluster = 2 * DenseFloorConfig::default().piconets_per_point;
+    let small = scan_visits_per_unit((3, 3));
+    let large = scan_visits_per_unit((6, 6));
+    assert_eq!(small, large, "scan visits per unit grew with the floor");
+    let bound = (cluster - 1) as f64;
+    assert!(
+        small.0 > 0.0 && small.0 <= bound && small.1 > 0.0 && small.1 <= bound,
+        "visits per transmission and per attempt {small:?} exceed {bound}"
+    );
+}
