@@ -2,10 +2,9 @@
 //!
 //! Experiment binaries and performance benches for the `btsim` DATE'05
 //! reproduction. Every experiment lives in the
-//! [`btsim_core::experiments::registry`]; the `fig*` / `ext*` / `table1`
-//! binaries are thin one-line wrappers around registry entries kept for
-//! muscle memory, and the `experiments` binary multiplexes the whole
-//! registry (`experiments <name…|all>`, `experiments --list`).
+//! [`btsim_core::experiments::registry`], and the `experiments` binary
+//! multiplexes the whole registry (`experiments <name…|all>`,
+//! `experiments --list`).
 //!
 //! Binaries accept `--quick` (reduced campaign), `--runs N`, `--seed S`,
 //! `--threads T` and `--json PATH` (dump the report as JSON). Malformed
@@ -14,9 +13,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::process::ExitCode;
-
-use btsim_core::experiments::{self, ExpOptions, Experiment};
+use btsim_core::experiments::{ExpOptions, Experiment};
 use btsim_stats::JsonValue;
 
 /// Parsed command line of an experiment binary.
@@ -312,38 +309,6 @@ pub fn run_entry(
         ]));
     }
     Ok(())
-}
-
-/// CLI entry point shared by the thin per-experiment binaries: parses
-/// options and runs the named registry entry.
-///
-/// Positional arguments and `--list` only mean something to the
-/// `experiments` multiplexer; a thin binary rejects them instead of
-/// silently running the wrong workload.
-pub fn run_named(name: &str) -> ExitCode {
-    let opts = parse_cli();
-    if let Some(stray) = opts.positional.first() {
-        eprintln!(
-            "error: unexpected argument {stray:?} — this binary always runs {name:?}; \
-             use the `experiments` binary to select experiments by name"
-        );
-        return ExitCode::from(2);
-    }
-    if opts.list {
-        eprintln!("error: --list is only understood by the `experiments` binary");
-        return ExitCode::from(2);
-    }
-    let Some(entry) = experiments::find(name) else {
-        eprintln!("error: experiment {name:?} is not in the registry");
-        return ExitCode::from(2);
-    };
-    let mut json_out = Vec::new();
-    if let Err(e) = run_entry(entry, &opts, &mut json_out) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    finish_json(&opts, &json_out);
-    ExitCode::SUCCESS
 }
 
 /// Writes the collected JSON reports if `--json` was given.

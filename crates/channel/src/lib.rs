@@ -335,6 +335,15 @@ impl TxStats {
             jammed: self.jammed - snapshot.jammed,
         }
     }
+
+    /// Field-wise sum: the statistics of two media pooled.
+    pub fn plus(&self, other: TxStats) -> TxStats {
+        TxStats {
+            transmissions: self.transmissions + other.transmissions,
+            collided: self.collided + other.collided,
+            jammed: self.jammed + other.jammed,
+        }
+    }
 }
 
 /// Counters of one RF channel inside a [`ChannelQuality`] view.
@@ -411,6 +420,17 @@ impl ChannelQuality {
                 collided: now.collided - then.collided,
                 jammed: now.jammed - then.jammed,
             };
+        }
+        out
+    }
+
+    /// Per-channel field-wise sum: the counters of two media pooled.
+    pub fn plus(&self, other: &ChannelQuality) -> ChannelQuality {
+        let mut out = self.clone();
+        for (slot, o) in out.counters.iter_mut().zip(&other.counters) {
+            slot.transmissions += o.transmissions;
+            slot.collided += o.collided;
+            slot.jammed += o.jammed;
         }
         out
     }

@@ -3,10 +3,10 @@
 //!
 //! A registry entry bundles a stable name, a one-line description and a
 //! runner producing a uniform [`ExpReport`] (title, notes, tables, text
-//! blocks, file artifacts). The `btsim-bench` binaries are thin wrappers
-//! around entries, and the `experiments` multiplexer binary runs any
-//! subset by name — adding a new experiment means adding a scenario, a
-//! result struct and one entry here, not a new binary.
+//! blocks, file artifacts). The `experiments` multiplexer binary in
+//! `btsim-bench` runs any subset by name — adding a new experiment
+//! means adding a scenario, a result struct and one entry here, not a
+//! new binary.
 
 use std::fmt;
 

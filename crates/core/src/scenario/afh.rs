@@ -245,7 +245,7 @@ impl Scenario for AfhAdaptScenario {
             },
         );
         let b_start = sim.now();
-        let quality_snapshot = sim.channel_quality().clone();
+        let quality_snapshot = sim.channel_quality();
         let b_window = SimDuration::from_slots(self.cfg.window_slots.max(1));
         sim.run_until(b_start + b_window);
         let kbps_after =

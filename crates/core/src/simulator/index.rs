@@ -9,7 +9,7 @@ use btsim_baseband::BdAddr;
 use btsim_channel::{Position, SpatialConfig};
 use btsim_kernel::{SimTime, Snap, SnapReader, SnapWriter, SnapshotError};
 
-/// The static lookup tables of one (monolithic or inner) simulator.
+/// The static lookup tables of one world.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Indexes {
     /// Every device, ascending: the neighbourhood and the component of

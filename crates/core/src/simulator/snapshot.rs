@@ -2,26 +2,34 @@
 //!
 //! [`SimSnapshot`] captures every stateful layer — calendar, medium,
 //! per-device controllers and managers, power ledgers, trace/capture
-//! sinks, event logs, fidelity counters, metrics stream and the shard
-//! tree — deeply enough that `restore(snapshot(sim))` followed by
-//! `run_until(h)` is bit-identical to running the original simulator to
-//! `h` uninterrupted (gated by `tests/snapshot_equivalence.rs`).
+//! sinks, event logs, fidelity counters and metrics stream of every
+//! world, plus the shell's device maps and merged logs — deeply enough
+//! that `restore(snapshot(sim))` followed by `run_until(h)` is
+//! bit-identical to running the original simulator to `h`
+//! uninterrupted (gated by `tests/snapshot_equivalence.rs`).
 //!
 //! The wire form ([`SimSnapshot::to_bytes`] / [`SimSnapshot::from_bytes`])
 //! is the kernel [`Snap`] codec under a magic/version header. Decoding is
 //! total: malformed or truncated input yields a typed
 //! [`SnapshotError`], never a panic, and structural invariants the
-//! simulator relies on (shard maps, wakeup arrays, calendar device
-//! indices) are re-validated on the way in.
+//! simulator relies on (device maps, merge cursors, wakeup arrays,
+//! calendar device indices) are re-validated on the way in.
 
+use super::world::{ActiveWindow, Cost, DeviceCell, Ev, PendingWindow, World};
 use super::*;
-use btsim_kernel::{Snap, SnapReader, SnapWriter, SnapshotError};
+use btsim_baseband::LinkController;
+use btsim_channel::TxId;
+use btsim_coding::BitVec;
+use btsim_fidelity::ErrorModel;
+use btsim_kernel::{Calendar, SignalRef, SimDuration, Snap, SnapReader, SnapWriter, SnapshotError};
+use btsim_power::PowerMonitor;
+use index::{Indexes, WakeTree};
 
 /// First four bytes of every serialized snapshot (`"BTSN"`).
 const MAGIC: u32 = u32::from_le_bytes(*b"BTSN");
 
 /// Highest wire-format version this build reads and the one it writes.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 impl Snap for Engine {
     fn snap(&self, w: &mut SnapWriter) {
@@ -211,7 +219,7 @@ impl Snap for DeviceCell {
     }
 }
 
-impl Snap for Simulator {
+impl Snap for World {
     fn snap(&self, w: &mut SnapWriter) {
         self.cal.snap(w);
         self.medium.snap(w);
@@ -222,7 +230,6 @@ impl Snap for Simulator {
         self.lm_events.snap(w);
         w.put_u64(self.next_window_id);
         w.put_u32(self.steps_since_gc);
-        w.put_usize(self.inspect_cursor);
         self.engine.snap(w);
         self.fidelity.snap(w);
         self.error_model.snap(w);
@@ -238,11 +245,6 @@ impl Snap for Simulator {
         w.put_u64(self.fidelity_promotions);
         w.put_u64(self.fidelity_demotions);
         self.metrics.snap(w);
-        self.shards.snap(w);
-        self.shard_of.snap(w);
-        self.shard_globals.snap(w);
-        self.merge_done.snap(w);
-        w.put_usize(self.workers);
         self.comp_of.snap(w);
         self.faults.snap(w);
         self.crashed.snap(w);
@@ -252,7 +254,7 @@ impl Snap for Simulator {
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let mut sim = Simulator {
+        let mut world = World {
             cal: Calendar::unsnap(r)?,
             medium: Medium::unsnap(r)?,
             devices: Vec::unsnap(r)?,
@@ -262,7 +264,6 @@ impl Snap for Simulator {
             lm_events: Vec::unsnap(r)?,
             next_window_id: r.take_u64()?,
             steps_since_gc: r.take_u32()?,
-            inspect_cursor: r.take_usize()?,
             engine: Engine::unsnap(r)?,
             fidelity: Fidelity::unsnap(r)?,
             error_model: ErrorModel::unsnap(r)?,
@@ -280,11 +281,6 @@ impl Snap for Simulator {
             fidelity_promotions: r.take_u64()?,
             fidelity_demotions: r.take_u64()?,
             metrics: Option::unsnap(r)?,
-            shards: Vec::unsnap(r)?,
-            shard_of: Vec::unsnap(r)?,
-            shard_globals: Vec::unsnap(r)?,
-            merge_done: Vec::unsnap(r)?,
-            workers: r.take_usize()?,
             comp_of: Vec::unsnap(r)?,
             index: Indexes::default(),
             faults: FaultPlan::unsnap(r)?,
@@ -293,94 +289,135 @@ impl Snap for Simulator {
             drifted: Vec::unsnap(r)?,
             faults_applied: r.take_u64()?,
         };
-        validate(&sim, r)?;
-        if !sim.sharded() {
-            sim.index = derive_index(&sim, r)?;
-        }
+        validate_world(&world, r)?;
+        world.index = derive_index(&world, r)?;
+        Ok(world)
+    }
+}
+
+impl Snap for Simulator {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.worlds.snap(w);
+        self.locs.snap(w);
+        self.globals.snap(w);
+        self.faults.snap(w);
+        w.put_usize(self.workers);
+        self.events.snap(w);
+        self.lm_events.snap(w);
+        self.merged.snap(w);
+        w.put_usize(self.inspect_cursor);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let sim = Simulator {
+            worlds: Vec::unsnap(r)?,
+            locs: Vec::unsnap(r)?,
+            globals: Vec::unsnap(r)?,
+            faults: FaultPlan::unsnap(r)?,
+            workers: r.take_usize()?,
+            events: Vec::unsnap(r)?,
+            lm_events: Vec::unsnap(r)?,
+            merged: Vec::unsnap(r)?,
+            inspect_cursor: r.take_usize()?,
+        };
+        validate_shell(&sim, r)?;
         Ok(sim)
     }
 }
 
-/// Structural invariants every decoded simulator must satisfy before it
+/// Structural invariants every decoded world must satisfy before it
 /// can run: any index a dispatch path uses unchecked is range-checked
 /// here, so a corrupted stream is rejected instead of panicking later.
-fn validate(sim: &Simulator, r: &SnapReader<'_>) -> Result<(), SnapshotError> {
-    if sim.workers == 0 {
-        return Err(r.malformed("worker count must be at least 1"));
+fn validate_world(world: &World, r: &SnapReader<'_>) -> Result<(), SnapshotError> {
+    let n = world.devices.len();
+    if world.wake.len() != n {
+        return Err(r.malformed("wakeup array length mismatches device count"));
     }
-    if sim.shards.is_empty() {
-        if sim.wake.len() != sim.devices.len() {
-            return Err(r.malformed("wakeup array length mismatches device count"));
-        }
-        if !sim.comp_of.is_empty() && sim.comp_of.len() != sim.devices.len() {
-            return Err(r.malformed("component map length mismatches device count"));
-        }
-        let n = sim.devices.len();
-        if sim.crashed.len() != n || sim.muted.len() != n || sim.drifted.len() != n {
-            return Err(r.malformed("fault flag array length mismatches device count"));
-        }
-        if sim.faults.check_devices(n).is_err() {
-            return Err(r.malformed("fault plan targets unknown device"));
-        }
-        for (_, _, ev) in sim.cal.entries() {
-            let ok = match ev {
-                Ev::Tick(d)
-                | Ev::Command { dev: d, .. }
-                | Ev::TxStart { dev: d, .. }
-                | Ev::WindowOpen { dev: d, .. }
-                | Ev::WindowClose { dev: d, .. } => *d < n,
-                Ev::Deliver { listeners, .. } => listeners.iter().all(|&l| l < n),
-                Ev::Wake { .. } => true,
-                Ev::Fault { idx } => *idx < sim.faults.events().len(),
-            };
-            if !ok {
-                return Err(r.malformed("calendar event references unknown device"));
-            }
-        }
-    } else {
-        if sim.shard_globals.len() != sim.shards.len() {
-            return Err(r.malformed("shard globals table mismatches shard count"));
-        }
-        if sim.merge_done.len() != sim.shards.len() {
-            return Err(r.malformed("merge cursor table mismatches shard count"));
-        }
-        for (d, &(s, l)) in sim.shard_of.iter().enumerate() {
-            if s >= sim.shards.len()
-                || l >= sim.shards[s].devices.len()
-                || sim.shard_globals[s].get(l) != Some(&d)
-            {
-                return Err(r.malformed("shard map references unknown device"));
-            }
-        }
-        for (shard, (done_lc, done_lm)) in sim.shards.iter().zip(&sim.merge_done) {
-            if !shard.shards.is_empty() {
-                return Err(r.malformed("shards must not nest"));
-            }
-            if *done_lc > shard.events.len() || *done_lm > shard.lm_events.len() {
-                return Err(r.malformed("merge cursor beyond shard event log"));
-            }
+    if !world.comp_of.is_empty() && world.comp_of.len() != n {
+        return Err(r.malformed("component map length mismatches device count"));
+    }
+    if world.crashed.len() != n || world.muted.len() != n || world.drifted.len() != n {
+        return Err(r.malformed("fault flag array length mismatches device count"));
+    }
+    if world.faults.check_devices(n).is_err() {
+        return Err(r.malformed("fault plan targets unknown device"));
+    }
+    for (_, _, ev) in world.cal.entries() {
+        let ok = match ev {
+            Ev::Tick(d)
+            | Ev::Command { dev: d, .. }
+            | Ev::TxStart { dev: d, .. }
+            | Ev::WindowOpen { dev: d, .. }
+            | Ev::WindowClose { dev: d, .. } => *d < n,
+            Ev::Deliver { listeners, .. } => listeners.iter().all(|&l| l < n),
+            Ev::Wake { .. } => true,
+            Ev::Fault { idx } => *idx < world.faults.events().len(),
+        };
+        if !ok {
+            return Err(r.malformed("calendar event references unknown device"));
         }
     }
     Ok(())
 }
 
-/// Rebuilds a monolithic simulator's derived indexes, which the wire
-/// form leaves out, from the restored devices and radio positions — and
-/// rejects a component map those positions do not produce.
-fn derive_index(sim: &Simulator, r: &SnapReader<'_>) -> Result<Indexes, SnapshotError> {
-    let positions = match sim.medium.spatial() {
-        Some(_) => (0..sim.devices.len())
-            .map(|d| sim.medium.position_of(d))
+/// The shell's invariants: at least one world, the global↔local device
+/// maps a bijection onto the worlds' devices, merge cursors within the
+/// world logs.
+fn validate_shell(sim: &Simulator, r: &SnapReader<'_>) -> Result<(), SnapshotError> {
+    if sim.worlds.is_empty() {
+        return Err(r.malformed("simulator without a world"));
+    }
+    if sim.workers == 0 {
+        return Err(r.malformed("worker count must be at least 1"));
+    }
+    if sim.globals.len() != sim.worlds.len() || sim.merged.len() != sim.worlds.len() {
+        return Err(r.malformed("world tables mismatch world count"));
+    }
+    // Every device maps to a (world, local) slot that maps back to it,
+    // and the slots are exactly as many as the devices: a bijection.
+    let mut slots = 0;
+    for (world, globals) in sim.worlds.iter().zip(&sim.globals) {
+        if globals.len() != world.devices.len() {
+            return Err(r.malformed("world globals table mismatches device count"));
+        }
+        slots += globals.len();
+    }
+    if slots != sim.locs.len() {
+        return Err(r.malformed("device map mismatches world device count"));
+    }
+    for (d, &(w, l)) in sim.locs.iter().enumerate() {
+        if sim.globals.get(w).and_then(|g| g.get(l)) != Some(&d) {
+            return Err(r.malformed("device map references unknown device"));
+        }
+    }
+    for (world, &(done_lc, done_lm)) in sim.worlds.iter().zip(&sim.merged) {
+        if done_lc > world.events.len() || done_lm > world.lm_events.len() {
+            return Err(r.malformed("merge cursor beyond world event log"));
+        }
+    }
+    if sim.faults.check_devices(sim.locs.len()).is_err() {
+        return Err(r.malformed("fault plan targets unknown device"));
+    }
+    Ok(())
+}
+
+/// Rebuilds a world's derived indexes, which the wire form leaves out,
+/// from the restored devices and radio positions — and rejects a
+/// component map those positions do not produce.
+fn derive_index(world: &World, r: &SnapReader<'_>) -> Result<Indexes, SnapshotError> {
+    let positions = match world.medium.spatial() {
+        Some(_) => (0..world.devices.len())
+            .map(|d| world.medium.position_of(d))
             .collect::<Option<Vec<_>>>()
             .ok_or_else(|| r.malformed("device without a registered radio"))?,
         None => Vec::new(),
     };
-    let (near, comp_of) = index::in_range_graph(sim.medium.spatial(), &positions);
-    if comp_of != sim.comp_of {
+    let (near, comp_of) = index::in_range_graph(world.medium.spatial(), &positions);
+    if comp_of != world.comp_of {
         return Err(r.malformed("component map mismatches radio positions"));
     }
     Ok(Indexes::new(
-        sim.devices.iter().map(|c| c.lc.addr()),
+        world.devices.iter().map(|c| c.lc.addr()),
         near,
         &comp_of,
     ))
@@ -513,23 +550,10 @@ impl Simulator {
     /// runs over an identical formed topology.
     pub fn reseed_for_fork(&mut self, fork_seed: u64) {
         let root = SimRng::new(fork_seed);
-        self.medium.reseed(root.fork(0xC4A7));
-        if self.sharded() {
-            for s in 0..self.shards.len() {
-                self.shards[s].medium.reseed(root.fork(0xC4A7));
-                for l in 0..self.shards[s].devices.len() {
-                    let g = self.shard_globals[s][l] as u64;
-                    self.shards[s].devices[l]
-                        .lc
-                        .reseed(root.fork(0x20_0000 + g).seed());
-                }
-            }
-        } else {
-            // A public monolithic simulator always has global id == local
-            // index (globals-keyed builds only occur inside shards, which
-            // the branch above re-keys through `shard_globals`).
-            for (i, cell) in self.devices.iter_mut().enumerate() {
-                cell.lc.reseed(root.fork(0x20_0000 + i as u64).seed());
+        for (world, globals) in self.worlds.iter_mut().zip(&self.globals) {
+            world.medium.reseed(root.fork(0xC4A7));
+            for (cell, &g) in world.devices.iter_mut().zip(globals) {
+                cell.lc.reseed(root.fork(0x20_0000 + g as u64).seed());
             }
         }
     }

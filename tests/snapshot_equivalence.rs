@@ -345,8 +345,38 @@ fn form_plus_drive_formed_matches_run() {
     }
 }
 
+/// A snapshot of a spatial floor split into two worlds: two clusters
+/// 100 m apart, built at `shards = 4`, scanning and paging for a while.
+fn two_world_snapshot_bytes() -> Vec<u8> {
+    use btsim::channel::Position;
+    use btsim::core::SimBuilder;
+    let mut cfg = DenseFloorConfig::default().sim;
+    cfg.shards = 4;
+    let mut b = SimBuilder::new(41, cfg);
+    let m0 = b.add_device_at("m0", Position::ORIGIN);
+    let s0 = b.add_device_at("s0", Position::ORIGIN);
+    let m1 = b.add_device_at("m1", Position::new(100.0, 0.0));
+    let s1 = b.add_device_at("s1", Position::new(100.0, 0.0));
+    let mut sim = b.build();
+    for (m, s) in [(m0, s0), (m1, s1)] {
+        sim.command(s, LcCommand::InquiryScan);
+        sim.command(
+            m,
+            LcCommand::Inquiry {
+                num_responses: 1,
+                timeout_slots: 0,
+            },
+        );
+    }
+    sim.run_until(sim.now() + SimDuration::from_slots(600));
+    let bytes = sim.snapshot().to_bytes();
+    SimSnapshot::from_bytes(&bytes).expect("intact two-world snapshot decodes");
+    bytes
+}
+
 /// Corrupted and truncated wire forms are rejected with typed errors —
-/// never a panic, never a silently wrong simulator.
+/// never a panic, never a silently wrong simulator — for monolithic and
+/// sharded snapshots alike.
 #[test]
 fn malformed_wire_forms_are_rejected() {
     let scenario = PageScenario::new(PageConfig {
@@ -354,35 +384,50 @@ fn malformed_wire_forms_are_rejected() {
         ..PageConfig::default()
     });
     let sim = scenario.build(40);
-    let bytes = sim.snapshot().to_bytes();
+    let mono = sim.snapshot().to_bytes();
     assert!(matches!(
         SimSnapshot::from_bytes(&[]),
         Err(SnapshotError::Truncated { .. } | SnapshotError::BadMagic)
     ));
-    let mut wrong_magic = bytes.clone();
-    wrong_magic[0] ^= 0xFF;
-    assert!(matches!(
-        SimSnapshot::from_bytes(&wrong_magic),
-        Err(SnapshotError::BadMagic)
-    ));
-    let mut wrong_version = bytes.clone();
-    wrong_version[4] = 0xEE;
-    assert!(matches!(
-        SimSnapshot::from_bytes(&wrong_version),
-        Err(SnapshotError::UnsupportedVersion { .. })
-    ));
-    for cut in [5, bytes.len() / 3, bytes.len() - 1] {
+    for (name, bytes) in [
+        ("monolithic", mono),
+        ("two-world", two_world_snapshot_bytes()),
+    ] {
+        let mut wrong_magic = bytes.clone();
+        wrong_magic[0] ^= 0xFF;
         assert!(
-            SimSnapshot::from_bytes(&bytes[..cut]).is_err(),
-            "truncation at {cut} must be rejected"
+            matches!(
+                SimSnapshot::from_bytes(&wrong_magic),
+                Err(SnapshotError::BadMagic)
+            ),
+            "{name}: wrong magic"
+        );
+        let mut wrong_version = bytes.clone();
+        wrong_version[4] = 0xEE;
+        assert!(
+            matches!(
+                SimSnapshot::from_bytes(&wrong_version),
+                Err(SnapshotError::UnsupportedVersion { .. })
+            ),
+            "{name}: wrong version"
+        );
+        let n = bytes.len();
+        for cut in [5, 9, n / 4, n / 3, n / 2, 3 * n / 4, n - 1] {
+            assert!(
+                SimSnapshot::from_bytes(&bytes[..cut]).is_err(),
+                "{name}: truncation at {cut} must be rejected"
+            );
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(
+            matches!(
+                SimSnapshot::from_bytes(&trailing),
+                Err(SnapshotError::TrailingBytes { .. })
+            ),
+            "{name}: trailing byte"
         );
     }
-    let mut trailing = bytes.clone();
-    trailing.push(0);
-    assert!(matches!(
-        SimSnapshot::from_bytes(&trailing),
-        Err(SnapshotError::TrailingBytes { .. })
-    ));
 }
 
 proptest! {

@@ -30,9 +30,10 @@ use btsim::kernel::{SimDuration, SimTime};
 fn per_device_digest(sim: &Simulator, with_power: bool) -> String {
     use std::fmt::Write;
     let mut out = format!(
-        "now={:?} tx={:?} ber={} rng={:#x} steps>0={}\n",
+        "now={:?} tx={:?} quality={:?} ber={} rng={:#x} steps>0={}\n",
         sim.now(),
         sim.tx_stats(),
+        sim.channel_quality().total(),
         sim.measured_ber(),
         sim.rng_fingerprint(),
         sim.steps_total() > 0,
