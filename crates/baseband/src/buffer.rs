@@ -237,38 +237,23 @@ impl RxAssembler {
     }
 }
 
-impl btsim_kernel::Snap for TxMessage {
-    fn snap(&self, w: &mut btsim_kernel::SnapWriter) {
-        self.llid.snap(w);
-        self.data.snap(w);
-        w.put_usize(self.offset);
-    }
-
-    fn unsnap(r: &mut btsim_kernel::SnapReader<'_>) -> Result<Self, btsim_kernel::SnapshotError> {
-        let llid = Llid::unsnap(r)?;
-        let data = Vec::<u8>::unsnap(r)?;
-        let offset = r.take_usize()?;
-        if offset > data.len() {
-            return Err(r.malformed("tx fragment offset past message end"));
-        }
-        Ok(Self { llid, data, offset })
+btsim_kernel::snap_struct! {
+    TxMessage { llid, data, offset }
+    check |m| if m.offset > m.data.len() {
+        Err("tx fragment offset past message end")
+    } else {
+        Ok(())
     }
 }
 
-impl btsim_kernel::Snap for TxBuffer {
-    fn snap(&self, w: &mut btsim_kernel::SnapWriter) {
-        self.queue.snap(w);
-    }
-
-    fn unsnap(r: &mut btsim_kernel::SnapReader<'_>) -> Result<Self, btsim_kernel::SnapshotError> {
-        let queue = std::collections::VecDeque::<TxMessage>::unsnap(r)?;
-        // The byte gauge is derived state: recompute it rather than
-        // trusting (and having to cross-validate) a serialized copy.
-        let queued_bytes = queue.iter().map(|m| m.data.len() - m.offset).sum();
-        Ok(Self {
-            queue,
-            queued_bytes,
-        })
+// The byte gauge is derived state: recompute it rather than trusting
+// (and having to cross-validate) a serialized copy.
+btsim_kernel::snap_struct! {
+    TxBuffer { queue }
+    skip {
+        queued_bytes = VecDeque::<TxMessage>::iter(&queue)
+            .map(|m| m.data.len() - m.offset)
+            .sum()
     }
 }
 

@@ -116,19 +116,7 @@ impl ChannelAssessment {
     }
 }
 
-impl btsim_kernel::Snap for ChannelAssessment {
-    fn snap(&self, w: &mut btsim_kernel::SnapWriter) {
-        self.good.snap(w);
-        self.bad.snap(w);
-    }
-
-    fn unsnap(r: &mut btsim_kernel::SnapReader<'_>) -> Result<Self, btsim_kernel::SnapshotError> {
-        Ok(Self {
-            good: <[u32; CHANNELS as usize]>::unsnap(r)?,
-            bad: <[u32; CHANNELS as usize]>::unsnap(r)?,
-        })
-    }
-}
+btsim_kernel::snap_struct! { ChannelAssessment { good, bad } }
 
 #[cfg(test)]
 mod tests {

@@ -12,9 +12,7 @@
 //! range, RF channels < 79, AFH map floor, fragment offsets) are
 //! checked before any panicking constructor runs.
 
-use std::collections::VecDeque;
-
-use btsim_kernel::{SimTime, Snap, SnapReader, SnapWriter, SnapshotError};
+use btsim_kernel::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 use crate::address::BdAddr;
 use crate::clock::{ClkVal, Clock, CLK_WRAP};
@@ -26,14 +24,20 @@ use super::connection::{
 };
 use super::inquiry::{InquiryCtx, InquiryScanCtx};
 use super::page::{PageCtx, PageScanCtx, PageScanSub, PageSub};
-use super::{
-    ChannelAssessment, LcCommand, LcConfig, LcEvent, LifePhase, LinkController, ProcState,
-};
+use super::{LcCommand, LcConfig, LcEvent, LifePhase, LinkController, ProcState};
 
 fn rf_channel(r: &mut SnapReader<'_>) -> Result<u8, SnapshotError> {
     let ch = r.take_u8()?;
     if ch >= CHANNELS {
         return Err(r.malformed("RF channel out of range"));
+    }
+    Ok(ch)
+}
+
+fn scan_channel(r: &mut SnapReader<'_>) -> Result<Option<u8>, SnapshotError> {
+    let ch: Option<u8> = Snap::unsnap(r)?;
+    if ch.is_some_and(|ch| ch >= CHANNELS) {
+        return Err(r.malformed("scan channel out of range"));
     }
     Ok(ch)
 }
@@ -76,153 +80,60 @@ impl Snap for Clock {
     }
 }
 
-impl Snap for PacketType {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            PacketType::Id => 0,
-            PacketType::Null => 1,
-            PacketType::Poll => 2,
-            PacketType::Fhs => 3,
-            PacketType::Dm1 => 4,
-            PacketType::Dh1 => 5,
-            PacketType::Dm3 => 6,
-            PacketType::Dh3 => 7,
-            PacketType::Dm5 => 8,
-            PacketType::Dh5 => 9,
-            PacketType::Aux1 => 10,
-            PacketType::Hv1 => 11,
-            PacketType::Hv2 => 12,
-            PacketType::Hv3 => 13,
-            PacketType::Dv => 14,
-        });
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => PacketType::Id,
-            1 => PacketType::Null,
-            2 => PacketType::Poll,
-            3 => PacketType::Fhs,
-            4 => PacketType::Dm1,
-            5 => PacketType::Dh1,
-            6 => PacketType::Dm3,
-            7 => PacketType::Dh3,
-            8 => PacketType::Dm5,
-            9 => PacketType::Dh5,
-            10 => PacketType::Aux1,
-            11 => PacketType::Hv1,
-            12 => PacketType::Hv2,
-            13 => PacketType::Hv3,
-            14 => PacketType::Dv,
-            _ => return Err(r.malformed("unknown packet-type tag")),
-        })
-    }
+snap_enum! {
+    PacketType {
+        0 => Id,
+        1 => Null,
+        2 => Poll,
+        3 => Fhs,
+        4 => Dm1,
+        5 => Dh1,
+        6 => Dm3,
+        7 => Dh3,
+        8 => Dm5,
+        9 => Dh5,
+        10 => Aux1,
+        11 => Hv1,
+        12 => Hv2,
+        13 => Hv3,
+        14 => Dv,
+    } else "unknown packet-type tag"
 }
 
-impl Snap for Llid {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            Llid::Continuation => 0,
-            Llid::Start => 1,
-            Llid::Lmp => 2,
-        });
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => Llid::Continuation,
-            1 => Llid::Start,
-            2 => Llid::Lmp,
-            _ => return Err(r.malformed("unknown LLID tag")),
-        })
-    }
+snap_enum! {
+    Llid {
+        0 => Continuation,
+        1 => Start,
+        2 => Lmp,
+    } else "unknown LLID tag"
 }
 
-impl Snap for LifePhase {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            LifePhase::Standby => 0,
-            LifePhase::Inquiry => 1,
-            LifePhase::InquiryScan => 2,
-            LifePhase::Page => 3,
-            LifePhase::PageScan => 4,
-            LifePhase::Active => 5,
-            LifePhase::Sniff => 6,
-            LifePhase::Hold => 7,
-            LifePhase::Park => 8,
-        });
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => LifePhase::Standby,
-            1 => LifePhase::Inquiry,
-            2 => LifePhase::InquiryScan,
-            3 => LifePhase::Page,
-            4 => LifePhase::PageScan,
-            5 => LifePhase::Active,
-            6 => LifePhase::Sniff,
-            7 => LifePhase::Hold,
-            8 => LifePhase::Park,
-            _ => return Err(r.malformed("unknown life-phase tag")),
-        })
-    }
+snap_enum! {
+    LifePhase {
+        0 => Standby,
+        1 => Inquiry,
+        2 => InquiryScan,
+        3 => Page,
+        4 => PageScan,
+        5 => Active,
+        6 => Sniff,
+        7 => Hold,
+        8 => Park,
+    } else "unknown life-phase tag"
 }
 
-impl Snap for LinkMode {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            LinkMode::Active => 0,
-            LinkMode::Sniff => 1,
-            LinkMode::Hold => 2,
-            LinkMode::Park => 3,
-        });
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => LinkMode::Active,
-            1 => LinkMode::Sniff,
-            2 => LinkMode::Hold,
-            3 => LinkMode::Park,
-            _ => return Err(r.malformed("unknown link-mode tag")),
-        })
-    }
+snap_enum! {
+    LinkMode {
+        0 => Active,
+        1 => Sniff,
+        2 => Hold,
+        3 => Park,
+    } else "unknown link-mode tag"
 }
 
-impl Snap for ScoParams {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.t_sco);
-        w.put_u32(self.d_sco);
-        self.ptype.snap(w);
-    }
+snap_struct! { ScoParams { t_sco, d_sco, ptype } }
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            t_sco: r.take_u32()?,
-            d_sco: r.take_u32()?,
-            ptype: PacketType::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for SniffParams {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.t_sniff);
-        w.put_u32(self.n_attempt);
-        w.put_u32(self.d_sniff);
-        w.put_u32(self.n_timeout);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            t_sniff: r.take_u32()?,
-            n_attempt: r.take_u32()?,
-            d_sniff: r.take_u32()?,
-            n_timeout: r.take_u32()?,
-        })
-    }
-}
+snap_struct! { SniffParams { t_sniff, n_attempt, d_sniff, n_timeout } }
 
 impl Snap for ChannelMap {
     fn snap(&self, w: &mut SnapWriter) {
@@ -239,712 +150,191 @@ impl Snap for ChannelMap {
     }
 }
 
-impl Snap for LcConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(self.sync_threshold);
-        w.put_bool(self.page_fhs_fec);
-        w.put_u64(self.peek_us);
-        w.put_u32(self.inquiry_backoff_max);
-        w.put_u32(self.inquiry_rearm_backoff_max);
-        w.put_u32(self.train_switch_slots);
-        w.put_u32(self.page_resp_timeout_slots);
-        w.put_u32(self.new_connection_timeout_slots);
-        w.put_u32(self.t_poll_slots);
-        self.default_acl.snap(w);
-        w.put_bool(self.inquiry_scan_continuous);
-        w.put_bool(self.page_scan_continuous);
-        w.put_u32(self.page_scan_interval_slots);
-        w.put_u32(self.page_scan_window_slots);
-        w.put_u32(self.resync_guard_slots);
-        w.put_u64(self.sniff_listen_us);
-        w.put_u64(self.sniff_drift_ppm);
-        w.put_u32(self.class_of_device);
-        w.put_u32(self.supervision_timeout_slots);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            sync_threshold: r.take_u8()?,
-            page_fhs_fec: r.take_bool()?,
-            peek_us: r.take_u64()?,
-            inquiry_backoff_max: r.take_u32()?,
-            inquiry_rearm_backoff_max: r.take_u32()?,
-            train_switch_slots: r.take_u32()?,
-            page_resp_timeout_slots: r.take_u32()?,
-            new_connection_timeout_slots: r.take_u32()?,
-            t_poll_slots: r.take_u32()?,
-            default_acl: PacketType::unsnap(r)?,
-            inquiry_scan_continuous: r.take_bool()?,
-            page_scan_continuous: r.take_bool()?,
-            page_scan_interval_slots: r.take_u32()?,
-            page_scan_window_slots: r.take_u32()?,
-            resync_guard_slots: r.take_u32()?,
-            sniff_listen_us: r.take_u64()?,
-            sniff_drift_ppm: r.take_u64()?,
-            class_of_device: r.take_u32()?,
-            supervision_timeout_slots: r.take_u32()?,
-        })
+snap_struct! {
+    LcConfig {
+        sync_threshold,
+        page_fhs_fec,
+        peek_us,
+        inquiry_backoff_max,
+        inquiry_rearm_backoff_max,
+        train_switch_slots,
+        page_resp_timeout_slots,
+        new_connection_timeout_slots,
+        t_poll_slots,
+        default_acl,
+        inquiry_scan_continuous,
+        page_scan_continuous,
+        page_scan_interval_slots,
+        page_scan_window_slots,
+        resync_guard_slots,
+        sniff_listen_us,
+        sniff_drift_ppm,
+        class_of_device,
+        supervision_timeout_slots,
     }
 }
 
-impl Snap for LcCommand {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            LcCommand::Inquiry {
-                num_responses,
-                timeout_slots,
-            } => {
-                w.put_u8(0);
-                w.put_u8(*num_responses);
-                w.put_u32(*timeout_slots);
-            }
-            LcCommand::InquiryScan => w.put_u8(1),
-            LcCommand::Page {
-                target,
-                clke_offset,
-                timeout_slots,
-            } => {
-                w.put_u8(2);
-                target.snap(w);
-                w.put_u32(*clke_offset);
-                w.put_u32(*timeout_slots);
-            }
-            LcCommand::PageScan => w.put_u8(3),
-            LcCommand::AbortProcedure => w.put_u8(4),
-            LcCommand::AclData { lt_addr, data } => {
-                w.put_u8(5);
-                w.put_u8(*lt_addr);
-                data.snap(w);
-            }
-            LcCommand::Lmp { lt_addr, data } => {
-                w.put_u8(6);
-                w.put_u8(*lt_addr);
-                data.snap(w);
-            }
-            LcCommand::SetAclType(t) => {
-                w.put_u8(7);
-                t.snap(w);
-            }
-            LcCommand::SetTpoll(t) => {
-                w.put_u8(8);
-                w.put_u32(*t);
-            }
-            LcCommand::SetAfh(map) => {
-                w.put_u8(9);
-                map.snap(w);
-            }
-            LcCommand::SetAfhAt { map, at_slot } => {
-                w.put_u8(10);
-                map.snap(w);
-                w.put_u64(*at_slot);
-            }
-            LcCommand::CancelAfhSwitch => w.put_u8(11),
-            LcCommand::ScoSetup { lt_addr, params } => {
-                w.put_u8(12);
-                w.put_u8(*lt_addr);
-                params.snap(w);
-            }
-            LcCommand::ScoRemove { lt_addr } => {
-                w.put_u8(13);
-                w.put_u8(*lt_addr);
-            }
-            LcCommand::ScoData { lt_addr, data } => {
-                w.put_u8(14);
-                w.put_u8(*lt_addr);
-                data.snap(w);
-            }
-            LcCommand::Sniff { lt_addr, params } => {
-                w.put_u8(15);
-                w.put_u8(*lt_addr);
-                params.snap(w);
-            }
-            LcCommand::Unsniff { lt_addr } => {
-                w.put_u8(16);
-                w.put_u8(*lt_addr);
-            }
-            LcCommand::Hold {
-                lt_addr,
-                hold_slots,
-            } => {
-                w.put_u8(17);
-                w.put_u8(*lt_addr);
-                w.put_u32(*hold_slots);
-            }
-            LcCommand::HoldPiconet { master, hold_slots } => {
-                w.put_u8(18);
-                master.snap(w);
-                w.put_u32(*hold_slots);
-            }
-            LcCommand::AclDataTo { master, data } => {
-                w.put_u8(19);
-                master.snap(w);
-                data.snap(w);
-            }
-            LcCommand::Park {
-                lt_addr,
-                beacon_interval,
-            } => {
-                w.put_u8(20);
-                w.put_u8(*lt_addr);
-                w.put_u32(*beacon_interval);
-            }
-            LcCommand::Unpark { lt_addr } => {
-                w.put_u8(21);
-                w.put_u8(*lt_addr);
-            }
-            LcCommand::Detach { lt_addr } => {
-                w.put_u8(22);
-                w.put_u8(*lt_addr);
-            }
-            LcCommand::SetSupervisionTimeout { timeout_slots } => {
-                w.put_u8(23);
-                w.put_u32(*timeout_slots);
-            }
-            LcCommand::PowerOff => w.put_u8(24),
-        }
-    }
+snap_enum! {
+    LcCommand {
+        0 => Inquiry { num_responses, timeout_slots },
+        1 => InquiryScan,
+        2 => Page { target, clke_offset, timeout_slots },
+        3 => PageScan,
+        4 => AbortProcedure,
+        5 => AclData { lt_addr, data },
+        6 => Lmp { lt_addr, data },
+        7 => SetAclType(ptype),
+        8 => SetTpoll(t_poll),
+        9 => SetAfh(map),
+        10 => SetAfhAt { map, at_slot },
+        11 => CancelAfhSwitch,
+        12 => ScoSetup { lt_addr, params },
+        13 => ScoRemove { lt_addr },
+        14 => ScoData { lt_addr, data },
+        15 => Sniff { lt_addr, params },
+        16 => Unsniff { lt_addr },
+        17 => Hold { lt_addr, hold_slots },
+        18 => HoldPiconet { master, hold_slots },
+        19 => AclDataTo { master, data },
+        20 => Park { lt_addr, beacon_interval },
+        21 => Unpark { lt_addr },
+        22 => Detach { lt_addr },
+        23 => SetSupervisionTimeout { timeout_slots },
+        24 => PowerOff,
+    } else "unknown LC command tag"
+}
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => LcCommand::Inquiry {
-                num_responses: r.take_u8()?,
-                timeout_slots: r.take_u32()?,
-            },
-            1 => LcCommand::InquiryScan,
-            2 => LcCommand::Page {
-                target: BdAddr::unsnap(r)?,
-                clke_offset: r.take_u32()?,
-                timeout_slots: r.take_u32()?,
-            },
-            3 => LcCommand::PageScan,
-            4 => LcCommand::AbortProcedure,
-            5 => LcCommand::AclData {
-                lt_addr: r.take_u8()?,
-                data: Vec::unsnap(r)?,
-            },
-            6 => LcCommand::Lmp {
-                lt_addr: r.take_u8()?,
-                data: Vec::unsnap(r)?,
-            },
-            7 => LcCommand::SetAclType(PacketType::unsnap(r)?),
-            8 => LcCommand::SetTpoll(r.take_u32()?),
-            9 => LcCommand::SetAfh(ChannelMap::unsnap(r)?),
-            10 => LcCommand::SetAfhAt {
-                map: ChannelMap::unsnap(r)?,
-                at_slot: r.take_u64()?,
-            },
-            11 => LcCommand::CancelAfhSwitch,
-            12 => LcCommand::ScoSetup {
-                lt_addr: r.take_u8()?,
-                params: ScoParams::unsnap(r)?,
-            },
-            13 => LcCommand::ScoRemove {
-                lt_addr: r.take_u8()?,
-            },
-            14 => LcCommand::ScoData {
-                lt_addr: r.take_u8()?,
-                data: Vec::unsnap(r)?,
-            },
-            15 => LcCommand::Sniff {
-                lt_addr: r.take_u8()?,
-                params: SniffParams::unsnap(r)?,
-            },
-            16 => LcCommand::Unsniff {
-                lt_addr: r.take_u8()?,
-            },
-            17 => LcCommand::Hold {
-                lt_addr: r.take_u8()?,
-                hold_slots: r.take_u32()?,
-            },
-            18 => LcCommand::HoldPiconet {
-                master: BdAddr::unsnap(r)?,
-                hold_slots: r.take_u32()?,
-            },
-            19 => LcCommand::AclDataTo {
-                master: BdAddr::unsnap(r)?,
-                data: Vec::unsnap(r)?,
-            },
-            20 => LcCommand::Park {
-                lt_addr: r.take_u8()?,
-                beacon_interval: r.take_u32()?,
-            },
-            21 => LcCommand::Unpark {
-                lt_addr: r.take_u8()?,
-            },
-            22 => LcCommand::Detach {
-                lt_addr: r.take_u8()?,
-            },
-            23 => LcCommand::SetSupervisionTimeout {
-                timeout_slots: r.take_u32()?,
-            },
-            24 => LcCommand::PowerOff,
-            _ => return Err(r.malformed("unknown LC command tag")),
-        })
+snap_enum! {
+    LcEvent {
+        0 => InquiryResult { addr, clk_offset },
+        1 => InquiryComplete { responses },
+        2 => PageComplete { addr, lt_addr },
+        3 => PageFailed { addr },
+        4 => Connected { master, lt_addr },
+        5 => AclReceived { lt_addr, llid, data },
+        6 => AclDelivered { lt_addr },
+        7 => ScoReceived { lt_addr, data },
+        8 => ModeChanged { lt_addr, mode },
+        9 => Detached { lt_addr },
+        10 => PhaseChanged { phase },
+        11 => FidelityChanged { promoted },
+        12 => SupervisionTimeout { lt_addr },
+    } else "unknown LC event tag"
+}
+
+snap_struct! { LinkState { tx, in_flight, seqn_out, last_seqn_in, arqn_to_send } }
+
+snap_struct! {
+    SlaveSlot {
+        lt_addr,
+        addr,
+        mode,
+        sco,
+        sco_out,
+        sniff,
+        sniff_ext_until_slot,
+        hold_until_slot,
+        sup_hold_excuse_slot,
+        park_beacon_interval,
+        parked_lt,
+        last_poll_slot,
+        poll_asap,
+        newconn_deadline_slot,
+        last_rx_slot,
+        link,
     }
 }
 
-impl Snap for LcEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            LcEvent::InquiryResult { addr, clk_offset } => {
-                w.put_u8(0);
-                addr.snap(w);
-                w.put_u32(*clk_offset);
-            }
-            LcEvent::InquiryComplete { responses } => {
-                w.put_u8(1);
-                w.put_u8(*responses);
-            }
-            LcEvent::PageComplete { addr, lt_addr } => {
-                w.put_u8(2);
-                addr.snap(w);
-                w.put_u8(*lt_addr);
-            }
-            LcEvent::PageFailed { addr } => {
-                w.put_u8(3);
-                addr.snap(w);
-            }
-            LcEvent::Connected { master, lt_addr } => {
-                w.put_u8(4);
-                master.snap(w);
-                w.put_u8(*lt_addr);
-            }
-            LcEvent::AclReceived {
-                lt_addr,
-                llid,
-                data,
-            } => {
-                w.put_u8(5);
-                w.put_u8(*lt_addr);
-                llid.snap(w);
-                data.snap(w);
-            }
-            LcEvent::AclDelivered { lt_addr } => {
-                w.put_u8(6);
-                w.put_u8(*lt_addr);
-            }
-            LcEvent::ScoReceived { lt_addr, data } => {
-                w.put_u8(7);
-                w.put_u8(*lt_addr);
-                data.snap(w);
-            }
-            LcEvent::ModeChanged { lt_addr, mode } => {
-                w.put_u8(8);
-                w.put_u8(*lt_addr);
-                mode.snap(w);
-            }
-            LcEvent::Detached { lt_addr } => {
-                w.put_u8(9);
-                w.put_u8(*lt_addr);
-            }
-            LcEvent::PhaseChanged { phase } => {
-                w.put_u8(10);
-                phase.snap(w);
-            }
-            LcEvent::FidelityChanged { promoted } => {
-                w.put_u8(11);
-                w.put_bool(*promoted);
-            }
-            LcEvent::SupervisionTimeout { lt_addr } => {
-                w.put_u8(12);
-                w.put_u8(*lt_addr);
-            }
-        }
-    }
+snap_struct! { MasterCtx { slaves, busy_until, awaiting } }
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => LcEvent::InquiryResult {
-                addr: BdAddr::unsnap(r)?,
-                clk_offset: r.take_u32()?,
-            },
-            1 => LcEvent::InquiryComplete {
-                responses: r.take_u8()?,
-            },
-            2 => LcEvent::PageComplete {
-                addr: BdAddr::unsnap(r)?,
-                lt_addr: r.take_u8()?,
-            },
-            3 => LcEvent::PageFailed {
-                addr: BdAddr::unsnap(r)?,
-            },
-            4 => LcEvent::Connected {
-                master: BdAddr::unsnap(r)?,
-                lt_addr: r.take_u8()?,
-            },
-            5 => LcEvent::AclReceived {
-                lt_addr: r.take_u8()?,
-                llid: Llid::unsnap(r)?,
-                data: Vec::unsnap(r)?,
-            },
-            6 => LcEvent::AclDelivered {
-                lt_addr: r.take_u8()?,
-            },
-            7 => LcEvent::ScoReceived {
-                lt_addr: r.take_u8()?,
-                data: Vec::unsnap(r)?,
-            },
-            8 => LcEvent::ModeChanged {
-                lt_addr: r.take_u8()?,
-                mode: LinkMode::unsnap(r)?,
-            },
-            9 => LcEvent::Detached {
-                lt_addr: r.take_u8()?,
-            },
-            10 => LcEvent::PhaseChanged {
-                phase: LifePhase::unsnap(r)?,
-            },
-            11 => LcEvent::FidelityChanged {
-                promoted: r.take_bool()?,
-            },
-            12 => LcEvent::SupervisionTimeout {
-                lt_addr: r.take_u8()?,
-            },
-            _ => return Err(r.malformed("unknown LC event tag")),
-        })
+snap_struct! {
+    SlaveCtx {
+        master,
+        lt_addr,
+        clk_offset,
+        mode,
+        sco,
+        sco_out,
+        sniff,
+        sniff_ext_until_slot,
+        hold_until_slot,
+        sup_hold_excuse_slot,
+        park_beacon_interval,
+        parked_lt,
+        newconn_deadline_slot,
+        last_rx_slot,
+        resync,
+        link,
+        listening_full_slot,
+        busy_until,
     }
 }
 
-impl Snap for LinkState {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.tx.snap(w);
-        self.in_flight.snap(w);
-        w.put_bool(self.seqn_out);
-        self.last_seqn_in.snap(w);
-        w.put_bool(self.arqn_to_send);
-    }
+snap_struct! { InquiryCtx { num_responses, timeout_slots, found } }
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            tx: crate::buffer::TxBuffer::unsnap(r)?,
-            in_flight: Option::unsnap(r)?,
-            seqn_out: r.take_bool()?,
-            last_seqn_in: Option::unsnap(r)?,
-            arqn_to_send: r.take_bool()?,
-        })
-    }
+snap_struct! {
+    InquiryScanCtx { armed, backoff_until, cur_channel via scan_channel, responses_sent }
 }
 
-impl Snap for SlaveSlot {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(self.lt_addr);
-        self.addr.snap(w);
-        self.mode.snap(w);
-        self.sco.snap(w);
-        self.sco_out.snap(w);
-        self.sniff.snap(w);
-        self.sniff_ext_until_slot.snap(w);
-        self.hold_until_slot.snap(w);
-        self.sup_hold_excuse_slot.snap(w);
-        w.put_u32(self.park_beacon_interval);
-        w.put_u8(self.parked_lt);
-        w.put_u64(self.last_poll_slot);
-        w.put_bool(self.poll_asap);
-        self.newconn_deadline_slot.snap(w);
-        w.put_u64(self.last_rx_slot);
-        self.link.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            lt_addr: r.take_u8()?,
-            addr: BdAddr::unsnap(r)?,
-            mode: LinkMode::unsnap(r)?,
-            sco: Option::unsnap(r)?,
-            sco_out: VecDeque::unsnap(r)?,
-            sniff: Option::unsnap(r)?,
-            sniff_ext_until_slot: Option::unsnap(r)?,
-            hold_until_slot: Option::unsnap(r)?,
-            sup_hold_excuse_slot: Option::unsnap(r)?,
-            park_beacon_interval: r.take_u32()?,
-            parked_lt: r.take_u8()?,
-            last_poll_slot: r.take_u64()?,
-            poll_asap: r.take_bool()?,
-            newconn_deadline_slot: Option::unsnap(r)?,
-            last_rx_slot: r.take_u64()?,
-            link: LinkState::unsnap(r)?,
-        })
-    }
+snap_enum! {
+    PageSub {
+        0 => Paging,
+        1 => MasterResponse { channel via rf_channel, next_fhs_at, deadline },
+    } else "unknown page substate tag"
 }
 
-impl Snap for MasterCtx {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.slaves.snap(w);
-        self.busy_until.snap(w);
-        self.awaiting.snap(w);
-    }
+snap_struct! { PageCtx { target, clke_offset, timeout_slots, sub } }
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            slaves: Vec::unsnap(r)?,
-            busy_until: SimTime::unsnap(r)?,
-            awaiting: Option::unsnap(r)?,
-        })
-    }
+snap_enum! {
+    PageScanSub {
+        0 => Scanning,
+        1 => SlaveResponse { channel via rf_channel, deadline },
+    } else "unknown page-scan substate tag"
 }
 
-impl Snap for SlaveCtx {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.master.snap(w);
-        w.put_u8(self.lt_addr);
-        w.put_u32(self.clk_offset);
-        self.mode.snap(w);
-        self.sco.snap(w);
-        self.sco_out.snap(w);
-        self.sniff.snap(w);
-        self.sniff_ext_until_slot.snap(w);
-        self.hold_until_slot.snap(w);
-        self.sup_hold_excuse_slot.snap(w);
-        w.put_u32(self.park_beacon_interval);
-        w.put_u8(self.parked_lt);
-        self.newconn_deadline_slot.snap(w);
-        w.put_u64(self.last_rx_slot);
-        w.put_bool(self.resync);
-        self.link.snap(w);
-        w.put_bool(self.listening_full_slot);
-        self.busy_until.snap(w);
-    }
+snap_struct! { PageScanCtx { sub, cur_channel via scan_channel } }
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            master: BdAddr::unsnap(r)?,
-            lt_addr: r.take_u8()?,
-            clk_offset: r.take_u32()?,
-            mode: LinkMode::unsnap(r)?,
-            sco: Option::unsnap(r)?,
-            sco_out: VecDeque::unsnap(r)?,
-            sniff: Option::unsnap(r)?,
-            sniff_ext_until_slot: Option::unsnap(r)?,
-            hold_until_slot: Option::unsnap(r)?,
-            sup_hold_excuse_slot: Option::unsnap(r)?,
-            park_beacon_interval: r.take_u32()?,
-            parked_lt: r.take_u8()?,
-            newconn_deadline_slot: Option::unsnap(r)?,
-            last_rx_slot: r.take_u64()?,
-            resync: r.take_bool()?,
-            link: LinkState::unsnap(r)?,
-            listening_full_slot: r.take_bool()?,
-            busy_until: SimTime::unsnap(r)?,
-        })
-    }
+snap_enum! {
+    ProcState {
+        0 => Standby,
+        1 => Inquiry(ctx),
+        2 => InquiryScan(ctx),
+        3 => Page(ctx),
+        4 => PageScan(ctx),
+        5 => Connection,
+    } else "unknown procedure-state tag"
 }
 
-impl Snap for InquiryCtx {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(self.num_responses);
-        w.put_u32(self.timeout_slots);
-        self.found.snap(w);
+// The codec is a pure access-code memoization: rebuilt empty on
+// restore, refilled on demand with bit-identical images.
+snap_struct! {
+    LinkController {
+        cfg,
+        addr,
+        clock,
+        rng,
+        state,
+        master,
+        slave_links,
+        acl_type,
+        t_poll,
+        afh,
+        afh_pending,
+        assessment,
+        phase,
+        proc_start_tick,
+        ff_until,
+        stat_promoted,
+        dropped_tx_bytes,
     }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            num_responses: r.take_u8()?,
-            timeout_slots: r.take_u32()?,
-            found: Vec::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for InquiryScanCtx {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_bool(self.armed);
-        self.backoff_until.snap(w);
-        self.cur_channel.snap(w);
-        w.put_u32(self.responses_sent);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let armed = r.take_bool()?;
-        let backoff_until = Option::unsnap(r)?;
-        let cur_channel: Option<u8> = Option::unsnap(r)?;
-        if cur_channel.is_some_and(|ch| ch >= CHANNELS) {
-            return Err(r.malformed("scan channel out of range"));
-        }
-        Ok(Self {
-            armed,
-            backoff_until,
-            cur_channel,
-            responses_sent: r.take_u32()?,
-        })
-    }
-}
-
-impl Snap for PageSub {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            PageSub::Paging => w.put_u8(0),
-            PageSub::MasterResponse {
-                channel,
-                next_fhs_at,
-                deadline,
-            } => {
-                w.put_u8(1);
-                w.put_u8(*channel);
-                next_fhs_at.snap(w);
-                deadline.snap(w);
-            }
-        }
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => PageSub::Paging,
-            1 => PageSub::MasterResponse {
-                channel: rf_channel(r)?,
-                next_fhs_at: SimTime::unsnap(r)?,
-                deadline: SimTime::unsnap(r)?,
-            },
-            _ => return Err(r.malformed("unknown page substate tag")),
-        })
-    }
-}
-
-impl Snap for PageCtx {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.target.snap(w);
-        w.put_u32(self.clke_offset);
-        w.put_u32(self.timeout_slots);
-        self.sub.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            target: BdAddr::unsnap(r)?,
-            clke_offset: r.take_u32()?,
-            timeout_slots: r.take_u32()?,
-            sub: PageSub::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for PageScanSub {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            PageScanSub::Scanning => w.put_u8(0),
-            PageScanSub::SlaveResponse { channel, deadline } => {
-                w.put_u8(1);
-                w.put_u8(*channel);
-                deadline.snap(w);
-            }
-        }
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => PageScanSub::Scanning,
-            1 => PageScanSub::SlaveResponse {
-                channel: rf_channel(r)?,
-                deadline: SimTime::unsnap(r)?,
-            },
-            _ => return Err(r.malformed("unknown page-scan substate tag")),
-        })
-    }
-}
-
-impl Snap for PageScanCtx {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.sub.snap(w);
-        self.cur_channel.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let sub = PageScanSub::unsnap(r)?;
-        let cur_channel: Option<u8> = Option::unsnap(r)?;
-        if cur_channel.is_some_and(|ch| ch >= CHANNELS) {
-            return Err(r.malformed("scan channel out of range"));
-        }
-        Ok(Self { sub, cur_channel })
-    }
-}
-
-impl Snap for ProcState {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            ProcState::Standby => w.put_u8(0),
-            ProcState::Inquiry(ctx) => {
-                w.put_u8(1);
-                ctx.snap(w);
-            }
-            ProcState::InquiryScan(ctx) => {
-                w.put_u8(2);
-                ctx.snap(w);
-            }
-            ProcState::Page(ctx) => {
-                w.put_u8(3);
-                ctx.snap(w);
-            }
-            ProcState::PageScan(ctx) => {
-                w.put_u8(4);
-                ctx.snap(w);
-            }
-            ProcState::Connection => w.put_u8(5),
-        }
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => ProcState::Standby,
-            1 => ProcState::Inquiry(InquiryCtx::unsnap(r)?),
-            2 => ProcState::InquiryScan(InquiryScanCtx::unsnap(r)?),
-            3 => ProcState::Page(PageCtx::unsnap(r)?),
-            4 => ProcState::PageScan(PageScanCtx::unsnap(r)?),
-            5 => ProcState::Connection,
-            _ => return Err(r.malformed("unknown procedure-state tag")),
-        })
-    }
-}
-
-impl Snap for LinkController {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.cfg.snap(w);
-        self.addr.snap(w);
-        self.clock.snap(w);
-        self.rng.snap(w);
-        self.state.snap(w);
-        self.master.snap(w);
-        self.slave_links.snap(w);
-        self.acl_type.snap(w);
-        w.put_u32(self.t_poll);
-        self.afh.snap(w);
-        self.afh_pending.snap(w);
-        self.assessment.snap(w);
-        self.phase.snap(w);
-        w.put_u64(self.proc_start_tick);
-        self.ff_until.snap(w);
-        w.put_bool(self.stat_promoted);
-        w.put_u64(self.dropped_tx_bytes);
-        // The codec is a pure access-code memoization: rebuilt empty on
-        // restore, refilled on demand with bit-identical images.
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            cfg: LcConfig::unsnap(r)?,
-            addr: BdAddr::unsnap(r)?,
-            clock: Clock::unsnap(r)?,
-            rng: btsim_kernel::SimRng::unsnap(r)?,
-            state: ProcState::unsnap(r)?,
-            master: Option::unsnap(r)?,
-            slave_links: Vec::unsnap(r)?,
-            acl_type: PacketType::unsnap(r)?,
-            t_poll: r.take_u32()?,
-            afh: Option::unsnap(r)?,
-            afh_pending: Option::unsnap(r)?,
-            assessment: ChannelAssessment::unsnap(r)?,
-            phase: LifePhase::unsnap(r)?,
-            proc_start_tick: r.take_u64()?,
-            ff_until: SimTime::unsnap(r)?,
-            stat_promoted: r.take_bool()?,
-            dropped_tx_bytes: r.take_u64()?,
-            codec: packet::Codec::new(),
-        })
-    }
+    skip { codec = packet::Codec::new() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btsim_kernel::SimRng;
+    use btsim_kernel::{SimRng, SimTime};
+    use std::collections::VecDeque;
 
     fn snap_bytes<T: Snap>(v: &T) -> Vec<u8> {
         let mut w = SnapWriter::new();

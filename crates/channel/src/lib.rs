@@ -186,9 +186,13 @@ impl SpatialConfig {
     }
 }
 
-/// The 3×3 block of cells around `cell`, in row-major order.
+/// The 3×3 block of cells around `cell`, in row-major order. Wrapping:
+/// a cell on the `i32` edge (only absurd coordinates, such as a corrupted
+/// snapshot's, saturate `cell_of` there) must not overflow.
 fn neighbor_cells(cell: Cell) -> impl Iterator<Item = Cell> {
-    (-1..=1).flat_map(move |dy| (-1..=1).map(move |dx| (cell.0 + dx, cell.1 + dy)))
+    (-1..=1).flat_map(move |dy| {
+        (-1..=1).map(move |dx| (cell.0.wrapping_add(dx), cell.1.wrapping_add(dy)))
+    })
 }
 
 /// Identifies a registered transmission.

@@ -7,199 +7,92 @@
 //! rebuilt on decode exactly as [`Medium::gc`] rebuilds it, so the two
 //! structures cannot disagree after a restore.
 
-use btsim_kernel::{Snap, SnapReader, SnapWriter, SnapshotError};
+use btsim_kernel::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 use super::*;
 
 impl Snap for TxId {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
+        let TxId(id) = self;
+        id.snap(w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         Ok(TxId(r.take_u64()?))
     }
 }
 
-impl Snap for Position {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_f64(self.x);
-        w.put_f64(self.y);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Position {
-            x: r.take_f64()?,
-            y: r.take_f64()?,
-        })
+snap_struct! { Position { x, y } }
+
+snap_struct! {
+    PathLoss { radius }
+    check |p| if p.radius.is_finite() && p.radius > 0.0 {
+        Ok(())
+    } else {
+        Err("spatial radius must be finite and positive")
     }
 }
 
-impl Snap for SpatialConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_f64(self.path_loss.radius());
-        w.put_f64(self.cell_size);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let radius = r.take_f64()?;
-        let cell_size = r.take_f64()?;
-        if !(radius.is_finite() && radius > 0.0) {
-            return Err(r.malformed("spatial radius must be finite and positive"));
-        }
-        if !(cell_size.is_finite() && cell_size >= radius) {
-            return Err(r.malformed("spatial cell size must be >= the radius"));
-        }
-        Ok(SpatialConfig::new(PathLoss::range(radius), cell_size))
+snap_struct! {
+    SpatialConfig { path_loss, cell_size }
+    check |c| if c.cell_size.is_finite() && c.cell_size >= c.path_loss.radius() {
+        Ok(())
+    } else {
+        Err("spatial cell size must be >= the radius")
     }
 }
 
-impl Snap for Interferer {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(self.first_channel);
-        w.put_u8(self.width);
-        w.put_f64(self.duty);
+snap_struct! { Interferer { first_channel, width, duty } }
+
+snap_struct! { ChannelConfig { ber, modem_delay, interferers, spatial } }
+
+snap_struct! { TxStats { transmissions, collided, jammed } }
+
+snap_struct! { ChannelCounters { transmissions, collided, jammed } }
+
+snap_struct! { ChannelQuality { counters } }
+
+fn tx_rf_channel(r: &mut SnapReader<'_>) -> Result<u8, SnapshotError> {
+    let ch = r.take_u8()?;
+    if ch >= RF_CHANNELS {
+        return Err(r.malformed("transmission RF channel out of range"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Interferer {
-            first_channel: r.take_u8()?,
-            width: r.take_u8()?,
-            duty: r.take_f64()?,
-        })
+    Ok(ch)
+}
+
+fn tx_bits(r: &mut SnapReader<'_>) -> Result<BitVec, SnapshotError> {
+    let bits = BitVec::unsnap(r)?;
+    if bits.is_empty() {
+        return Err(r.malformed("transmission has no bits"));
+    }
+    Ok(bits)
+}
+
+snap_struct! {
+    Transmission {
+        id,
+        source,
+        rf_channel via tx_rf_channel,
+        start,
+        noisy_bits via tx_bits,
+        jammed,
+        counted_collided,
+        delivered,
     }
 }
 
-impl Snap for ChannelConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_f64(self.ber);
-        self.modem_delay.snap(w);
-        self.interferers.snap(w);
-        self.spatial.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ChannelConfig {
-            ber: r.take_f64()?,
-            modem_delay: Snap::unsnap(r)?,
-            interferers: Snap::unsnap(r)?,
-            spatial: Snap::unsnap(r)?,
-        })
+snap_struct! {
+    Degrade { target, from, ramp }
+    check |d| if d.target.is_finite() && (0.0..=1.0).contains(&d.target) {
+        Ok(())
+    } else {
+        Err("degrade target BER out of range")
     }
 }
 
-impl Snap for TxStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.transmissions);
-        w.put_u64(self.collided);
-        w.put_u64(self.jammed);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TxStats {
-            transmissions: r.take_u64()?,
-            collided: r.take_u64()?,
-            jammed: r.take_u64()?,
-        })
-    }
-}
-
-impl Snap for ChannelCounters {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.transmissions);
-        w.put_u64(self.collided);
-        w.put_u64(self.jammed);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ChannelCounters {
-            transmissions: r.take_u64()?,
-            collided: r.take_u64()?,
-            jammed: r.take_u64()?,
-        })
-    }
-}
-
-impl Snap for ChannelQuality {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.counters.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ChannelQuality {
-            counters: Snap::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for Transmission {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.id.snap(w);
-        w.put_usize(self.source);
-        w.put_u8(self.rf_channel);
-        self.start.snap(w);
-        self.noisy_bits.snap(w);
-        w.put_bool(self.jammed);
-        w.put_bool(self.counted_collided);
-        w.put_bool(self.delivered);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let id = TxId::unsnap(r)?;
-        let source = r.take_usize()?;
-        let rf_channel = r.take_u8()?;
-        if rf_channel >= RF_CHANNELS {
-            return Err(r.malformed("transmission RF channel out of range"));
-        }
-        let start = SimTime::unsnap(r)?;
-        let noisy_bits = BitVec::unsnap(r)?;
-        if noisy_bits.is_empty() {
-            return Err(r.malformed("transmission has no bits"));
-        }
-        Ok(Transmission {
-            id,
-            source,
-            rf_channel,
-            start,
-            noisy_bits,
-            jammed: r.take_bool()?,
-            counted_collided: r.take_bool()?,
-            delivered: r.take_bool()?,
-        })
-    }
-}
-
-impl Snap for Degrade {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_f64(self.target);
-        self.from.snap(w);
-        self.ramp.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let d = Degrade {
-            target: r.take_f64()?,
-            from: Snap::unsnap(r)?,
-            ramp: Snap::unsnap(r)?,
-        };
-        if !(d.target.is_finite() && (0.0..=1.0).contains(&d.target)) {
-            return Err(r.malformed("degrade target BER out of range"));
-        }
-        Ok(d)
-    }
-}
-
-impl Snap for Radio {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.pos.snap(w);
-        (self.cell.0, self.cell.1).snap(w);
-        self.noise.snap(w);
-        w.put_u64(self.stream);
-        self.last_end.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Radio {
-            pos: Snap::unsnap(r)?,
-            cell: Snap::unsnap(r)?,
-            noise: Snap::unsnap(r)?,
-            stream: r.take_u64()?,
-            last_end: Snap::unsnap(r)?,
-        })
-    }
-}
+snap_struct! { Radio { pos, cell, noise, stream, last_end } }
 
 /// Reads a 79-bucket array (one `Vec<Transmission>` per RF channel).
-fn unsnap_channel_buckets(r: &mut SnapReader<'_>) -> Result<Vec<Vec<Transmission>>, SnapshotError> {
+fn read_channel_buckets(r: &mut SnapReader<'_>) -> Result<Vec<Vec<Transmission>>, SnapshotError> {
     let buckets: Vec<Vec<Transmission>> = Snap::unsnap(r)?;
     if buckets.len() != RF_CHANNELS as usize {
         return Err(r.malformed("channel bucket count is not 79"));
@@ -207,114 +100,79 @@ fn unsnap_channel_buckets(r: &mut SnapReader<'_>) -> Result<Vec<Vec<Transmission
     Ok(buckets)
 }
 
-impl Snap for Medium {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.cfg.snap(w);
-        self.rng.snap(w);
-        self.channels.snap(w);
-        w.put_usize(self.cell_buckets.len());
-        for (cell, buckets) in &self.cell_buckets {
-            (cell.0, cell.1).snap(w);
-            buckets.snap(w);
-        }
-        self.radios.snap(w);
-        w.put_usize(self.cells.len());
-        for (cell, members) in &self.cells {
-            (cell.0, cell.1).snap(w);
-            members.snap(w);
-        }
-        self.jam_base.snap(w);
-        w.put_u64(self.next_id);
-        w.put_u64(self.total_flipped);
-        w.put_u64(self.total_bits);
-        self.tx_stats.snap(w);
-        self.quality.snap(w);
-        self.last_end.snap(w);
-        self.capture.snap(w);
-        self.degrade.snap(w);
+/// Reads the spatial per-cell bucket arrays.
+fn read_cell_buckets(r: &mut SnapReader<'_>) -> Result<CellBuckets, SnapshotError> {
+    let n = r.take_len()?;
+    let mut out = BTreeMap::new();
+    for _ in 0..n {
+        let cell: Cell = Snap::unsnap(r)?;
+        out.insert(cell, read_channel_buckets(r)?);
     }
+    Ok(out)
+}
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let cfg = ChannelConfig::unsnap(r)?;
-        let rng = SimRng::unsnap(r)?;
-        let channels = unsnap_channel_buckets(r)?;
-        let n_cells = r.take_len()?;
-        let mut cell_buckets = BTreeMap::new();
-        for _ in 0..n_cells {
-            let cell: Cell = Snap::unsnap(r)?;
-            cell_buckets.insert(cell, unsnap_channel_buckets(r)?);
-        }
-        let radios: Vec<Option<Radio>> = Snap::unsnap(r)?;
-        let n_member_cells = r.take_len()?;
-        let mut cells = BTreeMap::new();
-        for _ in 0..n_member_cells {
-            let cell: Cell = Snap::unsnap(r)?;
-            let members: Vec<usize> = Snap::unsnap(r)?;
-            if members
-                .iter()
-                .any(|&m| radios.get(m).is_none_or(Option::is_none))
-            {
-                return Err(r.malformed("cell membership references unregistered radio"));
-            }
-            cells.insert(cell, members);
-        }
-        if cfg.spatial.is_none() && (!cell_buckets.is_empty() || !cells.is_empty()) {
-            return Err(r.malformed("spatial state present without a spatial config"));
-        }
-        // The directory is an index over the buckets; rebuild it the way
-        // `gc` does so the pair is consistent by construction.
-        let mut directory = Vec::new();
-        for (ch, bucket) in channels.iter().enumerate() {
-            for t in bucket {
-                directory.push(DirEntry {
+type CellBuckets = BTreeMap<Cell, Vec<Vec<Transmission>>>;
+
+/// The directory is an index over the buckets; rebuild it the way `gc`
+/// does so the pair is consistent by construction.
+fn build_directory(channels: &[Vec<Transmission>], cell_buckets: &CellBuckets) -> Vec<DirEntry> {
+    let cells = std::iter::once(((0, 0), channels)).chain(
+        cell_buckets
+            .iter()
+            .map(|(&cell, buckets)| (cell, buckets.as_slice())),
+    );
+    let mut directory: Vec<DirEntry> = cells
+        .flat_map(|(cell, buckets)| {
+            buckets.iter().enumerate().flat_map(move |(ch, bucket)| {
+                bucket.iter().map(move |t| DirEntry {
                     id: t.id,
                     rf_channel: ch as u8,
-                    cell: (0, 0),
-                });
-            }
-        }
-        for (&cell, buckets) in &cell_buckets {
-            for (ch, bucket) in buckets.iter().enumerate() {
-                for t in bucket {
-                    directory.push(DirEntry {
-                        id: t.id,
-                        rf_channel: ch as u8,
-                        cell,
-                    });
-                }
-            }
-        }
-        directory.sort_unstable_by_key(|e| e.id);
-        if directory.windows(2).any(|w| w[0].id == w[1].id) {
-            return Err(r.malformed("duplicate transmission id in buckets"));
-        }
-        let medium = Medium {
-            cfg,
-            rng,
-            channels,
-            cell_buckets,
-            radios,
-            cells,
-            directory,
-            jam_base: SimRng::unsnap(r)?,
-            next_id: r.take_u64()?,
-            total_flipped: r.take_u64()?,
-            total_bits: r.take_u64()?,
-            tx_stats: Snap::unsnap(r)?,
-            quality: Snap::unsnap(r)?,
-            last_end: Snap::unsnap(r)?,
-            capture: Snap::unsnap(r)?,
-            degrade: Snap::unsnap(r)?,
-        };
-        if medium
-            .directory
-            .last()
-            .is_some_and(|e| e.id.0 >= medium.next_id)
-        {
-            return Err(r.malformed("transmission id at or beyond next_id"));
-        }
-        Ok(medium)
+                    cell,
+                })
+            })
+        })
+        .collect();
+    directory.sort_unstable_by_key(|e| e.id);
+    directory
+}
+
+fn check_medium(m: &Medium) -> Result<(), &'static str> {
+    let unregistered = |&s: &usize| m.radios.get(s).is_none_or(Option::is_none);
+    if m.cells.values().flatten().any(unregistered) {
+        return Err("cell membership references unregistered radio");
     }
+    if m.cfg.spatial.is_none() && (!m.cell_buckets.is_empty() || !m.cells.is_empty()) {
+        return Err("spatial state present without a spatial config");
+    }
+    if m.directory.windows(2).any(|w| w[0].id == w[1].id) {
+        return Err("duplicate transmission id in buckets");
+    }
+    if m.directory.last().is_some_and(|e| e.id.0 >= m.next_id) {
+        return Err("transmission id at or beyond next_id");
+    }
+    Ok(())
+}
+
+snap_struct! {
+    Medium {
+        cfg,
+        rng,
+        channels via read_channel_buckets,
+        cell_buckets via read_cell_buckets,
+        radios,
+        cells,
+        jam_base,
+        next_id,
+        total_flipped,
+        total_bits,
+        tx_stats,
+        quality,
+        last_end,
+        capture,
+        degrade,
+    }
+    skip { directory = build_directory(&channels, &cell_buckets) }
+    check |m| check_medium(m)
 }
 
 #[cfg(test)]

@@ -361,8 +361,9 @@ impl BitVec {
 
 impl btsim_kernel::Snap for BitVec {
     fn snap(&self, w: &mut btsim_kernel::SnapWriter) {
-        w.put_usize(self.len);
-        for &word in &self.words {
+        let BitVec { words, len } = self;
+        w.put_usize(*len);
+        for &word in words {
             w.put_u64(word);
         }
     }
@@ -372,7 +373,7 @@ impl btsim_kernel::Snap for BitVec {
         if n_words > r.remaining() / 8 + 1 {
             return Err(r.malformed("bit vector length exceeds remaining bytes"));
         }
-        let mut words = Vec::with_capacity(n_words);
+        let mut words = r.vec_for(n_words);
         for _ in 0..n_words {
             words.push(r.take_u64()?);
         }

@@ -39,7 +39,7 @@
 //! The parser is strict: unknown kinds or keys, duplicate or missing
 //! keys, malformed numbers and out-of-range values are all errors.
 
-use btsim_kernel::{SimRng, Snap, SnapReader, SnapWriter, SnapshotError};
+use btsim_kernel::{snap_enum, snap_struct, SimRng};
 
 /// Number of RF channels (mirrors the channel crate's constant).
 const RF_CHANNELS: u8 = 79;
@@ -418,102 +418,42 @@ impl<'a> KvArgs<'a> {
     }
 }
 
-impl Snap for FaultKind {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            FaultKind::Crash => w.put_u8(0),
-            FaultKind::Revive => w.put_u8(1),
-            FaultKind::Mute => w.put_u8(2),
-            FaultKind::Unmute => w.put_u8(3),
-            FaultKind::Degrade { ber, ramp_slots } => {
-                w.put_u8(4);
-                w.put_f64(*ber);
-                w.put_u64(*ramp_slots);
-            }
-            FaultKind::Heal => w.put_u8(5),
-            FaultKind::Drift { ticks } => {
-                w.put_u8(6);
-                w.put_u32(*ticks);
-            }
-            FaultKind::NoiseOn { lo, width, duty } => {
-                w.put_u8(7);
-                w.put_u8(*lo);
-                w.put_u8(*width);
-                w.put_f64(*duty);
-            }
-            FaultKind::NoiseOff { lo, width } => {
-                w.put_u8(8);
-                w.put_u8(*lo);
-                w.put_u8(*width);
-            }
-        }
-    }
+snap_enum! {
+    FaultKind {
+        0 => Crash,
+        1 => Revive,
+        2 => Mute,
+        3 => Unmute,
+        4 => Degrade { ber, ramp_slots },
+        5 => Heal,
+        6 => Drift { ticks },
+        7 => NoiseOn { lo, width, duty },
+        8 => NoiseOff { lo, width },
+    } else "unknown fault kind tag"
+}
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => FaultKind::Crash,
-            1 => FaultKind::Revive,
-            2 => FaultKind::Mute,
-            3 => FaultKind::Unmute,
-            4 => FaultKind::Degrade {
-                ber: r.take_f64()?,
-                ramp_slots: r.take_u64()?,
-            },
-            5 => FaultKind::Heal,
-            6 => FaultKind::Drift {
-                ticks: r.take_u32()?,
-            },
-            7 => FaultKind::NoiseOn {
-                lo: r.take_u8()?,
-                width: r.take_u8()?,
-                duty: r.take_f64()?,
-            },
-            8 => FaultKind::NoiseOff {
-                lo: r.take_u8()?,
-                width: r.take_u8()?,
-            },
-            _ => return Err(r.malformed("unknown fault kind tag")),
-        })
+snap_struct! {
+    FaultEvent { at_slot, device, kind }
+    check |ev| if ev.device.is_some() == ev.kind.is_device_fault() {
+        Ok(())
+    } else {
+        Err("fault device/kind mismatch")
     }
 }
 
-impl Snap for FaultEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.at_slot);
-        self.device.snap(w);
-        self.kind.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let ev = FaultEvent {
-            at_slot: r.take_u64()?,
-            device: Snap::unsnap(r)?,
-            kind: FaultKind::unsnap(r)?,
-        };
-        if ev.device.is_some() != ev.kind.is_device_fault() {
-            return Err(r.malformed("fault device/kind mismatch"));
-        }
-        Ok(ev)
-    }
-}
-
-impl Snap for FaultPlan {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.events.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let events: Vec<FaultEvent> = Snap::unsnap(r)?;
-        if events.windows(2).any(|w| w[0].at_slot > w[1].at_slot) {
-            return Err(r.malformed("fault plan not sorted by slot"));
-        }
-        Ok(FaultPlan { events })
+snap_struct! {
+    FaultPlan { events }
+    check |plan| if plan.events.windows(2).any(|w| w[0].at_slot > w[1].at_slot) {
+        Err("fault plan not sorted by slot")
+    } else {
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btsim_kernel::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn parses_the_full_grammar() {

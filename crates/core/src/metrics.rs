@@ -23,7 +23,7 @@
 //! cross-engine byte-identity is a property of capture files and event
 //! logs, not of metrics lines.
 
-use btsim_kernel::{SimDuration, SimTime, Snap, SnapReader, SnapWriter, SnapshotError};
+use btsim_kernel::{snap_struct, SimDuration, SimTime, Snap, SnapReader, SnapshotError};
 use btsim_stats::JsonValue;
 
 /// Named counters and gauges sampled at one instant.
@@ -131,21 +131,7 @@ impl MetricsSnapshot {
     }
 }
 
-impl Snap for MetricsSnapshot {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.at.snap(w);
-        self.counters.snap(w);
-        self.gauges.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            at: SimTime::unsnap(r)?,
-            counters: Vec::unsnap(r)?,
-            gauges: Vec::unsnap(r)?,
-        })
-    }
-}
+snap_struct! { MetricsSnapshot { at, counters, gauges } }
 
 /// The streaming side of the hub: owned by the simulator when
 /// [`crate::SimConfig::metrics_every`] is set, emitting one JSON line
@@ -217,33 +203,21 @@ impl MetricsStream {
     }
 }
 
-impl Snap for MetricsStream {
-    /// The wall-clock anchor (`last_wall`) is deliberately not part of
-    /// the snapshot: it only feeds the non-deterministic
-    /// `wall_slots_per_sec` heartbeat, which is excluded from cross-run
-    /// comparisons. A restored stream re-anchors at restore time.
-    fn snap(&self, w: &mut SnapWriter) {
-        self.every.snap(w);
-        self.next_at.snap(w);
-        self.prev.snap(w);
-        self.lines.snap(w);
-        w.put_u64(self.last_slots);
+fn stream_period(r: &mut SnapReader<'_>) -> Result<SimDuration, SnapshotError> {
+    let every = SimDuration::unsnap(r)?;
+    if every <= SimDuration::ZERO {
+        return Err(r.malformed("metrics stream period must be positive"));
     }
+    Ok(every)
+}
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let every = SimDuration::unsnap(r)?;
-        if every <= SimDuration::ZERO {
-            return Err(r.malformed("metrics stream period must be positive"));
-        }
-        Ok(Self {
-            every,
-            next_at: SimTime::unsnap(r)?,
-            prev: Option::unsnap(r)?,
-            lines: String::unsnap(r)?,
-            last_wall: std::time::Instant::now(),
-            last_slots: r.take_u64()?,
-        })
-    }
+// The wall-clock anchor (`last_wall`) is deliberately not part of the
+// snapshot: it only feeds the non-deterministic `wall_slots_per_sec`
+// heartbeat, which is excluded from cross-run comparisons. A restored
+// stream re-anchors at restore time.
+snap_struct! {
+    MetricsStream { every via stream_period, next_at, prev, lines, last_slots }
+    skip { last_wall = std::time::Instant::now() }
 }
 
 #[cfg(test)]

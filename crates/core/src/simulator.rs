@@ -3,7 +3,7 @@
 //! The paper's model is one SystemC kernel driving the link-manager and
 //! baseband modules over one channel. Here that single timeline is a
 //! private `World` (`simulator/world.rs`): it owns the discrete-event
-//! calendar, the shared [`Medium`], one [`LinkController`] +
+//! calendar, the shared [`Medium`](btsim_channel::Medium), one [`LinkController`] +
 //! [`LinkManager`] per device, the RF power monitor and the waveform
 //! recorder. Half-slot ticks drive the baseband state machines, their
 //! RF actions become channel transmissions and receive windows, and
@@ -32,7 +32,7 @@ use crate::fault::FaultPlan;
 use crate::metrics::MetricsSnapshot;
 use crate::observe::{merge_since, ObsCursor, SimEvent};
 use btsim_baseband::{BdAddr, LcCommand, LcConfig, LcEvent, LifePhase, LinkController};
-use btsim_channel::{ChannelConfig, ChannelQuality, Medium, Position, TxStats};
+use btsim_channel::{ChannelConfig, ChannelQuality, Position, TxStats};
 use btsim_fidelity::Fidelity;
 use btsim_kernel::{CaptureSink, SimRng, SimTime, TraceRecorder};
 use btsim_lmp::{LinkManager, LmEvent, LmOutput, LmRole};
@@ -878,7 +878,7 @@ impl Worlds<'_> {
     }
 
     /// The pooled bit-error fraction: exactly one medium's
-    /// [`Medium::measured_ber`] over all the worlds' bits.
+    /// [`Medium::measured_ber`](btsim_channel::Medium::measured_ber) over all the worlds' bits.
     fn measured_ber(self) -> f64 {
         let (flipped, bits) = self.0.iter().fold((0u64, 0u64), |(f, b), w| {
             let (wf, wb) = w.medium.bit_error_totals();

@@ -196,9 +196,11 @@ impl WakeTree {
 
 impl Snap for WakeTree {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put_usize(self.len);
+        // Only the leaves are written; decode rebuilds the inner nodes.
+        let WakeTree { len, node } = self;
+        w.put_usize(*len);
         let width = self.width();
-        for wake in &self.node[width..width + self.len] {
+        for wake in &node[width..width + len] {
             wake.snap(w);
         }
     }

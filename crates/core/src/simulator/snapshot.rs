@@ -17,13 +17,8 @@
 
 use super::world::{ActiveWindow, Cost, DeviceCell, Ev, PendingWindow, World};
 use super::*;
-use btsim_baseband::LinkController;
-use btsim_channel::TxId;
-use btsim_coding::BitVec;
-use btsim_fidelity::ErrorModel;
-use btsim_kernel::{Calendar, SignalRef, SimDuration, Snap, SnapReader, SnapWriter, SnapshotError};
-use btsim_power::PowerMonitor;
-use index::{Indexes, WakeTree};
+use btsim_kernel::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use index::Indexes;
 
 /// First four bytes of every serialized snapshot (`"BTSN"`).
 const MAGIC: u32 = u32::from_le_bytes(*b"BTSN");
@@ -31,316 +26,174 @@ const MAGIC: u32 = u32::from_le_bytes(*b"BTSN");
 /// Highest wire-format version this build reads and the one it writes.
 const VERSION: u32 = 3;
 
-impl Snap for Engine {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            Engine::Lockstep => 0,
-            Engine::EventDriven => 1,
-        });
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => Engine::Lockstep,
-            1 => Engine::EventDriven,
-            _ => return Err(r.malformed("unknown engine tag")),
-        })
-    }
+snap_enum! {
+    Engine {
+        0 => Lockstep,
+        1 => EventDriven,
+    } else "unknown engine tag"
 }
 
-impl Snap for ActiveWindow {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id);
-        w.put_u8(self.channel);
-        self.opened_at.snap(w);
-        self.until.snap(w);
-    }
+snap_struct! { ActiveWindow { id, channel, opened_at, until } }
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            id: r.take_u64()?,
-            channel: r.take_u8()?,
-            opened_at: SimTime::unsnap(r)?,
-            until: Option::unsnap(r)?,
-        })
-    }
+snap_struct! { PendingWindow { id, channel, from, until } }
+
+snap_enum! {
+    Ev {
+        0 => Tick(dev),
+        1 => Wake { seq },
+        2 => Command { dev, cmd, inserted },
+        3 => TxStart { dev, channel, bits },
+        4 => Deliver { tx, listeners },
+        5 => WindowOpen { dev, id },
+        6 => WindowClose { dev, id },
+        7 => Fault { idx },
+    } else "unknown calendar event tag"
 }
 
-impl Snap for PendingWindow {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id);
-        w.put_u8(self.channel);
-        self.from.snap(w);
-        self.until.snap(w);
-    }
+snap_struct! { LoggedEvent { at, device, event } }
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            id: r.take_u64()?,
-            channel: r.take_u8()?,
-            from: SimTime::unsnap(r)?,
-            until: Option::unsnap(r)?,
-        })
-    }
+snap_struct! { LoggedLmEvent { at, device, event } }
+
+snap_struct! {
+    DeviceCell { lc, lm, active, pending, rx_busy_until, sig_tx, sig_rx }
 }
 
-impl Snap for Ev {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Ev::Tick(dev) => {
-                w.put_u8(0);
-                w.put_usize(*dev);
-            }
-            Ev::Wake { seq } => {
-                w.put_u8(1);
-                w.put_u64(*seq);
-            }
-            Ev::Command { dev, cmd, inserted } => {
-                w.put_u8(2);
-                w.put_usize(*dev);
-                cmd.snap(w);
-                inserted.snap(w);
-            }
-            Ev::TxStart { dev, channel, bits } => {
-                w.put_u8(3);
-                w.put_usize(*dev);
-                w.put_u8(*channel);
-                bits.snap(w);
-            }
-            Ev::Deliver { tx, listeners } => {
-                w.put_u8(4);
-                tx.snap(w);
-                listeners.snap(w);
-            }
-            Ev::WindowOpen { dev, id } => {
-                w.put_u8(5);
-                w.put_usize(*dev);
-                w.put_u64(*id);
-            }
-            Ev::WindowClose { dev, id } => {
-                w.put_u8(6);
-                w.put_usize(*dev);
-                w.put_u64(*id);
-            }
-            Ev::Fault { idx } => {
-                w.put_u8(7);
-                w.put_usize(*idx);
-            }
-        }
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => Ev::Tick(r.take_usize()?),
-            1 => Ev::Wake { seq: r.take_u64()? },
-            2 => Ev::Command {
-                dev: r.take_usize()?,
-                cmd: LcCommand::unsnap(r)?,
-                inserted: SimTime::unsnap(r)?,
-            },
-            3 => Ev::TxStart {
-                dev: r.take_usize()?,
-                channel: r.take_u8()?,
-                bits: BitVec::unsnap(r)?,
-            },
-            4 => Ev::Deliver {
-                tx: TxId::unsnap(r)?,
-                listeners: Vec::unsnap(r)?,
-            },
-            5 => Ev::WindowOpen {
-                dev: r.take_usize()?,
-                id: r.take_u64()?,
-            },
-            6 => Ev::WindowClose {
-                dev: r.take_usize()?,
-                id: r.take_u64()?,
-            },
-            7 => Ev::Fault {
-                idx: r.take_usize()?,
-            },
-            _ => return Err(r.malformed("unknown calendar event tag")),
-        })
-    }
-}
-
-impl Snap for LoggedEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.at.snap(w);
-        w.put_usize(self.device);
-        self.event.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            at: SimTime::unsnap(r)?,
-            device: r.take_usize()?,
-            event: LcEvent::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for LoggedLmEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.at.snap(w);
-        w.put_usize(self.device);
-        self.event.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            at: SimTime::unsnap(r)?,
-            device: r.take_usize()?,
-            event: LmEvent::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for DeviceCell {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.lc.snap(w);
-        self.lm.snap(w);
-        self.active.snap(w);
-        self.pending.snap(w);
-        self.rx_busy_until.snap(w);
-        self.sig_tx.snap(w);
-        self.sig_rx.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            lc: LinkController::unsnap(r)?,
-            lm: LinkManager::unsnap(r)?,
-            active: Option::unsnap(r)?,
-            pending: Vec::unsnap(r)?,
-            rx_busy_until: SimTime::unsnap(r)?,
-            sig_tx: SignalRef::unsnap(r)?,
-            sig_rx: SignalRef::unsnap(r)?,
-        })
-    }
-}
+snap_struct! { Cost { listener_visits, stat_attempts, stat_walk_visits } }
 
 impl Snap for World {
     fn snap(&self, w: &mut SnapWriter) {
-        self.cal.snap(w);
-        self.medium.snap(w);
-        self.devices.snap(w);
-        self.monitor.snap(w);
-        self.recorder.snap(w);
-        self.events.snap(w);
-        self.lm_events.snap(w);
-        w.put_u64(self.next_window_id);
-        w.put_u32(self.steps_since_gc);
-        self.engine.snap(w);
-        self.fidelity.snap(w);
-        self.error_model.snap(w);
-        self.modem_delay.snap(w);
-        self.peek.snap(w);
-        self.run_cap.snap(w);
-        self.wake.snap(w);
-        w.put_u64(self.wake_seq);
-        w.put_u64(self.steps_total);
-        w.put_u64(self.cost.listener_visits);
-        w.put_u64(self.cost.stat_attempts);
-        w.put_u64(self.cost.stat_walk_visits);
-        w.put_u64(self.fidelity_promotions);
-        w.put_u64(self.fidelity_demotions);
-        self.metrics.snap(w);
-        self.comp_of.snap(w);
-        self.faults.snap(w);
-        self.crashed.snap(w);
-        self.muted.snap(w);
-        self.drifted.snap(w);
-        w.put_u64(self.faults_applied);
+        // `index` is derived state: decode rebuilds it from the devices
+        // and radio positions.
+        let World {
+            cal,
+            medium,
+            devices,
+            monitor,
+            recorder,
+            events,
+            lm_events,
+            next_window_id,
+            steps_since_gc,
+            engine,
+            fidelity,
+            error_model,
+            modem_delay,
+            peek,
+            run_cap,
+            wake,
+            wake_seq,
+            steps_total,
+            cost,
+            fidelity_promotions,
+            fidelity_demotions,
+            metrics,
+            comp_of,
+            index: _,
+            faults,
+            crashed,
+            muted,
+            drifted,
+            faults_applied,
+        } = self;
+        cal.snap(w);
+        medium.snap(w);
+        devices.snap(w);
+        monitor.snap(w);
+        recorder.snap(w);
+        events.snap(w);
+        lm_events.snap(w);
+        next_window_id.snap(w);
+        steps_since_gc.snap(w);
+        engine.snap(w);
+        fidelity.snap(w);
+        error_model.snap(w);
+        modem_delay.snap(w);
+        peek.snap(w);
+        run_cap.snap(w);
+        wake.snap(w);
+        wake_seq.snap(w);
+        steps_total.snap(w);
+        cost.snap(w);
+        fidelity_promotions.snap(w);
+        fidelity_demotions.snap(w);
+        metrics.snap(w);
+        comp_of.snap(w);
+        faults.snap(w);
+        crashed.snap(w);
+        muted.snap(w);
+        drifted.snap(w);
+        faults_applied.snap(w);
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let mut world = World {
-            cal: Calendar::unsnap(r)?,
-            medium: Medium::unsnap(r)?,
-            devices: Vec::unsnap(r)?,
-            monitor: PowerMonitor::unsnap(r)?,
-            recorder: TraceRecorder::unsnap(r)?,
-            events: Vec::unsnap(r)?,
-            lm_events: Vec::unsnap(r)?,
-            next_window_id: r.take_u64()?,
-            steps_since_gc: r.take_u32()?,
-            engine: Engine::unsnap(r)?,
-            fidelity: Fidelity::unsnap(r)?,
-            error_model: ErrorModel::unsnap(r)?,
-            modem_delay: SimDuration::unsnap(r)?,
-            peek: SimDuration::unsnap(r)?,
-            run_cap: SimTime::unsnap(r)?,
-            wake: WakeTree::unsnap(r)?,
-            wake_seq: r.take_u64()?,
-            steps_total: r.take_u64()?,
-            cost: Cost {
-                listener_visits: r.take_u64()?,
-                stat_attempts: r.take_u64()?,
-                stat_walk_visits: r.take_u64()?,
-            },
-            fidelity_promotions: r.take_u64()?,
-            fidelity_demotions: r.take_u64()?,
-            metrics: Option::unsnap(r)?,
-            comp_of: Vec::unsnap(r)?,
+            cal: Snap::unsnap(r)?,
+            medium: Snap::unsnap(r)?,
+            devices: Snap::unsnap(r)?,
+            monitor: Snap::unsnap(r)?,
+            recorder: Snap::unsnap(r)?,
+            events: Snap::unsnap(r)?,
+            lm_events: Snap::unsnap(r)?,
+            next_window_id: Snap::unsnap(r)?,
+            steps_since_gc: Snap::unsnap(r)?,
+            engine: Snap::unsnap(r)?,
+            fidelity: Snap::unsnap(r)?,
+            error_model: Snap::unsnap(r)?,
+            modem_delay: Snap::unsnap(r)?,
+            peek: Snap::unsnap(r)?,
+            run_cap: Snap::unsnap(r)?,
+            wake: Snap::unsnap(r)?,
+            wake_seq: Snap::unsnap(r)?,
+            steps_total: Snap::unsnap(r)?,
+            cost: Snap::unsnap(r)?,
+            fidelity_promotions: Snap::unsnap(r)?,
+            fidelity_demotions: Snap::unsnap(r)?,
+            metrics: Snap::unsnap(r)?,
+            comp_of: Snap::unsnap(r)?,
             index: Indexes::default(),
-            faults: FaultPlan::unsnap(r)?,
-            crashed: Vec::unsnap(r)?,
-            muted: Vec::unsnap(r)?,
-            drifted: Vec::unsnap(r)?,
-            faults_applied: r.take_u64()?,
+            faults: Snap::unsnap(r)?,
+            crashed: Snap::unsnap(r)?,
+            muted: Snap::unsnap(r)?,
+            drifted: Snap::unsnap(r)?,
+            faults_applied: Snap::unsnap(r)?,
         };
-        validate_world(&world, r)?;
-        world.index = derive_index(&world, r)?;
+        validate_world(&world).map_err(|what| r.malformed(what))?;
+        world.index = derive_index(&world).map_err(|what| r.malformed(what))?;
         Ok(world)
     }
 }
 
-impl Snap for Simulator {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.worlds.snap(w);
-        self.locs.snap(w);
-        self.globals.snap(w);
-        self.faults.snap(w);
-        w.put_usize(self.workers);
-        self.events.snap(w);
-        self.lm_events.snap(w);
-        self.merged.snap(w);
-        w.put_usize(self.inspect_cursor);
+snap_struct! {
+    Simulator {
+        worlds,
+        locs,
+        globals,
+        faults,
+        workers,
+        events,
+        lm_events,
+        merged,
+        inspect_cursor,
     }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let sim = Simulator {
-            worlds: Vec::unsnap(r)?,
-            locs: Vec::unsnap(r)?,
-            globals: Vec::unsnap(r)?,
-            faults: FaultPlan::unsnap(r)?,
-            workers: r.take_usize()?,
-            events: Vec::unsnap(r)?,
-            lm_events: Vec::unsnap(r)?,
-            merged: Vec::unsnap(r)?,
-            inspect_cursor: r.take_usize()?,
-        };
-        validate_shell(&sim, r)?;
-        Ok(sim)
-    }
+    check |sim| validate_shell(sim)
 }
 
 /// Structural invariants every decoded world must satisfy before it
 /// can run: any index a dispatch path uses unchecked is range-checked
 /// here, so a corrupted stream is rejected instead of panicking later.
-fn validate_world(world: &World, r: &SnapReader<'_>) -> Result<(), SnapshotError> {
+fn validate_world(world: &World) -> Result<(), &'static str> {
     let n = world.devices.len();
     if world.wake.len() != n {
-        return Err(r.malformed("wakeup array length mismatches device count"));
+        return Err("wakeup array length mismatches device count");
     }
     if !world.comp_of.is_empty() && world.comp_of.len() != n {
-        return Err(r.malformed("component map length mismatches device count"));
+        return Err("component map length mismatches device count");
     }
     if world.crashed.len() != n || world.muted.len() != n || world.drifted.len() != n {
-        return Err(r.malformed("fault flag array length mismatches device count"));
+        return Err("fault flag array length mismatches device count");
     }
     if world.faults.check_devices(n).is_err() {
-        return Err(r.malformed("fault plan targets unknown device"));
+        return Err("fault plan targets unknown device");
     }
     for (_, _, ev) in world.cal.entries() {
         let ok = match ev {
@@ -354,7 +207,7 @@ fn validate_world(world: &World, r: &SnapReader<'_>) -> Result<(), SnapshotError
             Ev::Fault { idx } => *idx < world.faults.events().len(),
         };
         if !ok {
-            return Err(r.malformed("calendar event references unknown device"));
+            return Err("calendar event references unknown device");
         }
     }
     Ok(())
@@ -363,40 +216,40 @@ fn validate_world(world: &World, r: &SnapReader<'_>) -> Result<(), SnapshotError
 /// The shell's invariants: at least one world, the global↔local device
 /// maps a bijection onto the worlds' devices, merge cursors within the
 /// world logs.
-fn validate_shell(sim: &Simulator, r: &SnapReader<'_>) -> Result<(), SnapshotError> {
+fn validate_shell(sim: &Simulator) -> Result<(), &'static str> {
     if sim.worlds.is_empty() {
-        return Err(r.malformed("simulator without a world"));
+        return Err("simulator without a world");
     }
     if sim.workers == 0 {
-        return Err(r.malformed("worker count must be at least 1"));
+        return Err("worker count must be at least 1");
     }
     if sim.globals.len() != sim.worlds.len() || sim.merged.len() != sim.worlds.len() {
-        return Err(r.malformed("world tables mismatch world count"));
+        return Err("world tables mismatch world count");
     }
     // Every device maps to a (world, local) slot that maps back to it,
     // and the slots are exactly as many as the devices: a bijection.
     let mut slots = 0;
     for (world, globals) in sim.worlds.iter().zip(&sim.globals) {
         if globals.len() != world.devices.len() {
-            return Err(r.malformed("world globals table mismatches device count"));
+            return Err("world globals table mismatches device count");
         }
         slots += globals.len();
     }
     if slots != sim.locs.len() {
-        return Err(r.malformed("device map mismatches world device count"));
+        return Err("device map mismatches world device count");
     }
     for (d, &(w, l)) in sim.locs.iter().enumerate() {
         if sim.globals.get(w).and_then(|g| g.get(l)) != Some(&d) {
-            return Err(r.malformed("device map references unknown device"));
+            return Err("device map references unknown device");
         }
     }
     for (world, &(done_lc, done_lm)) in sim.worlds.iter().zip(&sim.merged) {
         if done_lc > world.events.len() || done_lm > world.lm_events.len() {
-            return Err(r.malformed("merge cursor beyond world event log"));
+            return Err("merge cursor beyond world event log");
         }
     }
     if sim.faults.check_devices(sim.locs.len()).is_err() {
-        return Err(r.malformed("fault plan targets unknown device"));
+        return Err("fault plan targets unknown device");
     }
     Ok(())
 }
@@ -404,17 +257,17 @@ fn validate_shell(sim: &Simulator, r: &SnapReader<'_>) -> Result<(), SnapshotErr
 /// Rebuilds a world's derived indexes, which the wire form leaves out,
 /// from the restored devices and radio positions — and rejects a
 /// component map those positions do not produce.
-fn derive_index(world: &World, r: &SnapReader<'_>) -> Result<Indexes, SnapshotError> {
+fn derive_index(world: &World) -> Result<Indexes, &'static str> {
     let positions = match world.medium.spatial() {
         Some(_) => (0..world.devices.len())
             .map(|d| world.medium.position_of(d))
             .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| r.malformed("device without a registered radio"))?,
+            .ok_or("device without a registered radio")?,
         None => Vec::new(),
     };
     let (near, comp_of) = index::in_range_graph(world.medium.spatial(), &positions);
     if comp_of != world.comp_of {
-        return Err(r.malformed("component map mismatches radio positions"));
+        return Err("component map mismatches radio positions");
     }
     Ok(Indexes::new(
         world.devices.iter().map(|c| c.lc.addr()),

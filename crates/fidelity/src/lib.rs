@@ -75,22 +75,12 @@ impl Fidelity {
     }
 }
 
-impl btsim_kernel::Snap for Fidelity {
-    fn snap(&self, w: &mut btsim_kernel::SnapWriter) {
-        w.put_u8(match self {
-            Fidelity::Bit => 0,
-            Fidelity::Stat => 1,
-            Fidelity::Auto => 2,
-        });
-    }
-    fn unsnap(r: &mut btsim_kernel::SnapReader<'_>) -> Result<Self, btsim_kernel::SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => Fidelity::Bit,
-            1 => Fidelity::Stat,
-            2 => Fidelity::Auto,
-            _ => return Err(r.malformed("fidelity tier tag out of range")),
-        })
-    }
+btsim_kernel::snap_enum! {
+    Fidelity {
+        0 => Bit,
+        1 => Stat,
+        2 => Auto,
+    } else "fidelity tier tag out of range"
 }
 
 /// The four-way outcome of a statistical packet reception, ordered by
@@ -266,26 +256,10 @@ impl ErrorModel {
     }
 }
 
-impl btsim_kernel::Snap for ErrorModel {
-    /// Serializes the derived probabilities bit-exactly rather than
-    /// re-deriving them, so a restored model classifies identically
-    /// even across floating-point environment differences.
-    fn snap(&self, w: &mut btsim_kernel::SnapWriter) {
-        self.ber.snap(w);
-        self.p_sync_miss.snap(w);
-        self.p_header_fail.snap(w);
-        self.q_block.snap(w);
-    }
-
-    fn unsnap(r: &mut btsim_kernel::SnapReader<'_>) -> Result<Self, btsim_kernel::SnapshotError> {
-        Ok(Self {
-            ber: f64::unsnap(r)?,
-            p_sync_miss: f64::unsnap(r)?,
-            p_header_fail: f64::unsnap(r)?,
-            q_block: <[f64; 11]>::unsnap(r)?,
-        })
-    }
-}
+// The derived probabilities are written bit-exactly rather than
+// re-derived, so a restored model classifies identically even across
+// floating-point environment differences.
+btsim_kernel::snap_struct! { ErrorModel { ber, p_sync_miss, p_header_fail, q_block } }
 
 /// Cumulative outcome thresholds for one packet shape at one BER.
 ///

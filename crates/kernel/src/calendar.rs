@@ -190,13 +190,15 @@ impl<E> Calendar<E> {
 
 impl<E: crate::snap::Snap> crate::snap::Snap for Calendar<E> {
     fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        self.now.snap(w);
-        w.put_u64(self.seq);
+        // The heap is written through `entries`, in dispatch order.
+        let Calendar { heap: _, seq, now } = self;
+        now.snap(w);
+        seq.snap(w);
         let entries = self.entries();
         w.put_usize(entries.len());
         for (at, seq, event) in entries {
             at.snap(w);
-            w.put_u64(seq);
+            seq.snap(w);
             event.snap(w);
         }
     }
@@ -204,7 +206,7 @@ impl<E: crate::snap::Snap> crate::snap::Snap for Calendar<E> {
         let now = SimTime::unsnap(r)?;
         let seq = r.take_u64()?;
         let n = r.take_len()?;
-        let mut entries = Vec::with_capacity(n);
+        let mut entries = r.vec_for(n);
         for _ in 0..n {
             let at = SimTime::unsnap(r)?;
             if at < now {

@@ -166,81 +166,25 @@ impl CaptureSink {
     }
 }
 
-impl crate::snap::Snap for CaptureDir {
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_u8(match self {
-            CaptureDir::Sent => 0,
-            CaptureDir::Received => 1,
-        });
-    }
-    fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => CaptureDir::Sent,
-            1 => CaptureDir::Received,
-            _ => return Err(r.malformed("capture direction tag out of range")),
-        })
-    }
+crate::snap_enum! {
+    CaptureDir {
+        0 => Sent,
+        1 => Received,
+    } else "capture direction tag out of range"
 }
 
-impl crate::snap::Snap for CaptureKind {
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_u8(match self {
-            CaptureKind::Air => 0,
-            CaptureKind::Lmp => 1,
-        });
-    }
-    fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => CaptureKind::Air,
-            1 => CaptureKind::Lmp,
-            _ => return Err(r.malformed("capture kind tag out of range")),
-        })
-    }
+crate::snap_enum! {
+    CaptureKind {
+        0 => Air,
+        1 => Lmp,
+    } else "capture kind tag out of range"
 }
 
-impl crate::snap::Snap for CaptureRecord {
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        self.at.snap(w);
-        self.dir.snap(w);
-        self.kind.snap(w);
-        w.put_usize(self.device);
-        w.put_u8(self.channel);
-        w.put_bool(self.collided);
-        w.put_bool(self.jammed);
-        w.put_usize(self.orig_bits);
-        w.put_bytes(&self.data);
-    }
-    fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapshotError> {
-        Ok(CaptureRecord {
-            at: crate::snap::Snap::unsnap(r)?,
-            dir: crate::snap::Snap::unsnap(r)?,
-            kind: crate::snap::Snap::unsnap(r)?,
-            device: r.take_usize()?,
-            channel: r.take_u8()?,
-            collided: r.take_bool()?,
-            jammed: r.take_bool()?,
-            orig_bits: r.take_usize()?,
-            data: r.take_bytes()?,
-        })
-    }
+crate::snap_struct! {
+    CaptureRecord { at, dir, kind, device, channel, collided, jammed, orig_bits, data }
 }
 
-impl crate::snap::Snap for CaptureSink {
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_bool(self.enabled);
-        self.records.snap(w);
-        w.put_usize(self.record_cap);
-        w.put_u64(self.dropped);
-    }
-    fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapshotError> {
-        Ok(CaptureSink {
-            enabled: r.take_bool()?,
-            records: crate::snap::Snap::unsnap(r)?,
-            record_cap: r.take_usize()?,
-            dropped: r.take_u64()?,
-        })
-    }
-}
+crate::snap_struct! { CaptureSink { enabled, records, record_cap, dropped } }
 
 #[cfg(test)]
 mod tests {

@@ -170,19 +170,8 @@ impl SimRng {
     }
 }
 
-impl crate::snap::Snap for SimRng {
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_u64(self.seed);
-        for word in self.rng.s {
-            w.put_u64(word);
-        }
-    }
-    fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapshotError> {
-        let seed = r.take_u64()?;
-        let s = <[u64; 4]>::unsnap(r)?;
-        Ok(SimRng::from_state(seed, s))
-    }
-}
+crate::snap_struct! { Xoshiro256 { s } }
+crate::snap_struct! { SimRng { seed, rng } }
 
 #[cfg(test)]
 mod tests {

@@ -201,91 +201,32 @@ impl TraceRecorder {
 
 impl crate::snap::Snap for SignalRef {
     fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_usize(self.0);
+        let SignalRef(index) = self;
+        crate::snap::Snap::snap(index, w);
     }
     fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapshotError> {
-        Ok(SignalRef(r.take_usize()?))
+        Ok(SignalRef(crate::snap::Snap::unsnap(r)?))
     }
 }
 
-impl crate::snap::Snap for TraceValue {
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        match self {
-            TraceValue::Bit(b) => {
-                w.put_u8(0);
-                w.put_bool(*b);
-            }
-            TraceValue::Wire(wire) => {
-                w.put_u8(1);
-                wire.snap(w);
-            }
-            TraceValue::Int(v) => {
-                w.put_u8(2);
-                w.put_u64(*v);
-            }
-        }
-    }
-    fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => TraceValue::Bit(r.take_bool()?),
-            1 => TraceValue::Wire(crate::snap::Snap::unsnap(r)?),
-            2 => TraceValue::Int(r.take_u64()?),
-            _ => return Err(r.malformed("trace value tag out of range")),
-        })
-    }
+crate::snap_enum! {
+    TraceValue {
+        0 => Bit(level),
+        1 => Wire(level),
+        2 => Int(value),
+    } else "trace value tag out of range"
 }
 
-impl crate::snap::Snap for SignalInfo {
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_str(&self.scope);
-        w.put_str(&self.name);
-        w.put_u32(self.width);
-    }
-    fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapshotError> {
-        Ok(SignalInfo {
-            scope: r.take_str()?,
-            name: r.take_str()?,
-            width: r.take_u32()?,
-        })
-    }
-}
+crate::snap_struct! { SignalInfo { scope, name, width } }
 
-impl crate::snap::Snap for TraceRecord {
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        self.at.snap(w);
-        self.signal.snap(w);
-        self.value.snap(w);
-    }
-    fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapshotError> {
-        Ok(TraceRecord {
-            at: crate::snap::Snap::unsnap(r)?,
-            signal: crate::snap::Snap::unsnap(r)?,
-            value: crate::snap::Snap::unsnap(r)?,
-        })
-    }
-}
+crate::snap_struct! { TraceRecord { at, signal, value } }
 
-impl crate::snap::Snap for TraceRecorder {
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        self.signals.snap(w);
-        self.records.snap(w);
-        w.put_bool(self.enabled);
-        w.put_usize(self.record_cap);
-        w.put_u64(self.dropped);
-    }
-    fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapshotError> {
-        let signals: Vec<SignalInfo> = crate::snap::Snap::unsnap(r)?;
-        let records: Vec<TraceRecord> = crate::snap::Snap::unsnap(r)?;
-        if records.iter().any(|rec| rec.signal.0 >= signals.len()) {
-            return Err(r.malformed("trace record references undeclared signal"));
-        }
-        Ok(TraceRecorder {
-            signals,
-            records,
-            enabled: r.take_bool()?,
-            record_cap: r.take_usize()?,
-            dropped: r.take_u64()?,
-        })
+crate::snap_struct! {
+    TraceRecorder { signals, records, enabled, record_cap, dropped }
+    check |t| if t.records.iter().any(|rec| rec.signal.0 >= t.signals.len()) {
+        Err("trace record references undeclared signal")
+    } else {
+        Ok(())
     }
 }
 

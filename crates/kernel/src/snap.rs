@@ -2,7 +2,9 @@
 //!
 //! Every stateful layer of the simulator implements [`Snap`], a
 //! field-by-field binary encoding used by `btsim-core`'s `SimSnapshot`
-//! wire form (`docs/SNAPSHOT.md`). The codec is deliberately minimal:
+//! wire form (`docs/SNAPSHOT.md`). Most impls are declared as field
+//! lists or tag tables with [`snap_struct!`](crate::snap_struct) and
+//! [`snap_enum!`](crate::snap_enum). The codec is deliberately minimal:
 //! little-endian fixed-width integers, length-prefixed sequences, and a
 //! strict reader that returns a typed [`SnapshotError`] — never panics —
 //! on truncated or malformed input.
@@ -254,8 +256,9 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a sequence length, rejecting lengths that cannot possibly
-    /// fit in the remaining bytes (each element encodes to >= 1 byte),
-    /// so a corrupted length cannot trigger a huge allocation.
+    /// fit in the remaining bytes (each element encodes to >= 1 byte).
+    /// Reserve memory for the elements with [`SnapReader::vec_for`]: an
+    /// element may be far larger in memory than on the wire.
     pub fn take_len(&mut self) -> Result<usize, SnapshotError> {
         let at = self.pos;
         let n = self.take_usize()?;
@@ -294,6 +297,14 @@ impl<'a> SnapReader<'a> {
         Ok(())
     }
 
+    /// An empty vector with room for `n` elements of `T`, capped at the
+    /// number of `T`s the remaining bytes could fill. A corrupted length
+    /// prefix then costs at most the input's size in reserved memory,
+    /// never an allocation the process cannot satisfy.
+    pub fn vec_for<T>(&self, n: usize) -> Vec<T> {
+        Vec::with_capacity(n.min(self.remaining() / std::mem::size_of::<T>().max(1)))
+    }
+
     /// A [`SnapshotError::Malformed`] at the current position — for
     /// `Snap` impls that validate semantic invariants (enum tags, bit
     /// counts, channel indices).
@@ -311,6 +322,188 @@ pub trait Snap: Sized {
     fn snap(&self, w: &mut SnapWriter);
     /// Reads a value back, validating the stream.
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError>;
+}
+
+/// Declares the [`Snap`] codec of a struct as its field list, in wire
+/// order.
+///
+/// Each field is written with its own `Snap` impl and read back with
+/// `Snap::unsnap`, or with a decoder `fn(&mut SnapReader) -> Result<T,
+/// SnapshotError>` named after `via` (for a per-field range check whose
+/// error must point at the field). Encoding destructures `Self` with no
+/// `..`, so a field missing from the list is a compile error, not a
+/// silent hole in the snapshot:
+///
+/// * `skip { field = init, .. }` names fields that are not written; on
+///   decode each is rebuilt from `init`, which may read the decoded
+///   fields by name (derived state, caches) and runs before `check`;
+/// * `check |v| expr` validates the decoded value as a whole: `expr`
+///   is a `Result<(), &'static str>`, and an `Err(what)` becomes
+///   [`SnapshotError::Malformed`] with that `what`.
+///
+/// The macro writes no tag, length or version of its own: the bytes are
+/// exactly the fields' images, concatenated.
+///
+/// # Examples
+///
+/// ```
+/// use btsim_kernel::snap::{Snap, SnapReader, SnapWriter};
+/// use btsim_kernel::snap_struct;
+///
+/// struct Window {
+///     lo: u32,
+///     hi: u32,
+///     /// A cache: rebuilt, not written.
+///     seen: Vec<u32>,
+/// }
+///
+/// snap_struct! {
+///     Window { lo, hi }
+///     skip { seen = Vec::new() }
+///     check |v| if v.lo <= v.hi { Ok(()) } else { Err("window ends before it starts") }
+/// }
+///
+/// let mut w = SnapWriter::new();
+/// Window { lo: 2, hi: 7, seen: vec![3] }.snap(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(bytes, [2, 0, 0, 0, 7, 0, 0, 0]);
+/// let back = Window::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+/// assert_eq!((back.lo, back.hi, back.seen.len()), (2, 7, 0));
+/// let bad = [7, 0, 0, 0, 2, 0, 0, 0];
+/// assert!(Window::unsnap(&mut SnapReader::new(&bad)).is_err());
+/// ```
+///
+/// Leaving a field out of the list does not compile:
+///
+/// ```compile_fail
+/// use btsim_kernel::snap_struct;
+///
+/// struct Window {
+///     lo: u32,
+///     hi: u32,
+/// }
+///
+/// snap_struct! { Window { lo } }
+/// ```
+#[macro_export]
+macro_rules! snap_struct {
+    (
+        $ty:ident { $( $field:ident $( via $dec:expr )? ),* $(,)? }
+        $( skip { $( $skip:ident = $init:expr ),* $(,)? } )?
+        $( check |$v:ident| $check:expr )?
+    ) => {
+        impl $crate::snap::Snap for $ty {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                let Self { $( $field, )* $( $( $skip: _, )* )? } = self;
+                $( $crate::snap::Snap::snap($field, w); )*
+            }
+
+            fn unsnap(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snap::SnapshotError> {
+                $( let $field = $crate::__snap_take!(r, $field $( via $dec )?); )*
+                $( $( let $skip = $init; )* )?
+                let value = Self { $( $field, )* $( $( $skip, )* )? };
+                $(
+                    fn check($v: &$ty) -> ::core::result::Result<(), &'static str> {
+                        $check
+                    }
+                    check(&value).map_err(|what| r.malformed(what))?;
+                )?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Declares the [`Snap`] codec of an enum as a table of explicit `u8`
+/// tags.
+///
+/// Each variant is written as its tag followed by its fields in the
+/// order listed (unit, tuple and struct variants alike). Encoding
+/// matches exhaustively and names every struct-variant field, so a new
+/// variant or field that is not in the table fails to compile. Decoding
+/// rejects an unknown tag with [`SnapshotError::Malformed`] carrying the
+/// message after `else`. A struct-variant field may name a decoder
+/// after `via`, as in [`snap_struct!`].
+///
+/// # Examples
+///
+/// ```
+/// use btsim_kernel::snap::{Snap, SnapReader, SnapWriter};
+/// use btsim_kernel::snap_enum;
+///
+/// enum Shape {
+///     Empty,
+///     Square(u32),
+///     Rect { w: u32, h: u32 },
+/// }
+///
+/// snap_enum! {
+///     Shape {
+///         0 => Empty,
+///         1 => Square(side),
+///         2 => Rect { w, h },
+///     } else "unknown shape tag"
+/// }
+///
+/// let mut w = SnapWriter::new();
+/// Shape::Rect { w: 3, h: 4 }.snap(&mut w);
+/// assert_eq!(w.as_bytes(), [2, 3, 0, 0, 0, 4, 0, 0, 0]);
+/// assert!(Shape::unsnap(&mut SnapReader::new(&[9])).is_err());
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    (
+        $ty:ident {
+            $(
+                $tag:literal => $var:ident
+                $( ( $( $tfield:ident ),* $(,)? ) )?
+                $( { $( $sfield:ident $( via $dec:expr )? ),* $(,)? } )?
+            ),* $(,)?
+        } else $what:literal
+    ) => {
+        impl $crate::snap::Snap for $ty {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {
+                    $(
+                        Self::$var $( ( $( $tfield ),* ) )? $( { $( $sfield ),* } )? => {
+                            w.put_u8($tag);
+                            $( $( $crate::snap::Snap::snap($tfield, w); )* )?
+                            $( $( $crate::snap::Snap::snap($sfield, w); )* )?
+                        }
+                    )*
+                }
+            }
+
+            fn unsnap(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snap::SnapshotError> {
+                Ok(match r.take_u8()? {
+                    $(
+                        $tag => Self::$var
+                            $( ( $( $crate::__snap_take!(r, $tfield) ),* ) )?
+                            $( {
+                                $( $sfield: $crate::__snap_take!(r, $sfield $( via $dec )?) ),*
+                            } )?,
+                    )*
+                    _ => return Err(r.malformed($what)),
+                })
+            }
+        }
+    };
+}
+
+/// Decodes one field for [`snap_struct!`] / [`snap_enum!`].
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __snap_take {
+    ($r:ident, $field:ident) => {
+        $crate::snap::Snap::unsnap($r)?
+    };
+    ($r:ident, $field:ident via $dec:expr) => {
+        ($dec)($r)?
+    };
 }
 
 macro_rules! snap_prim {
@@ -372,7 +565,7 @@ impl<T: Snap> Snap for Vec<T> {
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let n = r.take_len()?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = r.vec_for(n);
         for _ in 0..n {
             out.push(T::unsnap(r)?);
         }
@@ -466,24 +659,13 @@ impl Snap for SimDuration {
     }
 }
 
-impl Snap for Wire {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            Wire::L0 => 0,
-            Wire::L1 => 1,
-            Wire::Z => 2,
-            Wire::X => 3,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => Wire::L0,
-            1 => Wire::L1,
-            2 => Wire::Z,
-            3 => Wire::X,
-            _ => return Err(r.malformed("wire level tag out of range")),
-        })
-    }
+snap_enum! {
+    Wire {
+        0 => L0,
+        1 => L1,
+        2 => Z,
+        3 => X,
+    } else "wire level tag out of range"
 }
 
 #[cfg(test)]
@@ -548,6 +730,22 @@ mod tests {
         assert!(matches!(
             Vec::<u8>::unsnap(&mut r),
             Err(SnapshotError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn length_prefix_cannot_reserve_beyond_the_input() {
+        // 1 Mi elements of 32 KiB each would ask for 32 GiB up front; the
+        // prefix passes `take_len` (it fits the byte count) but the
+        // reservation must be capped by what the bytes could hold.
+        let mut w = SnapWriter::new();
+        w.put_usize(1 << 20);
+        let mut bytes = w.into_bytes();
+        bytes.resize(bytes.len() + (1 << 20), 0);
+        let mut r = SnapReader::new(&bytes);
+        assert!(matches!(
+            Vec::<[u64; 4096]>::unsnap(&mut r),
+            Err(SnapshotError::Truncated { .. })
         ));
     }
 

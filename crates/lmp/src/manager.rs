@@ -697,23 +697,13 @@ impl LinkManager {
     }
 }
 
-use btsim_kernel::{Snap, SnapReader, SnapWriter, SnapshotError};
+use btsim_kernel::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
-impl Snap for LmRole {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            LmRole::Master => 0,
-            LmRole::Slave => 1,
-        });
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => LmRole::Master,
-            1 => LmRole::Slave,
-            _ => return Err(r.malformed("unknown LM role tag")),
-        })
-    }
+snap_enum! {
+    LmRole {
+        0 => Master,
+        1 => Slave,
+    } else "unknown LM role tag"
 }
 
 impl Snap for Opcode {
@@ -744,130 +734,24 @@ impl Snap for Pdu {
     }
 }
 
-impl Snap for LmEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            LmEvent::SetupComplete { lt_addr } => {
-                w.put_u8(0);
-                w.put_u8(*lt_addr);
-            }
-            LmEvent::Rejected { of, reason } => {
-                w.put_u8(1);
-                of.snap(w);
-                w.put_u8(*reason);
-            }
-            LmEvent::ModeApplied { lt_addr, of } => {
-                w.put_u8(2);
-                w.put_u8(*lt_addr);
-                of.snap(w);
-            }
-            LmEvent::PeerDetached { lt_addr, reason } => {
-                w.put_u8(3);
-                w.put_u8(*lt_addr);
-                w.put_u8(*reason);
-            }
-            LmEvent::AfhAccepted { lt_addr } => {
-                w.put_u8(4);
-                w.put_u8(*lt_addr);
-            }
-            LmEvent::ChannelClassification { lt_addr, map } => {
-                w.put_u8(5);
-                w.put_u8(*lt_addr);
-                map.snap(w);
-            }
-            LmEvent::RequestTimedOut { lt_addr, of } => {
-                w.put_u8(6);
-                w.put_u8(*lt_addr);
-                of.snap(w);
-            }
-        }
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => LmEvent::SetupComplete {
-                lt_addr: r.take_u8()?,
-            },
-            1 => LmEvent::Rejected {
-                of: Opcode::unsnap(r)?,
-                reason: r.take_u8()?,
-            },
-            2 => LmEvent::ModeApplied {
-                lt_addr: r.take_u8()?,
-                of: Opcode::unsnap(r)?,
-            },
-            3 => LmEvent::PeerDetached {
-                lt_addr: r.take_u8()?,
-                reason: r.take_u8()?,
-            },
-            4 => LmEvent::AfhAccepted {
-                lt_addr: r.take_u8()?,
-            },
-            5 => LmEvent::ChannelClassification {
-                lt_addr: r.take_u8()?,
-                map: ChannelMap::unsnap(r)?,
-            },
-            6 => LmEvent::RequestTimedOut {
-                lt_addr: r.take_u8()?,
-                of: Opcode::unsnap(r)?,
-            },
-            _ => return Err(r.malformed("unknown LM event tag")),
-        })
-    }
+snap_enum! {
+    LmEvent {
+        0 => SetupComplete { lt_addr },
+        1 => Rejected { of, reason },
+        2 => ModeApplied { lt_addr, of },
+        3 => PeerDetached { lt_addr, reason },
+        4 => AfhAccepted { lt_addr },
+        5 => ChannelClassification { lt_addr, map },
+        6 => RequestTimedOut { lt_addr, of },
+    } else "unknown LM event tag"
 }
 
-impl Snap for PendingMode {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.at_slot);
-        self.command.snap(w);
-        self.of.snap(w);
-        w.put_u8(self.lt_addr);
-    }
+snap_struct! { PendingMode { at_slot, command, of, lt_addr } }
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            at_slot: r.take_u64()?,
-            command: LcCommand::unsnap(r)?,
-            of: Opcode::unsnap(r)?,
-            lt_addr: r.take_u8()?,
-        })
-    }
-}
+snap_struct! { Outstanding { lt_addr, pdu, deadline_slot } }
 
-impl Snap for Outstanding {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(self.lt_addr);
-        self.pdu.snap(w);
-        self.deadline_slot.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            lt_addr: r.take_u8()?,
-            pdu: Pdu::unsnap(r)?,
-            deadline_slot: Option::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for LinkManager {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.role.snap(w);
-        self.pending.snap(w);
-        self.outstanding.snap(w);
-        self.setup_done.snap(w);
-        w.put_u64(self.response_timeout_slots);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            role: LmRole::unsnap(r)?,
-            pending: Vec::unsnap(r)?,
-            outstanding: VecDeque::unsnap(r)?,
-            setup_done: Vec::unsnap(r)?,
-            response_timeout_slots: r.take_u64()?,
-        })
-    }
+snap_struct! {
+    LinkManager { role, pending, outstanding, setup_done, response_timeout_slots }
 }
 
 #[cfg(test)]

@@ -342,30 +342,22 @@ fn split_over_phases<P: Copy + Ord>(
     }
 }
 
-use btsim_kernel::{Snap, SnapReader, SnapWriter, SnapshotError};
+use btsim_kernel::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
-impl Snap for PhaseTotals {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.tx_ns);
-        w.put_u64(self.rx_ns);
-        w.put_u64(self.phase_ns);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            tx_ns: r.take_u64()?,
-            rx_ns: r.take_u64()?,
-            phase_ns: r.take_u64()?,
-        })
-    }
-}
+snap_struct! { PhaseTotals { tx_ns, rx_ns, phase_ns } }
 
 impl<P: Snap + Copy + Ord> Snap for DeviceAccount<P> {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.tx_ns);
-        w.put_u64(self.rx_ns);
-        self.timeline.snap(w);
-        self.per_phase.snap(w);
+        let DeviceAccount {
+            tx_ns,
+            rx_ns,
+            timeline,
+            per_phase,
+        } = self;
+        tx_ns.snap(w);
+        rx_ns.snap(w);
+        timeline.snap(w);
+        per_phase.snap(w);
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
@@ -389,7 +381,8 @@ impl<P: Snap + Copy + Ord> Snap for DeviceAccount<P> {
 
 impl<P: Snap + Copy + Ord + Debug> Snap for PowerMonitor<P> {
     fn snap(&self, w: &mut SnapWriter) {
-        self.devices.snap(w);
+        let PowerMonitor { devices } = self;
+        devices.snap(w);
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {

@@ -430,6 +430,79 @@ fn malformed_wire_forms_are_rejected() {
     }
 }
 
+/// The intact wire forms the mutation fuzz starts from: the
+/// monolithic page-scenario snapshot and the two-world snapshot of
+/// [`malformed_wire_forms_are_rejected`].
+fn fuzz_bases() -> &'static [Vec<u8>; 2] {
+    static BASES: std::sync::OnceLock<[Vec<u8>; 2]> = std::sync::OnceLock::new();
+    BASES.get_or_init(|| {
+        let scenario = PageScenario::new(PageConfig {
+            sim: paper_config(),
+            ..PageConfig::default()
+        });
+        [
+            scenario.build(40).snapshot().to_bytes(),
+            two_world_snapshot_bytes(),
+        ]
+    })
+}
+
+/// A radio moved so far off the spatial grid that its cell index
+/// saturates at the `i32` edge: decoding used to overflow computing the
+/// cell's neighbours (found by the mutation fuzz below). It must be a
+/// typed error — the moved radio no longer matches the stored component
+/// map.
+#[test]
+fn radio_off_the_grid_is_rejected_not_panicked() {
+    let mut bytes = two_world_snapshot_bytes();
+    // The x coordinate of the radios placed at (100, 0).
+    let x = 100.0f64.to_le_bytes();
+    let at = (0..bytes.len() - 8)
+        .find(|&i| bytes[i..i + 8] == x)
+        .expect("a radio position is in the wire form");
+    bytes[at..at + 8].copy_from_slice(&1e300f64.to_le_bytes());
+    assert!(matches!(
+        SimSnapshot::from_bytes(&bytes),
+        Err(SnapshotError::Malformed { .. })
+    ));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Mutation fuzz over the wire decoder: bit flips, byte and word
+    /// overwrites, truncations and splices of two real snapshots. Any
+    /// input must decode or yield a typed [`SnapshotError`]; a panic (or
+    /// an abort from an oversized allocation) fails the test.
+    #[test]
+    fn mutated_wire_forms_never_panic(
+        base in 0usize..2,
+        other in 0usize..2,
+        kind in 0u8..5,
+        at: u64,
+        value: u64,
+    ) {
+        let bases = fuzz_bases();
+        let mut bytes = bases[base].clone();
+        let pos = (at % bytes.len() as u64) as usize;
+        match kind {
+            0 => bytes[pos] ^= 1 << (value % 8),
+            1 => bytes[pos] = value as u8,
+            2 => {
+                let pos = pos.min(bytes.len() - 8);
+                bytes[pos..pos + 8].copy_from_slice(&value.to_le_bytes());
+            }
+            3 => bytes.truncate(pos),
+            _ => {
+                let tail = &bases[other];
+                bytes.truncate(pos);
+                bytes.extend_from_slice(&tail[(value % tail.len() as u64) as usize..]);
+            }
+        }
+        let _ = SimSnapshot::from_bytes(&bytes);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
