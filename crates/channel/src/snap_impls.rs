@@ -51,32 +51,23 @@ snap_struct! { ChannelCounters { transmissions, collided, jammed } }
 
 snap_struct! { ChannelQuality { counters } }
 
-fn tx_rf_channel(r: &mut SnapReader<'_>) -> Result<u8, SnapshotError> {
-    let ch = r.take_u8()?;
-    if ch >= RF_CHANNELS {
-        return Err(r.malformed("transmission RF channel out of range"));
-    }
-    Ok(ch)
-}
-
-fn tx_bits(r: &mut SnapReader<'_>) -> Result<BitVec, SnapshotError> {
-    let bits = BitVec::unsnap(r)?;
-    if bits.is_empty() {
-        return Err(r.malformed("transmission has no bits"));
-    }
-    Ok(bits)
-}
-
 snap_struct! {
     Transmission {
         id,
         source,
-        rf_channel via tx_rf_channel,
+        rf_channel,
         start,
-        noisy_bits via tx_bits,
+        noisy_bits,
         jammed,
         counted_collided,
         delivered,
+    }
+    check |t| if t.rf_channel >= RF_CHANNELS {
+        Err("transmission RF channel out of range")
+    } else if t.noisy_bits.is_empty() {
+        Err("transmission has no bits")
+    } else {
+        Ok(())
     }
 }
 
@@ -91,36 +82,14 @@ snap_struct! {
 
 snap_struct! { Radio { pos, cell, noise, stream, last_end } }
 
-/// Reads a 79-bucket array (one `Vec<Transmission>` per RF channel).
-fn read_channel_buckets(r: &mut SnapReader<'_>) -> Result<Vec<Vec<Transmission>>, SnapshotError> {
-    let buckets: Vec<Vec<Transmission>> = Snap::unsnap(r)?;
-    if buckets.len() != RF_CHANNELS as usize {
-        return Err(r.malformed("channel bucket count is not 79"));
-    }
-    Ok(buckets)
-}
-
-/// Reads the spatial per-cell bucket arrays.
-fn read_cell_buckets(r: &mut SnapReader<'_>) -> Result<CellBuckets, SnapshotError> {
-    let n = r.take_len()?;
-    let mut out = BTreeMap::new();
-    for _ in 0..n {
-        let cell: Cell = Snap::unsnap(r)?;
-        out.insert(cell, read_channel_buckets(r)?);
-    }
-    Ok(out)
-}
-
-type CellBuckets = BTreeMap<Cell, Vec<Vec<Transmission>>>;
+/// One retained-transmission bucket per RF channel.
+type Buckets = Vec<Vec<Transmission>>;
 
 /// The directory is an index over the buckets; rebuild it the way `gc`
 /// does so the pair is consistent by construction.
-fn build_directory(channels: &[Vec<Transmission>], cell_buckets: &CellBuckets) -> Vec<DirEntry> {
-    let cells = std::iter::once(((0, 0), channels)).chain(
-        cell_buckets
-            .iter()
-            .map(|(&cell, buckets)| (cell, buckets.as_slice())),
-    );
+fn build_directory(channels: &Buckets, cell_buckets: &BTreeMap<Cell, Buckets>) -> Vec<DirEntry> {
+    let cells = std::iter::once(((0, 0), channels))
+        .chain(cell_buckets.iter().map(|(&cell, buckets)| (cell, buckets)));
     let mut directory: Vec<DirEntry> = cells
         .flat_map(|(cell, buckets)| {
             buckets.iter().enumerate().flat_map(move |(ch, bucket)| {
@@ -137,6 +106,10 @@ fn build_directory(channels: &[Vec<Transmission>], cell_buckets: &CellBuckets) -
 }
 
 fn check_medium(m: &Medium) -> Result<(), &'static str> {
+    let mut bucket_arrays = std::iter::once(&m.channels).chain(m.cell_buckets.values());
+    if bucket_arrays.any(|buckets| buckets.len() != RF_CHANNELS as usize) {
+        return Err("channel bucket count is not 79");
+    }
     let unregistered = |&s: &usize| m.radios.get(s).is_none_or(Option::is_none);
     if m.cells.values().flatten().any(unregistered) {
         return Err("cell membership references unregistered radio");
@@ -157,8 +130,8 @@ snap_struct! {
     Medium {
         cfg,
         rng,
-        channels via read_channel_buckets,
-        cell_buckets via read_cell_buckets,
+        channels,
+        cell_buckets,
         radios,
         cells,
         jam_base,

@@ -133,25 +133,6 @@ impl SimRng {
         (self.rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// The raw generator state: `(seed, xoshiro words)`.
-    ///
-    /// Snapshots persist the exact stream *position* (the four xoshiro
-    /// words), not just the seed — a restored RNG continues the stream
-    /// from the same draw, which is what makes restore-then-run
-    /// bit-identical to an uninterrupted run.
-    pub fn state(&self) -> (u64, [u64; 4]) {
-        (self.seed, self.rng.s)
-    }
-
-    /// Rebuilds an RNG at an exact stream position captured by
-    /// [`SimRng::state`].
-    pub fn from_state(seed: u64, s: [u64; 4]) -> Self {
-        Self {
-            seed,
-            rng: Xoshiro256 { s },
-        }
-    }
-
     /// Number of successes (bits kept intact) before the next failure when
     /// each bit flips independently with probability `ber`.
     ///
@@ -170,6 +151,10 @@ impl SimRng {
     }
 }
 
+// Snapshots persist the exact stream *position* (the four xoshiro
+// words), not just the seed: a restored RNG continues the stream from
+// the same draw, which is what makes restore-then-run bit-identical to
+// an uninterrupted run.
 crate::snap_struct! { Xoshiro256 { s } }
 crate::snap_struct! { SimRng { seed, rng } }
 
@@ -274,20 +259,6 @@ mod tests {
             (measured - ber).abs() < ber * 0.15,
             "measured BER {measured} vs {ber}"
         );
-    }
-
-    #[test]
-    fn state_roundtrip_resumes_stream_exactly() {
-        let mut a = SimRng::new(0xFEED);
-        for _ in 0..17 {
-            a.range_u64(1 << 40);
-        }
-        let (seed, s) = a.state();
-        let mut b = SimRng::from_state(seed, s);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        for _ in 0..50 {
-            assert_eq!(a.range_u64(1 << 40), b.range_u64(1 << 40));
-        }
     }
 
     #[test]
