@@ -500,6 +500,9 @@ mod tests {
         let err = parse_args(&argv(&["--faults", "crash@4000:dev=2,bogus=1"])).unwrap_err();
         assert!(err.contains("invalid --faults value"), "{err}");
         assert!(parse_args(&argv(&["--faults", ""])).is_err());
+        // A slot whose start instant would wrap the nanosecond clock.
+        let err = parse_args(&argv(&["--faults", "crash@29514790517936:dev=0"])).unwrap_err();
+        assert!(err.contains("`slot` 29514790517936 exceeds"), "{err}");
     }
 
     #[test]

@@ -21,11 +21,11 @@
 
 mod snap_impls;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use btsim_coding::BitVec;
 use btsim_kernel::{
-    CaptureDir, CaptureKind, CaptureRecord, CaptureSink, SimDuration, SimRng, SimTime, Wire,
+    CaptureDir, CaptureKind, CaptureRecord, CaptureSink, SimDuration, SimRng, SimTime,
 };
 
 /// Number of RF hop channels in the 2.4 GHz band.
@@ -489,37 +489,45 @@ impl Reception {
 pub struct Medium {
     cfg: ChannelConfig,
     rng: SimRng,
-    /// Retained transmissions, bucketed by RF channel (non-spatial
-    /// mode). Collisions, carrier sensing and wire probes only ever
-    /// look at co-channel traffic, so each query scans one bucket
-    /// instead of everything on the air. Within a bucket ids are
-    /// monotone (appended in registration order), so lookups
-    /// binary-search. Unused (empty) when a spatial model is
-    /// configured — see `cell_buckets`.
-    channels: Vec<Vec<Transmission>>,
-    /// Spatial-mode storage: per grid cell, the same 79 per-RF-channel
-    /// buckets, keyed by the *source's* cell. Interference scans walk
-    /// the 3×3 cell neighbourhood of a source and filter by range, so
-    /// dense far-apart traffic never meets in one bucket. BTreeMap so
-    /// iteration order is deterministic.
-    cell_buckets: BTreeMap<Cell, Vec<Vec<Transmission>>>,
+    /// Retained transmissions in id order: `txs[k]` holds id `first + k`,
+    /// or `None` once [`Medium::gc`] collected it. Ids are dense and
+    /// starts are non-decreasing along the queue, so a lookup by id is
+    /// one offset and the collector works from the old end.
+    txs: VecDeque<Option<Transmission>>,
+    /// Id of `txs[0]` (`next_id` when nothing is retained).
+    first: u64,
+    /// Number of `Some` entries in `txs`.
+    live: usize,
+    /// Co-channel index for the interference scans: per `(cell index,
+    /// RF channel)` (see `bucket_index`), the ids of retained
+    /// transmissions from sources in that cell, ascending (one implicit
+    /// cell without a spatial model). A collected id may linger behind
+    /// a live one until it reaches the front; the front is always live.
+    buckets: Vec<VecDeque<u64>>,
+    /// Cell indices and populated neighbourhoods, derived from `cells`.
+    grid: Grid,
+    /// Set by [`Medium::register_radio`]: `grid` and `buckets` are
+    /// rebuilt on the next use, so registering N radios costs one
+    /// rebuild, not N.
+    stale: bool,
     /// Spatial-mode radio registry, indexed by source id: position,
     /// home cell, a private noise stream and the radio's latest
-    /// air-time end (for the range-scoped quiescence probe).
+    /// air-time end.
     radios: Vec<Option<Radio>>,
     /// Spatial-mode cell membership (registration-ordered source ids).
     cells: BTreeMap<Cell, Vec<usize>>,
-    /// Registration-ordered directory of every retained transmission,
-    /// for O(log n) [`Medium::find`] by id. Rebuilt from the buckets by
-    /// [`Medium::gc`], so the two can never disagree on liveness.
-    directory: Vec<DirEntry>,
+    /// Where the incremental collector stands (derived, not serialized).
+    sweep: Sweep,
     /// Base stream for the counter-based interferer burst schedule:
     /// never drawn from directly, only forked per `(slot, channel)`.
-    /// Forks are pure functions of the medium seed, so every observer —
-    /// `begin_tx`, `busy`, `wire_at`, and sharded sibling media built
-    /// from the same run seed — sees the same burst timeline.
+    /// Forks are pure functions of the medium seed, so `begin_tx`,
+    /// [`Medium::interferer_active`] and sharded sibling media built
+    /// from the same run seed all see the same burst timeline.
     jam_base: SimRng,
     next_id: u64,
+    /// Start of the newest transmission: registrations must not go
+    /// back in time (the collector relies on start-ordered ids).
+    newest_start: SimTime,
     total_flipped: u64,
     total_bits: u64,
     tx_stats: TxStats,
@@ -566,32 +574,75 @@ struct Radio {
     last_end: SimTime,
 }
 
-/// One row of the transmission directory.
-#[derive(Debug, Clone, Copy)]
-struct DirEntry {
-    id: TxId,
-    rf_channel: u8,
-    /// Source cell in spatial mode; `(0, 0)` otherwise (unused).
-    cell: Cell,
+/// The cell table derived from the radio registry: a dense index per
+/// populated cell (ascending cell order) and, per cell, the populated
+/// cells of its 3×3 neighbourhood. Without a spatial model it is one
+/// implicit cell that every source belongs to.
+#[derive(Debug, Clone, Default)]
+struct Grid {
+    /// Cell index of each registered radio, by source id (spatial mode).
+    radio_cell: Vec<u32>,
+    /// Populated 3×3 neighbourhood of each cell, as cell indices.
+    near: Vec<Vec<u32>>,
+}
+
+impl Grid {
+    fn build(spatial: bool, cells: &BTreeMap<Cell, Vec<usize>>, radios: &[Option<Radio>]) -> Grid {
+        if !spatial {
+            return Grid {
+                radio_cell: Vec::new(),
+                near: vec![vec![0]],
+            };
+        }
+        let keys: Vec<Cell> = cells.keys().copied().collect();
+        let index = |c: Cell| keys.binary_search(&c).ok().map(|i| i as u32);
+        Grid {
+            radio_cell: radios
+                .iter()
+                .map(|r| r.as_ref().and_then(|r| index(r.cell)).unwrap_or(u32::MAX))
+                .collect(),
+            near: keys
+                .iter()
+                .map(|&c| neighbor_cells(c).filter_map(index).collect())
+                .collect(),
+        }
+    }
+}
+
+/// Progress of the incremental collector ([`Medium::gc`]). Every live
+/// transmission below id `next` ended before an earlier cutoff while
+/// undelivered: it waits in `grace`, and its id is also in `late` if it
+/// has been delivered since. Ids from `next` on have not been
+/// classified yet.
+#[derive(Debug, Clone, Default)]
+struct Sweep {
+    next: u64,
+    /// Undelivered transmissions in their extra retention window, in id
+    /// (hence start) order; collected ids are dropped from the front.
+    grace: VecDeque<u64>,
+    /// Grace transmissions delivered since the last collection.
+    late: Vec<u64>,
+    /// `(cutoff, retention)` of the last collection: a later call with
+    /// an earlier cutoff or another retention re-classifies everything.
+    last: Option<(SimTime, SimDuration)>,
 }
 
 /// Occupancy class of an RF channel with respect to fixed-band
-/// interferers, shared by carrier sensing ([`Medium::busy`]), wire
-/// probing ([`Medium::wire_at`]) and the jam verdict in
-/// [`Medium::begin_tx`] so the three paths cannot disagree on the edge
-/// cases.
+/// interferers: the jam verdict of [`Medium::begin_tx`] and the
+/// simulator's hop-map checks read the same classification, so they
+/// cannot disagree on the edge cases.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DutyClass {
-    /// No interferer covers the channel; never jams, never reads busy.
+    /// No interferer covers the channel; never jams.
     Clear,
     /// A fractional-duty interferer covers the channel: each 625 µs
     /// slot is a burst slot with the given probability, decided by a
     /// counter-based draw on the slot index (see
-    /// [`Medium::interferer_active`]) so transmissions, carrier sensing
-    /// and wire probes all see the same burst timeline.
+    /// [`Medium::interferer_active`]) so every transmission starting
+    /// in the same slot shares the burst's fate.
     Burst(f64),
     /// A full-duty interferer occupies the band continuously: every
-    /// transmission is wiped and the channel always reads busy/`X`.
+    /// transmission is wiped.
     Continuous,
 }
 
@@ -612,13 +663,18 @@ impl Medium {
         Self {
             cfg,
             rng,
-            channels: (0..RF_CHANNELS).map(|_| Vec::new()).collect(),
-            cell_buckets: BTreeMap::new(),
+            txs: VecDeque::new(),
+            first: 0,
+            live: 0,
+            buckets: Vec::new(),
+            grid: Grid::default(),
+            stale: true,
             radios: Vec::new(),
             cells: BTreeMap::new(),
-            directory: Vec::new(),
+            sweep: Sweep::default(),
             jam_base,
             next_id: 0,
+            newest_start: SimTime::ZERO,
             total_flipped: 0,
             total_bits: 0,
             tx_stats: TxStats::default(),
@@ -661,6 +717,7 @@ impl Medium {
             last_end: SimTime::ZERO,
         });
         self.cells.entry(cell).or_default().push(source);
+        self.stale = true;
     }
 
     /// The spatial model, when configured.
@@ -816,8 +873,7 @@ impl Medium {
     }
 
     /// Injects an interferer mid-run (the fault layer's noise burst):
-    /// it covers the band for every transmission, carrier-sense and
-    /// wire probe from this call on. The burst timeline stays a pure
+    /// it covers the band for every transmission from this call on. The burst timeline stays a pure
     /// counter-based function of the medium seed and slot index, so
     /// two engines applying the same fault at the same instant see
     /// identical jam verdicts.
@@ -845,12 +901,13 @@ impl Medium {
     /// shared noise stream; with one they come from the source radio's
     /// private stream, and the collision scan covers only co-channel
     /// traffic whose source is within interaction range (located via
-    /// the 3×3 cell neighbourhood).
+    /// the populated cells of the 3×3 neighbourhood).
     ///
     /// # Panics
     ///
-    /// Panics if `rf_channel >= 79`, `bits` is empty, or (in spatial
-    /// mode) `source` was never registered.
+    /// Panics if `rf_channel >= 79`, `bits` is empty, `start` precedes
+    /// the previous transmission's start, or (in spatial mode) `source`
+    /// was never registered.
     pub fn begin_tx(
         &mut self,
         source: usize,
@@ -860,6 +917,12 @@ impl Medium {
     ) -> TxId {
         assert!(rf_channel < RF_CHANNELS, "invalid RF channel {rf_channel}");
         assert!(!bits.is_empty(), "cannot transmit an empty packet");
+        assert!(
+            start >= self.newest_start,
+            "transmission at {start} registered after one starting at {}",
+            self.newest_start
+        );
+        self.reindex();
         let mut noisy = bits;
         let spatial = self.cfg.spatial.is_some();
         // A fault-layer degrade combines independently with the channel
@@ -893,9 +956,7 @@ impl Medium {
         self.total_flipped += flipped as u64;
         self.total_bits += len;
         // Fixed-band interferers wipe in-band packets when the slot the
-        // packet starts in is a burst slot — the same counter-based
-        // verdict `busy` and `wire_at` report, so observers and receive
-        // outcomes cannot disagree.
+        // packet starts in is a burst slot.
         let jammed = self.interferer_active(rf_channel, start);
         // Collision accounting: overlap in both time and channel with a
         // still-live transmission marks both sides, once each. The
@@ -904,38 +965,17 @@ impl Medium {
         let end = start + SimDuration::from_bits(noisy.len());
         let mut collided = false;
         let mut newly_collided = 0u64;
-        let cell = if spatial {
-            let me = self.radio(source);
-            let (my_cell, my_pos) = (me.cell, me.pos);
-            let range = self.cfg.spatial.expect("checked above").path_loss();
-            // Positions are immutable after registration, so the radio
-            // registry can be read while the buckets are walked mutably.
-            let radios = &self.radios;
-            for c in neighbor_cells(my_cell) {
-                let Some(buckets) = self.cell_buckets.get_mut(&c) else {
+        let (cell, reach) = self.home(source);
+        let (txs, first) = (&mut self.txs, self.first);
+        for &c in &self.grid.near[cell] {
+            for &id in &self.buckets[bucket_index(c as usize, rf_channel)] {
+                let Some(other) = txs[(id - first) as usize].as_mut() else {
                     continue;
                 };
-                for other in &mut buckets[rf_channel as usize] {
-                    if other.start < end && other.end() > start {
-                        let other_pos = radios[other.source]
-                            .as_ref()
-                            .expect("retained tx has a registered source")
-                            .pos;
-                        if !range.in_range(my_pos, other_pos) {
-                            continue;
-                        }
-                        collided = true;
-                        if !other.counted_collided {
-                            other.counted_collided = true;
-                            newly_collided += 1;
-                        }
-                    }
-                }
-            }
-            my_cell
-        } else {
-            for other in &mut self.channels[rf_channel as usize] {
-                if other.start < end && other.end() > start {
+                if other.start < end
+                    && other.end() > start
+                    && in_reach(reach, &self.radios, other.source)
+                {
                     collided = true;
                     if !other.counted_collided {
                         other.counted_collided = true;
@@ -943,8 +983,7 @@ impl Medium {
                     }
                 }
             }
-            (0, 0)
-        };
+        }
         let q = &mut self.quality.counters[rf_channel as usize];
         self.tx_stats.collided += newly_collided;
         q.collided += newly_collided;
@@ -976,13 +1015,13 @@ impl Medium {
         }
         let id = TxId(self.next_id);
         self.next_id += 1;
+        self.newest_start = start;
         self.last_end = self.last_end.max(end);
-        self.directory.push(DirEntry {
-            id,
-            rf_channel,
-            cell,
-        });
-        let tx = Transmission {
+        if spatial {
+            let radio = self.radios[source].as_mut().expect("registered above");
+            radio.last_end = radio.last_end.max(end);
+        }
+        self.txs.push_back(Some(Transmission {
             id,
             source,
             rf_channel,
@@ -991,18 +1030,9 @@ impl Medium {
             jammed,
             counted_collided: collided,
             delivered: false,
-        };
-        if spatial {
-            let radio = self.radios[source].as_mut().expect("registered above");
-            radio.last_end = radio.last_end.max(end);
-            let buckets = self
-                .cell_buckets
-                .entry(cell)
-                .or_insert_with(|| (0..RF_CHANNELS).map(|_| Vec::new()).collect());
-            buckets[rf_channel as usize].push(tx);
-        } else {
-            self.channels[rf_channel as usize].push(tx);
-        }
+        }));
+        self.live += 1;
+        self.buckets[bucket_index(cell, rf_channel)].push_back(id.0);
         id
     }
 
@@ -1064,40 +1094,9 @@ impl Medium {
         self.last_end <= at
     }
 
-    /// Range-scoped quiescence: whether every radio within interaction
-    /// range of `observer` (including the observer itself) has finished
-    /// its bit-level transmissions by `at`. Falls back to the global
-    /// [`Medium::quiet_at`] without a spatial model — and, crucially
-    /// for cell sharding, gives the *same* verdict whether the medium
-    /// holds the whole floor or just the observer's component, because
-    /// out-of-range radios never contribute.
-    pub fn quiet_near(&self, observer: usize, at: SimTime) -> bool {
-        let Some(spatial) = &self.cfg.spatial else {
-            return self.quiet_at(at);
-        };
-        let me = self.radio(observer);
-        for cell in neighbor_cells(me.cell) {
-            let Some(members) = self.cells.get(&cell) else {
-                continue;
-            };
-            for &m in members {
-                let r = self.radio(m);
-                if r.last_end > at && spatial.path_loss().in_range(me.pos, r.pos) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// End of air time of a transmission (for scheduling its delivery).
-    pub fn tx_end(&self, id: TxId) -> Option<SimTime> {
-        self.find(id).map(Transmission::end)
-    }
-
     /// Time at which the demodulated bits of `id` become available.
     pub fn delivery_time(&self, id: TxId) -> Option<SimTime> {
-        self.find(id).map(|t| t.end() + self.cfg.modem_delay)
+        self.slot(id.0).map(|t| t.end() + self.cfg.modem_delay)
     }
 
     /// Materialises the reception of transmission `id`.
@@ -1115,10 +1114,10 @@ impl Medium {
     /// in-range listener sees the same corrupted image, the paper's
     /// single-output channel localised to one neighbourhood).
     pub fn receive(&mut self, id: TxId) -> Option<Reception> {
-        let tx = self.find(id)?;
+        self.reindex();
+        let tx = self.slot(id.0)?;
         let len = tx.noisy_bits.len();
         let (tx_start, tx_end) = (tx.start, tx.end());
-        let (tx_source, tx_channel) = (tx.source, tx.rf_channel);
         let jammed = tx.jammed;
         let mut overlapped = false;
         let mut mask: Option<BitVec> = if jammed {
@@ -1127,53 +1126,33 @@ impl Medium {
         } else {
             None
         };
-        let mark = |o_start: SimTime, o_end: SimTime, mask: &mut Option<BitVec>| {
-            let mask = mask.get_or_insert_with(|| BitVec::zeros(len));
-            // Mark the overlapped bit span [lo, hi).
-            let lo = o_start.since(tx_start).ns() / SimDuration::SYMBOL.ns();
-            let hi = o_end
-                .since(tx_start)
-                .ns()
-                .div_ceil(SimDuration::SYMBOL.ns());
-            mask.fill_range(lo as usize, hi.min(len as u64) as usize);
-        };
-        if let Some(spatial) = self.cfg.spatial {
-            let me = self.radio(tx_source);
-            let (my_cell, my_pos) = (me.cell, me.pos);
-            for c in neighbor_cells(my_cell) {
-                let Some(buckets) = self.cell_buckets.get(&c) else {
+        let (cell, reach) = self.home(tx.source);
+        for &c in &self.grid.near[cell] {
+            for &other_id in &self.buckets[bucket_index(c as usize, tx.rf_channel)] {
+                if other_id == id.0 {
+                    continue;
+                }
+                let Some(other) = self.slot(other_id) else {
                     continue;
                 };
-                for other in &buckets[tx_channel as usize] {
-                    if other.id == id {
-                        continue;
-                    }
-                    let (o_start, o_end) = (other.start, other.end());
-                    if o_end <= tx_start || o_start >= tx_end {
-                        continue;
-                    }
-                    let other_pos = self.radio(other.source).pos;
-                    if !spatial.path_loss().in_range(my_pos, other_pos) {
-                        continue;
-                    }
-                    overlapped = true;
-                    mark(o_start, o_end, &mut mask);
-                }
-            }
-        } else {
-            for other in &self.channels[tx_channel as usize] {
-                if other.id == id {
-                    continue;
-                }
                 let (o_start, o_end) = (other.start, other.end());
-                if o_end <= tx_start || o_start >= tx_end {
+                if o_end <= tx_start
+                    || o_start >= tx_end
+                    || !in_reach(reach, &self.radios, other.source)
+                {
                     continue;
                 }
                 overlapped = true;
-                mark(o_start, o_end, &mut mask);
+                // Mark the overlapped bit span [lo, hi).
+                let mask = mask.get_or_insert_with(|| BitVec::zeros(len));
+                let lo = o_start.since(tx_start).ns() / SimDuration::SYMBOL.ns();
+                let hi = o_end
+                    .since(tx_start)
+                    .ns()
+                    .div_ceil(SimDuration::SYMBOL.ns());
+                mask.fill_range(lo as usize, hi.min(len as u64) as usize);
             }
         }
-        let tx = self.find(id).expect("located above");
         let rec = Reception {
             tx_id: tx.id,
             source: tx.source,
@@ -1184,7 +1163,14 @@ impl Medium {
             bits: tx.noisy_bits.clone(),
             collision_mask: mask,
         };
-        self.mark_delivered(id);
+        let k = (id.0 - self.first) as usize;
+        let tx = self.txs[k].as_mut().expect("located above");
+        if !tx.delivered {
+            tx.delivered = true;
+            if id.0 < self.sweep.next {
+                self.sweep.late.push(id.0);
+            }
+        }
         if self.capture.is_enabled() {
             // The RX record mirrors the transmission with the *final*
             // decode verdict: `collided` now covers overlaps from both
@@ -1211,165 +1197,22 @@ impl Medium {
     ///
     /// The fractional verdict is a counter-based draw on the slot
     /// index, forked from the medium's seed — no stream state is
-    /// consumed, so carrier sensing ([`Medium::busy`]), wire probing
-    /// ([`Medium::wire_at`]) and the jam verdict of
-    /// [`Medium::begin_tx`] all see one burst timeline, and sibling
-    /// media built from the same run seed (cell shards) agree on it.
+    /// consumed, so this probe and the jam verdict of
+    /// [`Medium::begin_tx`] see one burst timeline, and sibling media
+    /// built from the same run seed (cell shards) agree on it.
     pub fn interferer_active(&self, rf_channel: u8, at: SimTime) -> bool {
         match self.duty_class(rf_channel) {
             DutyClass::Clear => false,
             DutyClass::Continuous => true,
-            DutyClass::Burst(duty) => self.burst_slot_hit(rf_channel, at.slots(), duty),
+            DutyClass::Burst(duty) => self
+                .jam_base
+                .fork(
+                    at.slots()
+                        .wrapping_mul(RF_CHANNELS as u64)
+                        .wrapping_add(rf_channel as u64),
+                )
+                .chance(duty),
         }
-    }
-
-    /// The counter-based burst draw for one `(slot, channel)` pair.
-    fn burst_slot_hit(&self, rf_channel: u8, slot: u64, duty: f64) -> bool {
-        self.jam_base
-            .fork(
-                slot.wrapping_mul(RF_CHANNELS as u64)
-                    .wrapping_add(rf_channel as u64),
-            )
-            .chance(duty)
-    }
-
-    /// Whether a fractional-duty burst covers any slot overlapping
-    /// `[from, to)`.
-    fn burst_busy(&self, rf_channel: u8, from: SimTime, to: SimTime) -> bool {
-        match self.duty_class(rf_channel) {
-            DutyClass::Clear => false,
-            DutyClass::Continuous => true,
-            DutyClass::Burst(duty) => {
-                if to <= from {
-                    return false;
-                }
-                let last = (to - SimDuration::from_ns(1)).slots();
-                (from.slots()..=last).any(|s| self.burst_slot_hit(rf_channel, s, duty))
-            }
-        }
-    }
-
-    /// Whether any transmission overlapping `[from, to)` on `rf_channel`
-    /// is registered, or an interferer burst covers a slot of the window
-    /// (carrier sensing for tests and diagnostics).
-    ///
-    /// Fractional-duty bursts sit on a per-slot timeline shared with
-    /// [`Medium::begin_tx`]'s jam verdict (see
-    /// [`Medium::interferer_active`]), so the probe agrees with the fate
-    /// of a packet sent in the same slot. This scans *all* registered
-    /// traffic; in spatial mode use [`Medium::busy_for`] for the view
-    /// from one radio.
-    pub fn busy(&self, rf_channel: u8, from: SimTime, to: SimTime) -> bool {
-        self.burst_busy(rf_channel, from, to)
-            || self.co_channel(rf_channel, |t| t.start < to && t.end() > from)
-    }
-
-    /// [`Medium::busy`] as seen by `observer`: in spatial mode only
-    /// transmissions whose source is within interaction range of the
-    /// observer count (scanned via the observer's 3×3 cell
-    /// neighbourhood); without a spatial model identical to `busy`.
-    pub fn busy_for(&self, observer: usize, rf_channel: u8, from: SimTime, to: SimTime) -> bool {
-        if self.cfg.spatial.is_none() {
-            return self.busy(rf_channel, from, to);
-        }
-        self.burst_busy(rf_channel, from, to)
-            || self.co_channel_near(observer, rf_channel, |t| t.start < to && t.end() > from)
-    }
-
-    /// The resolved four-valued value of the medium at `at` on `rf_channel`.
-    ///
-    /// A channel occupied by a full-duty interferer reads `X`, as do the
-    /// bits of a jammed transmission and any slot a fractional-duty
-    /// burst covers — consistent with [`Medium::receive`], which
-    /// delivers jammed packets under a full collision mask, and with
-    /// [`Medium::busy`]. This resolves *all* registered traffic; in
-    /// spatial mode use [`Medium::wire_at_for`] for one radio's view.
-    pub fn wire_at(&self, rf_channel: u8, at: SimTime) -> Wire {
-        if self.interferer_active(rf_channel, at) {
-            return Wire::X;
-        }
-        let mut levels = Vec::new();
-        self.co_channel(rf_channel, |t| {
-            if let Some(w) = Self::tx_wire_at(t, at) {
-                levels.push(w);
-            }
-            false
-        });
-        Wire::resolve(levels)
-    }
-
-    /// [`Medium::wire_at`] as seen by `observer`: in spatial mode only
-    /// in-range sources drive the observed wire; without a spatial
-    /// model identical to `wire_at`.
-    pub fn wire_at_for(&self, observer: usize, rf_channel: u8, at: SimTime) -> Wire {
-        if self.cfg.spatial.is_none() {
-            return self.wire_at(rf_channel, at);
-        }
-        if self.interferer_active(rf_channel, at) {
-            return Wire::X;
-        }
-        let mut levels = Vec::new();
-        self.co_channel_near(observer, rf_channel, |t| {
-            if let Some(w) = Self::tx_wire_at(t, at) {
-                levels.push(w);
-            }
-            false
-        });
-        Wire::resolve(levels)
-    }
-
-    /// The wire level transmission `t` drives at `at`, if on air.
-    fn tx_wire_at(t: &Transmission, at: SimTime) -> Option<Wire> {
-        if at < t.start || at >= t.end() {
-            return None;
-        }
-        if t.jammed {
-            return Some(Wire::X);
-        }
-        let bit_idx = (at.since(t.start).ns() / SimDuration::SYMBOL.ns()) as usize;
-        t.noisy_bits.get(bit_idx).map(Wire::from_bit)
-    }
-
-    /// Walks every retained co-channel transmission (all cells in
-    /// spatial mode); returns whether `pred` matched any.
-    fn co_channel(&self, rf_channel: u8, mut pred: impl FnMut(&Transmission) -> bool) -> bool {
-        if self.cfg.spatial.is_some() {
-            self.cell_buckets
-                .values()
-                .any(|b| b[rf_channel as usize].iter().any(&mut pred))
-        } else {
-            self.channels
-                .get(rf_channel as usize)
-                .is_some_and(|b| b.iter().any(&mut pred))
-        }
-    }
-
-    /// Walks retained co-channel transmissions whose source is within
-    /// interaction range of `observer` (spatial mode only).
-    fn co_channel_near(
-        &self,
-        observer: usize,
-        rf_channel: u8,
-        mut pred: impl FnMut(&Transmission) -> bool,
-    ) -> bool {
-        let spatial = self.cfg.spatial.expect("spatial mode only");
-        let me = self.radio(observer);
-        let (my_cell, my_pos) = (me.cell, me.pos);
-        for c in neighbor_cells(my_cell) {
-            let Some(buckets) = self.cell_buckets.get(&c) else {
-                continue;
-            };
-            for t in &buckets[rf_channel as usize] {
-                if spatial
-                    .path_loss()
-                    .in_range(my_pos, self.radio(t.source).pos)
-                    && pred(t)
-                {
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     /// Drops transmissions that ended before `now - retention` — except
@@ -1379,39 +1222,86 @@ impl Medium {
     /// collector. (Undelivered transmissions with no listeners are
     /// still reclaimed, one window late — the bound is `2 × retention`.)
     ///
-    /// The directory drops exactly the ids the buckets dropped (one
-    /// merge walk over both sorted lists), so [`Medium::find`]'s
-    /// binary-search invariant — every directory row has its bucket
-    /// entry and vice versa — holds under any retention predicate.
+    /// The work follows what expires, not what is retained: ids are in
+    /// start order, so only the oldest unclassified transmissions, the
+    /// packets still on air at the cutoff and the grace-window queue's
+    /// head are examined. Called with an earlier cutoff or another
+    /// retention than last time, it re-classifies everything once.
     ///
     /// Call periodically; `retention` must exceed the modem delay plus the
     /// longest listener window so receptions are still materialisable.
     pub fn gc(&mut self, now: SimTime, retention: SimDuration) {
+        self.reindex();
         let cutoff = now - retention;
-        let mut removed = Vec::new();
-        let mut keep = |t: &Transmission| {
-            let kept = t.end() >= cutoff || (!t.delivered && t.end() + retention >= cutoff);
-            if !kept {
-                removed.push(t.id);
-            }
-            kept
+        let expired = |t: &Transmission| {
+            !(t.end() >= cutoff || (!t.delivered && t.end() + retention >= cutoff))
         };
-        for bucket in &mut self.channels {
-            bucket.retain(&mut keep);
+        if self
+            .sweep
+            .last
+            .is_some_and(|(c, r)| cutoff < c || r != retention)
+        {
+            self.sweep = Sweep::default();
         }
-        for buckets in self.cell_buckets.values_mut() {
-            for bucket in buckets.iter_mut() {
-                bucket.retain(&mut keep);
+        self.sweep.last = Some((cutoff, retention));
+        self.sweep.next = self.sweep.next.max(self.first);
+        // Grace transmissions delivered since the last call ended before
+        // its cutoff: they expire now.
+        for id in std::mem::take(&mut self.sweep.late) {
+            if self.slot(id).is_some_and(expired) {
+                self.collect(id);
             }
         }
-        self.cell_buckets
-            .retain(|_, buckets| buckets.iter().any(|b| !b.is_empty()));
-        removed.sort_unstable();
-        let mut gone = removed.iter().peekable();
-        self.directory.retain(|e| {
-            while gone.next_if(|&&id| id < e.id).is_some() {}
-            gone.next_if_eq(&&e.id).is_none()
-        });
+        // Undelivered grace transmissions, oldest first, up to the first
+        // one that cannot have ended a retention window before `cutoff`.
+        let mut i = 0;
+        while let Some(&id) = self.sweep.grace.get(i) {
+            i += 1;
+            let Some(t) = self.slot(id) else { continue };
+            if t.start + retention >= cutoff {
+                break;
+            }
+            if expired(t) {
+                self.collect(id);
+            }
+        }
+        while let Some(&id) = self.sweep.grace.front() {
+            if self.slot(id).is_some() {
+                break;
+            }
+            self.sweep.grace.pop_front();
+        }
+        // Classify in id order: expired, or ended undelivered (grace),
+        // up to the first transmission still on air at the cutoff…
+        while self.sweep.next < self.next_id {
+            let id = self.sweep.next;
+            match self.slot(id) {
+                None => {}
+                Some(t) if expired(t) => self.collect(id),
+                Some(t) if t.end() < cutoff => self.sweep.grace.push_back(id),
+                Some(_) => break,
+            }
+            self.sweep.next += 1;
+        }
+        // …then check the rest that started before the cutoff without
+        // classifying them: only packets that overlap the cutoff's air
+        // time sit there.
+        for id in self.sweep.next..self.next_id {
+            let Some(t) = self.slot(id) else { continue };
+            if t.start >= cutoff {
+                break;
+            }
+            if expired(t) {
+                self.collect(id);
+            }
+        }
+        while self.txs.front().is_some_and(Option::is_none) {
+            self.txs.pop_front();
+            self.first += 1;
+        }
+        if self.txs.is_empty() {
+            self.first = self.next_id;
+        }
     }
 
     /// Digest of the noise streams' RNG positions (see
@@ -1437,48 +1327,74 @@ impl Medium {
 
     /// Number of retained transmissions.
     pub fn live_count(&self) -> usize {
-        self.directory.len()
+        self.live
     }
 
-    /// Looks a retained transmission up by id: a binary search over the
-    /// monotone directory for its channel (and cell, in spatial mode),
-    /// then one over the bucket.
-    fn find(&self, id: TxId) -> Option<&Transmission> {
-        let dir = &self.directory;
-        let e = dir[dir.binary_search_by_key(&id, |e| e.id).ok()?];
-        let bucket = self.bucket(e.cell, e.rf_channel)?;
-        Some(&bucket[bucket.binary_search_by_key(&id, |t| t.id).ok()?])
+    /// The retained transmission with id `id`, found by its offset.
+    fn slot(&self, id: u64) -> Option<&Transmission> {
+        let k = id.checked_sub(self.first)?;
+        self.txs.get(usize::try_from(k).ok()?)?.as_ref()
     }
 
-    /// The bucket a directory row points into.
-    fn bucket(&self, cell: Cell, rf_channel: u8) -> Option<&Vec<Transmission>> {
-        if self.cfg.spatial.is_some() {
-            Some(&self.cell_buckets.get(&cell)?[rf_channel as usize])
-        } else {
-            self.channels.get(rf_channel as usize)
+    /// The cell index of `source`'s transmissions and, in spatial mode,
+    /// the range test its interference obeys.
+    fn home(&self, source: usize) -> (usize, Option<(PathLoss, Position)>) {
+        match &self.cfg.spatial {
+            Some(spatial) => (
+                self.grid.radio_cell[source] as usize,
+                Some((spatial.path_loss(), self.radio(source).pos)),
+            ),
+            None => (0, None),
         }
     }
 
-    /// Marks a retained transmission as materialised (see
-    /// [`Medium::gc`]'s retention rule for undelivered transmissions).
-    fn mark_delivered(&mut self, id: TxId) {
-        let dir = &self.directory;
-        let Ok(i) = dir.binary_search_by_key(&id, |e| e.id) else {
+    /// Rebuilds the cell table and the co-channel buckets after radios
+    /// were registered (or the medium was decoded).
+    fn reindex(&mut self) {
+        if !self.stale {
             return;
-        };
-        let e = dir[i];
-        let bucket = if self.cfg.spatial.is_some() {
-            &mut self
-                .cell_buckets
-                .get_mut(&e.cell)
-                .expect("directory row has a bucket")[e.rf_channel as usize]
-        } else {
-            &mut self.channels[e.rf_channel as usize]
-        };
-        if let Ok(j) = bucket.binary_search_by_key(&id, |t| t.id) {
-            bucket[j].delivered = true;
+        }
+        self.grid = Grid::build(self.cfg.spatial.is_some(), &self.cells, &self.radios);
+        let mut buckets = vec![VecDeque::new(); self.grid.near.len() * RF_CHANNELS as usize];
+        for t in self.txs.iter().flatten() {
+            buckets[bucket_index(self.home(t.source).0, t.rf_channel)].push_back(t.id.0);
+        }
+        self.buckets = buckets;
+        self.stale = false;
+    }
+
+    /// Removes a live transmission, keeping its bucket's front live.
+    fn collect(&mut self, id: u64) {
+        let k = (id - self.first) as usize;
+        let t = self.txs[k]
+            .take()
+            .expect("collecting a retained transmission");
+        self.live -= 1;
+        let b = bucket_index(self.home(t.source).0, t.rf_channel);
+        let (txs, first) = (&self.txs, self.first);
+        let bucket = &mut self.buckets[b];
+        while bucket
+            .front()
+            .is_some_and(|&i| txs[(i - first) as usize].is_none())
+        {
+            bucket.pop_front();
         }
     }
+}
+
+/// Position of the `(cell, rf_channel)` bucket in `Medium::buckets`.
+fn bucket_index(cell: usize, rf_channel: u8) -> usize {
+    cell * RF_CHANNELS as usize + rf_channel as usize
+}
+
+/// Whether `source` is within `reach` (always, without a spatial model).
+fn in_reach(reach: Option<(PathLoss, Position)>, radios: &[Option<Radio>], source: usize) -> bool {
+    reach.is_none_or(|(range, at)| {
+        let radio = radios[source]
+            .as_ref()
+            .expect("retained tx has a registered source");
+        range.in_range(at, radio.pos)
+    })
 }
 
 #[cfg(test)]
@@ -1586,29 +1502,6 @@ mod tests {
         let _c = m.begin_tx(2, 7, SimTime::from_us(200), bits(50));
         let rx = m.receive(a).unwrap();
         assert_eq!(rx.collision_mask.unwrap().count_ones(), 100);
-    }
-
-    #[test]
-    fn busy_and_wire_probe() {
-        let mut m = medium(0.0, 1);
-        let mut b = BitVec::zeros(10);
-        b.set(1, true);
-        m.begin_tx(0, 33, SimTime::from_us(100), b);
-        assert!(m.busy(33, SimTime::from_us(105), SimTime::from_us(106)));
-        assert!(!m.busy(34, SimTime::from_us(105), SimTime::from_us(106)));
-        assert!(!m.busy(33, SimTime::from_us(110), SimTime::from_us(120)));
-        assert_eq!(m.wire_at(33, SimTime::from_us(100)), Wire::L0);
-        assert_eq!(m.wire_at(33, SimTime::from_us(101)), Wire::L1);
-        assert_eq!(m.wire_at(33, SimTime::from_us(110)), Wire::Z);
-        assert_eq!(m.wire_at(34, SimTime::from_us(101)), Wire::Z);
-    }
-
-    #[test]
-    fn wire_probe_shows_collision_as_x() {
-        let mut m = medium(0.0, 1);
-        m.begin_tx(0, 33, SimTime::ZERO, bits(100));
-        m.begin_tx(1, 33, SimTime::ZERO, bits(100));
-        assert_eq!(m.wire_at(33, SimTime::from_us(5)), Wire::X);
     }
 
     #[test]
@@ -1732,7 +1625,7 @@ mod tests {
     }
 
     #[test]
-    fn partial_duty_jam_verdict_is_per_slot_and_visible_to_probes() {
+    fn partial_duty_jam_verdict_is_per_slot() {
         let mut m = Medium::new(
             ChannelConfig {
                 interferers: vec![Interferer::wlan(40, 0.5)],
@@ -1744,21 +1637,25 @@ mod tests {
         for k in 0..200u64 {
             let at = SimTime::ZERO + SimDuration::from_slots(3 * k);
             let expected = m.interferer_active(40, at);
-            // Observer view before any transmission: the probe reports
-            // the burst itself.
-            assert_eq!(m.busy(40, at, at + SimDuration::from_us(1)), expected);
-            assert_eq!(
-                m.wire_at(40, at) == Wire::X,
-                expected,
-                "slot {k}: wire probe agrees with the burst timeline"
-            );
             // Two packets in the same slot share the burst's fate, and
-            // it matches what the probes predicted.
+            // it matches the probe; a packet starting in the next slot
+            // follows that slot's verdict.
             let jammed0 = m.tx_stats().jammed;
-            m.begin_tx(0, 40, at, bits(20));
-            m.begin_tx(1, 40, at + SimDuration::from_us(40), bits(20));
+            let a = m.begin_tx(0, 40, at, bits(20));
+            let b = m.begin_tx(1, 40, at + SimDuration::from_us(40), bits(20));
             let newly = m.tx_stats().jammed - jammed0;
             assert_eq!(newly, if expected { 2 } else { 0 });
+            for tx in [a, b] {
+                let rx = m.receive(tx).unwrap();
+                assert_eq!(rx.collided(), expected, "slot {k}: receive agrees");
+            }
+            let next = at + SimDuration::SLOT;
+            let jammed1 = m.tx_stats().jammed;
+            m.begin_tx(0, 40, next, bits(20));
+            assert_eq!(
+                m.tx_stats().jammed - jammed1,
+                u64::from(m.interferer_active(40, next))
+            );
             if expected {
                 bursts += 1;
             }
@@ -1787,11 +1684,14 @@ mod tests {
         // its grace window while the delivered `b` is reclaimed.
         m.gc(SimTime::from_us(1_150), SimDuration::from_us(1_000));
         assert_eq!(m.live_count(), 1);
-        assert!(m.tx_end(b).is_none(), "delivered tx is reclaimed normally");
+        assert!(
+            m.delivery_time(b).is_none(),
+            "delivered tx is reclaimed normally"
+        );
         let rx = m.receive(a).expect("delayed receive still materialises");
         assert!(!rx.collided());
         // Once delivered (or once the grace window passes), a later gc
-        // reclaims it and `find`'s directory/bucket invariant holds.
+        // reclaims it.
         m.gc(SimTime::from_us(2_200), SimDuration::from_us(1_000));
         assert_eq!(m.live_count(), 0);
         assert!(m.receive(a).is_none());
@@ -1906,24 +1806,18 @@ mod tests {
     }
 
     #[test]
-    fn carrier_sense_sees_full_duty_interferers() {
-        let m = Medium::new(
+    fn duty_classes_decide_the_jam_verdict() {
+        let mut m = Medium::new(
             ChannelConfig {
                 interferers: vec![Interferer::wlan(40, 1.0), Interferer::wlan(70, 0.5)],
                 ..ChannelConfig::default()
             },
             SimRng::new(1),
         );
-        // Full-duty band: busy and X with no transmission registered.
-        assert!(m.busy(40, SimTime::ZERO, SimTime::from_us(1)));
-        assert_eq!(m.wire_at(40, SimTime::ZERO), Wire::X);
-        // Fractional-duty band: the probes report the per-slot burst
-        // timeline — busy/X exactly on burst slots, clean between them
-        // (the pre-PR-8 asymmetry where only receive outcomes saw the
-        // bursts is gone).
-        let burst_now = m.interferer_active(70, SimTime::ZERO);
-        assert_eq!(m.busy(70, SimTime::ZERO, SimTime::from_us(1)), burst_now);
-        assert_eq!(m.wire_at(70, SimTime::ZERO) == Wire::X, burst_now);
+        // Full-duty band: always bursting, every packet wiped.
+        assert!(m.interferer_active(40, SimTime::ZERO));
+        // Fractional-duty band: a per-slot timeline with both burst and
+        // clean slots.
         let mut seen = [false, false];
         for s in 0..64 {
             let at = SimTime::ZERO + SimDuration::from_slots(s);
@@ -1935,7 +1829,6 @@ mod tests {
             "duty 0.5 has both burst and clean slots"
         );
         // Out of every band: clean.
-        assert!(!m.busy(10, SimTime::ZERO, SimTime::from_us(1)));
         assert!(!m.interferer_active(10, SimTime::ZERO));
         assert_eq!(m.jam_duty(40), 1.0);
         assert_eq!(m.jam_duty(70), 0.5);
@@ -1943,15 +1836,21 @@ mod tests {
         assert_eq!(m.duty_class(40), DutyClass::Continuous);
         assert_eq!(m.duty_class(70), DutyClass::Burst(0.5));
         assert_eq!(m.duty_class(10), DutyClass::Clear);
-        // Every probe above and every jam verdict is draw-free: at
-        // BER 0 nothing in this test consumes the noise stream.
-        let mut m = m;
+        // Every jam verdict is draw-free: at BER 0 nothing in this test
+        // consumes the noise stream.
         let shadow = SimRng::new(1);
         assert_eq!(m.rng_fingerprint(), shadow.fingerprint());
-        m.begin_tx(0, 40, SimTime::ZERO, bits(20)); // continuous: no draw
-        m.begin_tx(0, 10, SimTime::ZERO, bits(20)); // clear: no draw
-        m.begin_tx(0, 70, SimTime::ZERO, bits(20)); // burst: counter-based, no draw
+        let full = m.begin_tx(0, 40, SimTime::ZERO, bits(20)); // continuous: no draw
+        let clear = m.begin_tx(1, 10, SimTime::ZERO, bits(20)); // clear: no draw
+        let burst = m.begin_tx(2, 70, SimTime::ZERO, bits(20)); // counter-based, no draw
         assert_eq!(m.rng_fingerprint(), shadow.fingerprint());
+        let rx = m.receive(full).unwrap();
+        assert_eq!(rx.collision_mask.unwrap().count_ones(), 20, "wiped");
+        assert!(!m.receive(clear).unwrap().collided());
+        assert_eq!(
+            m.receive(burst).unwrap().collided(),
+            m.interferer_active(70, SimTime::ZERO)
+        );
     }
 
     #[test]
@@ -1993,32 +1892,6 @@ mod tests {
         assert_eq!(m.live_count(), 0);
         assert!(!m.quiet_at(SimTime::from_us(10_000)));
         assert!(m.quiet_at(SimTime::from_us(10_400)));
-    }
-
-    #[test]
-    fn wire_probe_shows_jammed_transmission_as_x() {
-        let mut m = Medium::new(
-            ChannelConfig {
-                interferers: vec![Interferer::wlan(10, 0.5)],
-                ..ChannelConfig::default()
-            },
-            SimRng::new(9),
-        );
-        // Find a seeded transmission that gets jammed (duty 0.5).
-        let mut jam_seen = false;
-        for k in 0..20u64 {
-            let at = SimTime::from_us(k * 1000);
-            let tx = m.begin_tx(0, 10, at, bits(100));
-            if m.receive(tx).unwrap().collided() {
-                // The jammed packet's bits read X while it is on air,
-                // matching the full collision mask `receive` reports.
-                assert_eq!(m.wire_at(10, at + SimDuration::from_us(5)), Wire::X);
-                jam_seen = true;
-                break;
-            }
-            m.gc(at, SimDuration::from_us(100));
-        }
-        assert!(jam_seen, "duty 0.5 must jam within 20 tries");
     }
 
     // -- spatial model ---------------------------------------------------
@@ -2066,21 +1939,34 @@ mod tests {
     }
 
     #[test]
-    fn spatial_probes_cull_by_observer_range() {
+    fn spatial_collisions_cull_by_range_across_cells() {
         let mut m = spatial_medium(0.0, 1, 10.0);
-        m.register_radio(0, Position::new(0.0, 0.0), 0);
-        m.register_radio(1, Position::new(100.0, 0.0), 1);
-        m.register_radio(2, Position::new(3.0, 0.0), 2);
-        m.begin_tx(0, 33, SimTime::from_us(100), bits(100));
-        let (f, t) = (SimTime::from_us(120), SimTime::from_us(130));
-        // God's-eye probes see everything; the far observer's view is
-        // clean, the near observer's is busy.
-        assert!(m.busy(33, f, t));
-        assert!(!m.busy_for(1, 33, f, t), "far observer: channel clear");
-        assert!(m.busy_for(2, 33, f, t), "near observer: channel busy");
-        assert_ne!(m.wire_at(33, f), Wire::Z);
-        assert_eq!(m.wire_at_for(1, 33, f), Wire::Z);
-        assert_ne!(m.wire_at_for(2, 33, f), Wire::Z);
+        // Radios 0 and 2 share no cell but are 9 m apart; radio 1 sits in
+        // a neighbouring cell of radio 0 yet 15 m away; radio 3 is far.
+        m.register_radio(0, Position::new(9.0, 0.0), 0);
+        m.register_radio(1, Position::new(-6.0, 0.0), 1);
+        m.register_radio(2, Position::new(18.0, 0.0), 2);
+        m.register_radio(3, Position::new(100.0, 0.0), 3);
+        let a = m.begin_tx(0, 33, SimTime::from_us(100), bits(100));
+        let out = m.begin_tx(1, 33, SimTime::from_us(100), bits(100));
+        let far = m.begin_tx(3, 33, SimTime::from_us(100), bits(100));
+        assert_eq!(m.tx_stats().collided, 0, "neighbouring cell, out of range");
+        let near = m.begin_tx(2, 33, SimTime::from_us(150), bits(100));
+        assert_eq!(m.tx_stats().collided, 2, "in range across a cell edge");
+        assert_eq!(
+            m.receive(a).unwrap().collision_mask.unwrap().count_ones(),
+            50
+        );
+        assert_eq!(
+            m.receive(near)
+                .unwrap()
+                .collision_mask
+                .unwrap()
+                .count_ones(),
+            50
+        );
+        assert!(!m.receive(out).unwrap().collided());
+        assert!(!m.receive(far).unwrap().collided());
     }
 
     #[test]
@@ -2116,29 +2002,13 @@ mod tests {
         assert_eq!(m.live_count(), 6);
         for &id in &ids {
             assert!(m.receive(id).is_some());
-            assert!(m.tx_end(id).is_some());
+            assert!(m.delivery_time(id).is_some());
         }
         m.gc(SimTime::from_us(20_000), SimDuration::from_us(1_000));
         assert_eq!(m.live_count(), 0);
         for &id in &ids {
             assert!(m.receive(id).is_none());
         }
-    }
-
-    #[test]
-    fn quiet_near_scopes_quiescence_to_range() {
-        let mut m = spatial_medium(0.0, 1, 10.0);
-        m.register_radio(0, Position::new(0.0, 0.0), 0);
-        m.register_radio(1, Position::new(50.0, 0.0), 1);
-        m.register_radio(2, Position::new(5.0, 0.0), 2);
-        m.begin_tx(1, 5, SimTime::from_us(100), bits(300)); // ends at 400 µs
-        let during = SimTime::from_us(200);
-        assert!(!m.quiet_at(during), "god's-eye view sees the far tx");
-        assert!(m.quiet_near(0, during), "far traffic does not disturb 0");
-        assert!(!m.quiet_near(1, during), "own traffic counts");
-        m.begin_tx(2, 6, SimTime::from_us(100), bits(300));
-        assert!(!m.quiet_near(0, during), "in-range neighbour is on air");
-        assert!(m.quiet_near(0, SimTime::from_us(400)));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! [`Snap`] implementations for the medium's state tree.
 //!
 //! The wire form serializes every field that affects future behaviour —
-//! live transmissions, per-channel buckets, quality counters, the
-//! spatial registry and all noise-stream positions. The transmission
-//! *directory* is not serialized: it is an index over the buckets and is
-//! rebuilt on decode exactly as [`Medium::gc`] rebuilds it, so the two
-//! structures cannot disagree after a restore.
+//! live transmissions, quality counters, the spatial registry and all
+//! noise-stream positions. Retained transmissions are written grouped
+//! the way an earlier bucketed store held them: 79 id-ordered per-channel
+//! buckets (`channels`) without a spatial model, and per source cell in
+//! ascending order (`cell_buckets`, occupied cells only) with one. The
+//! id-ordered queue, the cell table, the co-channel index and the
+//! collector's progress are derived state, rebuilt on decode.
 
 use btsim_kernel::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
@@ -82,70 +84,170 @@ snap_struct! {
 
 snap_struct! { Radio { pos, cell, noise, stream, last_end } }
 
-/// One retained-transmission bucket per RF channel.
+/// One retained-transmission bucket per RF channel, as on the wire.
 type Buckets = Vec<Vec<Transmission>>;
 
-/// The directory is an index over the buckets; rebuild it the way `gc`
-/// does so the pair is consistent by construction.
-fn build_directory(channels: &Buckets, cell_buckets: &BTreeMap<Cell, Buckets>) -> Vec<DirEntry> {
-    let cells = std::iter::once(((0, 0), channels))
-        .chain(cell_buckets.iter().map(|(&cell, buckets)| (cell, buckets)));
-    let mut directory: Vec<DirEntry> = cells
-        .flat_map(|(cell, buckets)| {
-            buckets.iter().enumerate().flat_map(move |(ch, bucket)| {
-                bucket.iter().map(move |t| DirEntry {
-                    id: t.id,
-                    rf_channel: ch as u8,
-                    cell,
-                })
-            })
-        })
-        .collect();
-    directory.sort_unstable_by_key(|e| e.id);
-    directory
+/// Widest id range a decoded medium may retain. The id-ordered store
+/// holds one slot per id in that range, so a corrupted snapshot must not
+/// be able to ask for an unbounded one; a running medium stays far below
+/// it (the range covers about two retention windows of traffic).
+const MAX_RETAINED_SPAN: u64 = 1 << 22;
+
+/// Writes buckets exactly as `Vec<Vec<Transmission>>` would.
+fn snap_buckets(buckets: &[Vec<&Transmission>], w: &mut SnapWriter) {
+    w.put_usize(buckets.len());
+    for bucket in buckets {
+        w.put_usize(bucket.len());
+        for t in bucket {
+            t.snap(w);
+        }
+    }
 }
 
-fn check_medium(m: &Medium) -> Result<(), &'static str> {
-    let mut bucket_arrays = std::iter::once(&m.channels).chain(m.cell_buckets.values());
-    if bucket_arrays.any(|buckets| buckets.len() != RF_CHANNELS as usize) {
-        return Err("channel bucket count is not 79");
+impl Medium {
+    /// Retained transmissions grouped by source cell (one implicit cell
+    /// without a spatial model), then by RF channel, each in id order.
+    fn wire_buckets(&self) -> BTreeMap<Cell, Vec<Vec<&Transmission>>> {
+        let mut out: BTreeMap<Cell, Vec<Vec<&Transmission>>> = BTreeMap::new();
+        for t in self.txs.iter().flatten() {
+            let cell = match self.cfg.spatial {
+                Some(_) => self.radio(t.source).cell,
+                None => (0, 0),
+            };
+            out.entry(cell)
+                .or_insert_with(|| vec![Vec::new(); RF_CHANNELS as usize])[t.rf_channel as usize]
+                .push(t);
+        }
+        out
     }
-    let unregistered = |&s: &usize| m.radios.get(s).is_none_or(Option::is_none);
-    if m.cells.values().flatten().any(unregistered) {
-        return Err("cell membership references unregistered radio");
+
+    /// Assembles a decoded medium, checking every invariant the store
+    /// relies on.
+    fn restore(
+        mut m: Medium,
+        channels: Buckets,
+        cell_buckets: BTreeMap<Cell, Buckets>,
+    ) -> Result<Medium, &'static str> {
+        let spatial = m.cfg.spatial.is_some();
+        let mut bucket_arrays = std::iter::once(&channels).chain(cell_buckets.values());
+        if bucket_arrays.any(|buckets| buckets.len() != RF_CHANNELS as usize) {
+            return Err("channel bucket count is not 79");
+        }
+        let unregistered = |&s: &usize| m.radios.get(s).is_none_or(Option::is_none);
+        if m.cells.values().flatten().any(unregistered) {
+            return Err("cell membership references unregistered radio");
+        }
+        let listed = |(s, r): (usize, &Option<Radio>)| {
+            r.as_ref()
+                .is_none_or(|r| m.cells.get(&r.cell).is_some_and(|c| c.contains(&s)))
+        };
+        if !m.radios.iter().enumerate().all(listed) {
+            return Err("registered radio missing from its cell");
+        }
+        if !spatial && (!cell_buckets.is_empty() || !m.cells.is_empty()) {
+            return Err("spatial state present without a spatial config");
+        }
+        if spatial && channels.iter().any(|b| !b.is_empty()) {
+            return Err("channel buckets hold transmissions in spatial mode");
+        }
+        let mut txs = Vec::new();
+        let cells = cell_buckets.into_iter().map(|(cell, b)| (Some(cell), b));
+        for (cell, buckets) in std::iter::once((None, channels)).chain(cells) {
+            if cell.is_some() && buckets.iter().all(Vec::is_empty) {
+                return Err("cell bucket set holds no transmission");
+            }
+            for (ch, bucket) in buckets.into_iter().enumerate() {
+                for t in bucket {
+                    if t.rf_channel as usize != ch {
+                        return Err("transmission filed under another RF channel");
+                    }
+                    let home = m.radios.get(t.source).and_then(Option::as_ref);
+                    if cell.is_some_and(|c| home.is_none_or(|r| r.cell != c)) {
+                        return Err("transmission filed outside its source's cell");
+                    }
+                    txs.push(t);
+                }
+            }
+        }
+        txs.sort_unstable_by_key(|t| t.id);
+        if txs.windows(2).any(|w| w[0].id == w[1].id) {
+            return Err("duplicate transmission id in buckets");
+        }
+        if txs.windows(2).any(|w| w[0].start > w[1].start) {
+            return Err("transmission starts out of id order");
+        }
+        m.first = txs.first().map_or(m.next_id, |t| t.id.0);
+        if let Some(last) = txs.last() {
+            if last.id.0 >= m.next_id {
+                return Err("transmission id at or beyond next_id");
+            }
+            if m.next_id - m.first > MAX_RETAINED_SPAN {
+                return Err("retained transmission ids span too wide");
+            }
+            m.newest_start = last.start;
+        }
+        // The queue covers every id from the oldest retained one up to
+        // `next_id`, collected ones as holes.
+        m.txs.resize_with((m.next_id - m.first) as usize, || None);
+        m.live = txs.len();
+        for t in txs {
+            let k = (t.id.0 - m.first) as usize;
+            m.txs[k] = Some(t);
+        }
+        m.sweep.next = m.first;
+        Ok(m)
     }
-    if m.cfg.spatial.is_none() && (!m.cell_buckets.is_empty() || !m.cells.is_empty()) {
-        return Err("spatial state present without a spatial config");
-    }
-    if m.directory.windows(2).any(|w| w[0].id == w[1].id) {
-        return Err("duplicate transmission id in buckets");
-    }
-    if m.directory.last().is_some_and(|e| e.id.0 >= m.next_id) {
-        return Err("transmission id at or beyond next_id");
-    }
-    Ok(())
 }
 
-snap_struct! {
-    Medium {
-        cfg,
-        rng,
-        channels,
-        cell_buckets,
-        radios,
-        cells,
-        jam_base,
-        next_id,
-        total_flipped,
-        total_bits,
-        tx_stats,
-        quality,
-        last_end,
-        capture,
-        degrade,
+impl Snap for Medium {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.cfg.snap(w);
+        self.rng.snap(w);
+        let mut cells = self.wire_buckets();
+        let empty = || vec![Vec::new(); RF_CHANNELS as usize];
+        if self.cfg.spatial.is_some() {
+            snap_buckets(&empty(), w);
+            w.put_usize(cells.len());
+            for (cell, buckets) in &cells {
+                cell.snap(w);
+                snap_buckets(buckets, w);
+            }
+        } else {
+            snap_buckets(&cells.remove(&(0, 0)).unwrap_or_else(empty), w);
+            w.put_usize(0);
+        }
+        self.radios.snap(w);
+        self.cells.snap(w);
+        self.jam_base.snap(w);
+        self.next_id.snap(w);
+        self.total_flipped.snap(w);
+        self.total_bits.snap(w);
+        self.tx_stats.snap(w);
+        self.quality.snap(w);
+        self.last_end.snap(w);
+        self.capture.snap(w);
+        self.degrade.snap(w);
     }
-    skip { directory = build_directory(&channels, &cell_buckets) }
-    check |m| check_medium(m)
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let cfg = ChannelConfig::unsnap(r)?;
+        let rng = SimRng::unsnap(r)?;
+        let channels = Buckets::unsnap(r)?;
+        let cell_buckets = BTreeMap::<Cell, Buckets>::unsnap(r)?;
+        let mut m = Medium::new(cfg, rng);
+        m.radios = Snap::unsnap(r)?;
+        m.cells = Snap::unsnap(r)?;
+        m.jam_base = Snap::unsnap(r)?;
+        m.next_id = Snap::unsnap(r)?;
+        m.total_flipped = Snap::unsnap(r)?;
+        m.total_bits = Snap::unsnap(r)?;
+        m.tx_stats = Snap::unsnap(r)?;
+        m.quality = Snap::unsnap(r)?;
+        m.last_end = Snap::unsnap(r)?;
+        m.capture = Snap::unsnap(r)?;
+        m.degrade = Snap::unsnap(r)?;
+        Medium::restore(m, channels, cell_buckets).map_err(|what| r.malformed(what))
+    }
 }
 
 #[cfg(test)]
@@ -209,11 +311,17 @@ mod tests {
         let _far = m.begin_tx(2, 7, SimTime::ZERO, BitVec::ones(120));
         let mut back = roundtrip(&m);
         assert_eq!(back.position_of(1), m.position_of(1));
-        // `quiet_near` reads the decoded cell index: radio 0 is on air
-        // at 10 µs, which an empty index would miss.
-        let t = SimTime::from_us(10);
-        assert!(!m.quiet_near(0, t));
-        assert_eq!(back.quiet_near(0, t), m.quiet_near(0, t));
+        // The collision scan reads the cell table rebuilt from the
+        // decoded `cells`: radio 1 is in range of radio 0, which is still
+        // on air, and an empty table would miss the overlap.
+        let b1 = m.begin_tx(1, 7, SimTime::from_us(10), BitVec::ones(40));
+        let b2 = back.begin_tx(1, 7, SimTime::from_us(10), BitVec::ones(40));
+        assert_eq!(m.tx_stats().collided, 2);
+        assert_eq!(back.tx_stats(), m.tx_stats());
+        assert_eq!(
+            back.receive(b2).unwrap().collision_mask,
+            m.receive(b1).unwrap().collision_mask
+        );
         assert_eq!(back.last_end_of(2), m.last_end_of(2));
         assert_eq!(digest(&mut back, a), digest(&mut m, a));
     }
@@ -249,6 +357,65 @@ mod tests {
         assert_eq!(
             used.interferer_active(40, SimTime::from_us(625)),
             fresh.interferer_active(40, SimTime::from_us(625))
+        );
+    }
+
+    /// The wire form of `m` with its retained transmissions replaced
+    /// by `channels` and its id counter by `next_id`.
+    fn forged(m: &Medium, channels: &[Vec<Transmission>], next_id: u64) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        m.cfg.snap(&mut w);
+        m.rng.snap(&mut w);
+        channels.to_vec().snap(&mut w);
+        w.put_usize(0);
+        m.radios.snap(&mut w);
+        m.cells.snap(&mut w);
+        m.jam_base.snap(&mut w);
+        next_id.snap(&mut w);
+        m.total_flipped.snap(&mut w);
+        m.total_bits.snap(&mut w);
+        m.tx_stats.snap(&mut w);
+        m.quality.snap(&mut w);
+        m.last_end.snap(&mut w);
+        m.capture.snap(&mut w);
+        m.degrade.snap(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn inconsistent_stores_are_rejected() {
+        let mut m = Medium::new(ChannelConfig::default(), SimRng::new(1));
+        for k in 0..3u64 {
+            m.begin_tx(0, 5, SimTime::from_us(k * 100), BitVec::ones(50));
+        }
+        let txs: Vec<Transmission> = m.txs.iter().flatten().cloned().collect();
+        let mut channels = vec![Vec::new(); RF_CHANNELS as usize];
+        channels[5] = txs.clone();
+        let decode = |channels: &[Vec<Transmission>], next_id: u64| {
+            let bytes = forged(&m, channels, next_id);
+            match Medium::unsnap(&mut SnapReader::new(&bytes)) {
+                Ok(_) => "ok",
+                Err(SnapshotError::Malformed { what, .. }) => what,
+                Err(e) => panic!("unexpected {e:?}"),
+            }
+        };
+        assert_eq!(decode(&channels, 3), "ok");
+        let mut moved = channels.clone();
+        moved[6] = moved[5].split_off(2);
+        assert_eq!(
+            decode(&moved, 3),
+            "transmission filed under another RF channel"
+        );
+        let mut twice = channels.clone();
+        twice[5].push(txs[2].clone());
+        assert_eq!(decode(&twice, 3), "duplicate transmission id in buckets");
+        let mut swapped = channels.clone();
+        (swapped[5][0].start, swapped[5][2].start) = (txs[2].start, txs[0].start);
+        assert_eq!(decode(&swapped, 3), "transmission starts out of id order");
+        assert_eq!(decode(&channels, 2), "transmission id at or beyond next_id");
+        assert_eq!(
+            decode(&channels, MAX_RETAINED_SPAN + 1),
+            "retained transmission ids span too wide"
         );
     }
 

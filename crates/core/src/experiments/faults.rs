@@ -27,7 +27,7 @@ use btsim_kernel::{SimDuration, SimTime};
 use btsim_stats::{Record, Table};
 
 use crate::campaign::{Campaign, ExpOptions};
-use crate::fault::{FaultEvent, FaultKind, FaultPlan, UnknownFaultDevice};
+use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 use crate::net::{
     form_scatternet, register_devices, schedule_bridge, BridgeLink, BridgePlan, FormationStatus,
     Recovery, RecoveryConfig, Router, ScatternetMap, Topology, MAX_RELAY_PAYLOAD,
@@ -577,7 +577,9 @@ impl FaultChurnScenario {
             let mut plan = FaultPlan::new();
             for e in base.events() {
                 plan.push(FaultEvent {
-                    at_slot: e.at_slot + cfg.traffic_start_slot,
+                    // Saturating: a slot past the representable range
+                    // is then rejected by `FaultPlan::check`.
+                    at_slot: e.at_slot.saturating_add(cfg.traffic_start_slot),
                     ..*e
                 });
             }
@@ -1017,8 +1019,8 @@ impl FaultRecovery {
 /// collapses to the analytic pre-crash floor.
 ///
 /// Fails before any run starts when the fault plan targets a device
-/// the chain does not have.
-pub fn fault_recovery(opts: &ExpOptions) -> Result<FaultRecovery, UnknownFaultDevice> {
+/// the chain does not have or a slot past [`crate::MAX_FAULT_SLOT`].
+pub fn fault_recovery(opts: &ExpOptions) -> Result<FaultRecovery, FaultPlanError> {
     let mut sim = opts.sim(paper_config());
     // The default supervisionTO (32 000 slots) would outlast the whole
     // measurement window; detection must fit inside the post grace.
@@ -1047,7 +1049,7 @@ pub fn fault_recovery(opts: &ExpOptions) -> Result<FaultRecovery, UnknownFaultDe
         s.cfg
             .sim
             .faults
-            .check_devices(FaultRecoveryScenario::topology(&s.cfg).device_count())?;
+            .check(FaultRecoveryScenario::topology(&s.cfg).device_count())?;
     }
     let result = Campaign::sweep(points.iter().cloned()).options(opts).run();
     let rows = arms
@@ -1139,8 +1141,8 @@ impl FaultChurn {
 /// detected loss is either recovered or accounted as abandoned.
 ///
 /// Fails before any run starts when the fault plan targets a device
-/// the piconet does not have.
-pub fn fault_churn(opts: &ExpOptions) -> Result<FaultChurn, UnknownFaultDevice> {
+/// the piconet does not have or a slot past [`crate::MAX_FAULT_SLOT`].
+pub fn fault_churn(opts: &ExpOptions) -> Result<FaultChurn, FaultPlanError> {
     let rates: [u64; 3] = [3_000, 6_000, 12_000];
     let points: Vec<(String, FaultChurnScenario)> = rates
         .iter()
@@ -1159,7 +1161,7 @@ pub fn fault_churn(opts: &ExpOptions) -> Result<FaultChurn, UnknownFaultDevice> 
         })
         .collect();
     for (_, s) in &points {
-        s.cfg.sim.faults.check_devices(s.topo.device_count())?;
+        s.cfg.sim.faults.check(s.topo.device_count())?;
     }
     let result = Campaign::sweep(points.iter().cloned()).options(opts).run();
     let rows = rates
@@ -1211,8 +1213,8 @@ impl FaultDegradeHeal {
 /// healthy windows rather than a supervision death.
 ///
 /// Fails before any run starts when the fault plan targets a device
-/// the link does not have.
-pub fn fault_degrade_heal(opts: &ExpOptions) -> Result<FaultDegradeHeal, UnknownFaultDevice> {
+/// the link does not have or a slot past [`crate::MAX_FAULT_SLOT`].
+pub fn fault_degrade_heal(opts: &ExpOptions) -> Result<FaultDegradeHeal, FaultPlanError> {
     let scenario = FaultDegradeHealScenario::new(FaultDegradeHealConfig {
         sim: opts.sim(paper_config()),
         ..FaultDegradeHealConfig::default()
@@ -1221,7 +1223,7 @@ pub fn fault_degrade_heal(opts: &ExpOptions) -> Result<FaultDegradeHeal, Unknown
         .cfg
         .sim
         .faults
-        .check_devices(scenario.topo.device_count())?;
+        .check(scenario.topo.device_count())?;
     let result = Campaign::new(scenario).options(opts).run();
     let p = &result.points[0];
     Ok(FaultDegradeHeal {

@@ -626,6 +626,32 @@ mod tests {
     }
 
     #[test]
+    fn unrepresentable_fault_slot_is_an_error_not_a_wrap() {
+        // `--faults` rejects such a slot at parse time; a plan built in
+        // code reaches the experiment, which refuses it before any run
+        // (the binary then exits 1) instead of wrapping it to slot 0.
+        let mut plan = crate::FaultPlan::new();
+        plan.push(crate::FaultEvent {
+            at_slot: crate::MAX_FAULT_SLOT + 1,
+            device: Some(0),
+            kind: crate::FaultKind::Crash,
+        });
+        let opts = ExpOptions {
+            runs: 1,
+            threads: 1,
+            faults: Some(plan),
+            ..ExpOptions::quick()
+        };
+        for name in ["fault_recovery", "fault_churn", "fault_degrade_heal"] {
+            let err = find(name).unwrap().run(&opts).unwrap_err();
+            assert!(
+                err.contains("past the last representable slot"),
+                "{name}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn report_renders_tables_and_csv() {
         let mut t = Table::new(["a", "b"]);
         t.row(["1".into(), "2".into()]);

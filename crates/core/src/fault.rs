@@ -39,7 +39,7 @@
 //! The parser is strict: unknown kinds or keys, duplicate or missing
 //! keys, malformed numbers and out-of-range values are all errors.
 
-use btsim_kernel::{snap_enum, snap_struct, SimRng};
+use btsim_kernel::{snap_enum, snap_struct, SimDuration, SimRng};
 
 /// Number of RF channels (mirrors the channel crate's constant).
 const RF_CHANNELS: u8 = 79;
@@ -116,27 +116,98 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// A fault plan targets a device the simulated topology does not have
-/// ([`FaultPlan::check_devices`]).
+/// The last slot a fault may be scheduled at: the slot-start instant
+/// of any later slot overflows [`btsim_kernel::SimTime`]'s nanosecond counter.
+pub const MAX_FAULT_SLOT: u64 = u64::MAX / SimDuration::SLOT.ns();
+
+/// A fault plan the simulated topology cannot run
+/// ([`FaultPlan::check`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnknownFaultDevice {
-    /// The largest device index the plan targets.
-    pub device: usize,
-    /// How many devices the topology has.
-    pub devices: usize,
+pub enum FaultPlanError {
+    /// A device fault targets a device the topology does not have.
+    UnknownDevice {
+        /// The largest device index the plan targets.
+        device: usize,
+        /// How many devices the topology has.
+        devices: usize,
+    },
+    /// An event is scheduled past [`MAX_FAULT_SLOT`].
+    SlotOutOfRange {
+        /// The offending slot.
+        slot: u64,
+    },
 }
 
-impl std::fmt::Display for UnknownFaultDevice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "fault plan targets device {}, but only {} devices exist",
-            self.device, self.devices
-        )
+impl FaultPlanError {
+    /// A fixed one-line description (for snapshot decode errors).
+    pub fn what(&self) -> &'static str {
+        match self {
+            FaultPlanError::UnknownDevice { .. } => "fault plan targets unknown device",
+            FaultPlanError::SlotOutOfRange { .. } => "fault plan slot is not representable",
+        }
     }
 }
 
-impl std::error::Error for UnknownFaultDevice {}
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultPlanError::UnknownDevice { device, devices } => write!(
+                f,
+                "fault plan targets device {device}, but only {devices} devices exist"
+            ),
+            FaultPlanError::SlotOutOfRange { slot } => write!(
+                f,
+                "fault plan schedules slot {slot}, past the last representable slot {MAX_FAULT_SLOT}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
+
+/// Why [`FaultPlan::parse`] rejected a `--faults` spec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FaultParseError {
+    /// A fragment does not follow the grammar.
+    Malformed {
+        /// The offending `kind@slot[:…]` fragment.
+        frag: String,
+        /// What is wrong with it.
+        reason: String,
+    },
+    /// A well-formed integer is too large for what it sets: a slot past
+    /// [`MAX_FAULT_SLOT`], a degrade ramp longer than that, or drift
+    /// ticks beyond 32 bits.
+    OutOfRange {
+        /// The offending fragment.
+        frag: String,
+        /// `slot`, `ramp` or `ticks`.
+        key: &'static str,
+        /// The value given.
+        value: u64,
+        /// The largest accepted value.
+        max: u64,
+    },
+}
+
+impl std::fmt::Display for FaultParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultParseError::Malformed { frag, reason } => write!(f, "fault `{frag}`: {reason}"),
+            FaultParseError::OutOfRange {
+                frag,
+                key,
+                value,
+                max,
+            } => write!(
+                f,
+                "fault `{frag}`: `{key}` {value} exceeds the maximum {max}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FaultParseError {}
 
 /// A seeded, calendar-scheduled script of fault events, kept sorted by
 /// slot (stable: equal-slot events keep insertion order).
@@ -177,7 +248,7 @@ impl FaultPlan {
             kind: FaultKind::Crash,
         });
         self.push(FaultEvent {
-            at_slot: at_slot + outage_slots,
+            at_slot: at_slot.saturating_add(outage_slots),
             device: Some(dev),
             kind: FaultKind::Revive,
         })
@@ -188,10 +259,18 @@ impl FaultPlan {
         self.events.iter().filter_map(|e| e.device).max()
     }
 
-    /// Checks that every device fault targets one of `devices` devices.
-    pub fn check_devices(&self, devices: usize) -> Result<(), UnknownFaultDevice> {
+    /// Checks that every device fault targets one of `devices` devices
+    /// and every event is scheduled at a representable slot.
+    pub fn check(&self, devices: usize) -> Result<(), FaultPlanError> {
+        if let Some(slot) = self.events.last().map(|e| e.at_slot) {
+            if slot > MAX_FAULT_SLOT {
+                return Err(FaultPlanError::SlotOutOfRange { slot });
+            }
+        }
         match self.max_device() {
-            Some(device) if device >= devices => Err(UnknownFaultDevice { device, devices }),
+            Some(device) if device >= devices => {
+                Err(FaultPlanError::UnknownDevice { device, devices })
+            }
             _ => Ok(()),
         }
     }
@@ -258,12 +337,15 @@ impl FaultPlan {
     /// assert!(matches!(plan.events()[1].kind, FaultKind::Crash));
     /// assert!(FaultPlan::parse("crash@4000:dev=2,bogus=1").is_err());
     /// ```
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
+    pub fn parse(spec: &str) -> Result<FaultPlan, FaultParseError> {
         let mut plan = FaultPlan::new();
         for frag in spec.split(';') {
             let frag = frag.trim();
             if frag.is_empty() {
-                return Err("empty fault fragment (stray ';'?)".into());
+                return Err(FaultParseError::Malformed {
+                    frag: frag.into(),
+                    reason: "empty fault fragment (stray ';'?)".into(),
+                });
             }
             plan.push(parse_event(frag)?);
         }
@@ -271,9 +353,31 @@ impl FaultPlan {
     }
 }
 
+/// A [`FaultParseError::Malformed`] for `frag`.
+fn malformed(frag: &str, reason: impl Into<String>) -> FaultParseError {
+    FaultParseError::Malformed {
+        frag: frag.into(),
+        reason: reason.into(),
+    }
+}
+
+/// `value` if it is at most `max`, else a [`FaultParseError::OutOfRange`].
+fn at_most(frag: &str, key: &'static str, value: u64, max: u64) -> Result<u64, FaultParseError> {
+    if value <= max {
+        Ok(value)
+    } else {
+        Err(FaultParseError::OutOfRange {
+            frag: frag.into(),
+            key,
+            value,
+            max,
+        })
+    }
+}
+
 /// Parses `kind@slot[:key=val,...]`.
-fn parse_event(frag: &str) -> Result<FaultEvent, String> {
-    let err = |msg: &str| format!("fault `{frag}`: {msg}");
+fn parse_event(frag: &str) -> Result<FaultEvent, FaultParseError> {
+    let err = |msg: &str| malformed(frag, msg);
     let (head, args) = match frag.split_once(':') {
         Some((h, a)) => (h, a),
         None => (frag, ""),
@@ -284,6 +388,7 @@ fn parse_event(frag: &str) -> Result<FaultEvent, String> {
     let at_slot: u64 = slot_s
         .parse()
         .map_err(|_| err("slot is not a non-negative integer"))?;
+    let at_slot = at_most(frag, "slot", at_slot, MAX_FAULT_SLOT)?;
     let mut kv = KvArgs::parse(args, frag)?;
     let (device, kind) = match kind_s {
         "crash" => (Some(kv.usize("dev")?), FaultKind::Crash),
@@ -297,13 +402,18 @@ fn parse_event(frag: &str) -> Result<FaultEvent, String> {
             if !(0.0..=1.0).contains(&ber) {
                 return Err(err("ber must be in [0, 1]"));
             }
-            let ramp_slots = kv.u64_or("ramp", 0)?;
+            let ramp_slots = at_most(frag, "ramp", kv.u64_or("ramp", 0)?, MAX_FAULT_SLOT)?;
             (Some(dev), FaultKind::Degrade { ber, ramp_slots })
         }
         "drift" => {
             let dev = kv.usize("dev")?;
-            let ticks = kv.u64("ticks")? as u32;
-            (Some(dev), FaultKind::Drift { ticks })
+            let ticks = at_most(frag, "ticks", kv.u64("ticks")?, u32::MAX.into())?;
+            (
+                Some(dev),
+                FaultKind::Drift {
+                    ticks: ticks as u32,
+                },
+            )
         }
         "noise_on" => {
             let (lo, width) = kv.band()?;
@@ -335,15 +445,15 @@ struct KvArgs<'a> {
 }
 
 impl<'a> KvArgs<'a> {
-    fn parse(args: &'a str, frag: &'a str) -> Result<Self, String> {
+    fn parse(args: &'a str, frag: &'a str) -> Result<Self, FaultParseError> {
         let mut pairs = Vec::new();
         if !args.is_empty() {
             for pair in args.split(',') {
-                let (k, v) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("fault `{frag}`: expected `key=value`, got `{pair}`"))?;
+                let (k, v) = pair.split_once('=').ok_or_else(|| {
+                    malformed(frag, format!("expected `key=value`, got `{pair}`"))
+                })?;
                 if pairs.iter().any(|&(pk, _)| pk == k) {
-                    return Err(format!("fault `{frag}`: duplicate key `{k}`"));
+                    return Err(malformed(frag, format!("duplicate key `{k}`")));
                 }
                 pairs.push((k, v));
             }
@@ -356,64 +466,68 @@ impl<'a> KvArgs<'a> {
         Some(self.pairs.remove(i).1)
     }
 
-    fn required(&mut self, key: &str) -> Result<&'a str, String> {
+    fn required(&mut self, key: &str) -> Result<&'a str, FaultParseError> {
         self.take(key)
-            .ok_or_else(|| format!("fault `{}`: missing key `{key}`", self.frag))
+            .ok_or_else(|| malformed(self.frag, format!("missing key `{key}`")))
     }
 
-    fn usize(&mut self, key: &str) -> Result<usize, String> {
-        let v = self.required(key)?;
+    /// Parses `v` (the value of `key`) as `T`, naming `what` it should be.
+    fn value<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        v: &str,
+        what: &str,
+    ) -> Result<T, FaultParseError> {
         v.parse()
-            .map_err(|_| format!("fault `{}`: `{key}` is not an integer", self.frag))
+            .map_err(|_| malformed(self.frag, format!("`{key}` is not {what}")))
     }
 
-    fn u64(&mut self, key: &str) -> Result<u64, String> {
+    fn usize(&mut self, key: &str) -> Result<usize, FaultParseError> {
         let v = self.required(key)?;
-        v.parse()
-            .map_err(|_| format!("fault `{}`: `{key}` is not an integer", self.frag))
+        self.value(key, v, "an integer")
     }
 
-    fn u64_or(&mut self, key: &str, default: u64) -> Result<u64, String> {
+    fn u64(&mut self, key: &str) -> Result<u64, FaultParseError> {
+        let v = self.required(key)?;
+        self.value(key, v, "an integer")
+    }
+
+    fn u64_or(&mut self, key: &str, default: u64) -> Result<u64, FaultParseError> {
         match self.take(key) {
             None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("fault `{}`: `{key}` is not an integer", self.frag)),
+            Some(v) => self.value(key, v, "an integer"),
         }
     }
 
-    fn f64(&mut self, key: &str) -> Result<f64, String> {
+    fn f64(&mut self, key: &str) -> Result<f64, FaultParseError> {
         let v = self.required(key)?;
-        v.parse()
-            .map_err(|_| format!("fault `{}`: `{key}` is not a number", self.frag))
+        self.value(key, v, "a number")
     }
 
-    fn f64_or(&mut self, key: &str, default: f64) -> Result<f64, String> {
+    fn f64_or(&mut self, key: &str, default: f64) -> Result<f64, FaultParseError> {
         match self.take(key) {
             None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("fault `{}`: `{key}` is not a number", self.frag)),
+            Some(v) => self.value(key, v, "a number"),
         }
     }
 
     /// `lo` + `width` with range validation against the 79 RF channels.
-    fn band(&mut self) -> Result<(u8, u8), String> {
+    fn band(&mut self) -> Result<(u8, u8), FaultParseError> {
         let lo = self.u64("lo")?;
         let width = self.u64("width")?;
-        if width == 0 || lo + width > RF_CHANNELS as u64 {
-            return Err(format!(
-                "fault `{}`: band must satisfy 0 < width and lo+width <= {RF_CHANNELS}",
-                self.frag
+        if width == 0 || lo.saturating_add(width) > RF_CHANNELS as u64 {
+            return Err(malformed(
+                self.frag,
+                format!("band must satisfy 0 < width and lo+width <= {RF_CHANNELS}"),
             ));
         }
         Ok((lo as u8, width as u8))
     }
 
-    fn finish(self) -> Result<(), String> {
+    fn finish(self) -> Result<(), FaultParseError> {
         match self.pairs.first() {
             None => Ok(()),
-            Some((k, _)) => Err(format!("fault `{}`: unknown key `{k}`", self.frag)),
+            Some((k, _)) => Err(malformed(self.frag, format!("unknown key `{k}`"))),
         }
     }
 }
@@ -527,6 +641,80 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted `{bad}`");
         }
+    }
+
+    #[test]
+    fn rejects_values_the_simulator_cannot_represent() {
+        // The last slot whose start instant fits in SimTime is accepted;
+        // the next one would wrap to a slot near zero.
+        let last = format!("crash@{MAX_FAULT_SLOT}:dev=0");
+        assert_eq!(
+            FaultPlan::parse(&last).unwrap().events()[0].at_slot,
+            MAX_FAULT_SLOT
+        );
+        let cases = [
+            (
+                format!("crash@{}:dev=0", MAX_FAULT_SLOT + 1),
+                "slot",
+                MAX_FAULT_SLOT + 1,
+                MAX_FAULT_SLOT,
+            ),
+            (
+                format!("degrade@5:dev=0,ber=0.1,ramp={}", u64::MAX),
+                "ramp",
+                u64::MAX,
+                MAX_FAULT_SLOT,
+            ),
+            (
+                "drift@5:dev=0,ticks=4294967296".to_string(),
+                "ticks",
+                1 << 32,
+                u32::MAX.into(),
+            ),
+        ];
+        for (spec, key, value, max) in cases {
+            assert_eq!(
+                FaultPlan::parse(&spec),
+                Err(FaultParseError::OutOfRange {
+                    frag: spec.clone(),
+                    key,
+                    value,
+                    max
+                })
+            );
+        }
+        let drift = FaultPlan::parse("drift@5:dev=0,ticks=4294967295").unwrap();
+        assert_eq!(drift.events()[0].kind, FaultKind::Drift { ticks: u32::MAX });
+        // Slots beyond u64 are a grammar error, not a silent wrap.
+        assert!(matches!(
+            FaultPlan::parse("crash@18446744073709551616:dev=0"),
+            Err(FaultParseError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn check_rejects_unrepresentable_slots_and_unknown_devices() {
+        let mut plan = FaultPlan::new();
+        plan.push(FaultEvent {
+            at_slot: MAX_FAULT_SLOT,
+            device: Some(1),
+            kind: FaultKind::Crash,
+        });
+        assert_eq!(plan.check(2), Ok(()));
+        assert_eq!(
+            plan.check(1),
+            Err(FaultPlanError::UnknownDevice {
+                device: 1,
+                devices: 1
+            })
+        );
+        // A programmatic window past the end saturates instead of
+        // wrapping, and the check catches it.
+        plan.crash_window(0, MAX_FAULT_SLOT, u64::MAX);
+        assert_eq!(
+            plan.check(2),
+            Err(FaultPlanError::SlotOutOfRange { slot: u64::MAX })
+        );
     }
 
     #[test]

@@ -60,7 +60,9 @@ mod simulator;
 pub use btsim_fidelity::Fidelity;
 pub use btsim_kernel::SnapshotError;
 pub use campaign::{Campaign, CampaignResult, ExpOptions, PointResult};
-pub use fault::{FaultEvent, FaultKind, FaultPlan, UnknownFaultDevice};
+pub use fault::{
+    FaultEvent, FaultKind, FaultParseError, FaultPlan, FaultPlanError, MAX_FAULT_SLOT,
+};
 pub use metrics::MetricsSnapshot;
 pub use observe::{ObsCursor, SimEvent};
 pub use scenario::Scenario;

@@ -361,10 +361,11 @@ impl SimBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the fault plan targets a device that was never added
-    /// (check user-supplied plans with [`FaultPlan::check_devices`]).
+    /// Panics if the fault plan targets a device that was never added or
+    /// a slot past [`crate::MAX_FAULT_SLOT`] (check user-supplied plans
+    /// with [`FaultPlan::check`]).
     pub fn build(self) -> Simulator {
-        if let Err(e) = self.cfg.faults.check_devices(self.specs.len()) {
+        if let Err(e) = self.cfg.faults.check(self.specs.len()) {
             panic!("{e}");
         }
         let pinned = self.cfg.trace || self.cfg.capture || self.cfg.metrics_every.is_some();

@@ -192,8 +192,8 @@ fn validate_world(world: &World) -> Result<(), &'static str> {
     if world.crashed.len() != n || world.muted.len() != n || world.drifted.len() != n {
         return Err("fault flag array length mismatches device count");
     }
-    if world.faults.check_devices(n).is_err() {
-        return Err("fault plan targets unknown device");
+    if let Err(e) = world.faults.check(n) {
+        return Err(e.what());
     }
     for (_, _, ev) in world.cal.entries() {
         let ok = match ev {
@@ -248,8 +248,8 @@ fn validate_shell(sim: &Simulator) -> Result<(), &'static str> {
             return Err("merge cursor beyond world event log");
         }
     }
-    if sim.faults.check_devices(sim.locs.len()).is_err() {
-        return Err("fault plan targets unknown device");
+    if let Err(e) = sim.faults.check(sim.locs.len()) {
+        return Err(e.what());
     }
     Ok(())
 }
@@ -417,6 +417,14 @@ mod tests {
     use super::*;
     use crate::SimConfig;
     use btsim_baseband::LcCommand;
+
+    #[test]
+    fn calendar_entries_stay_small() {
+        // Every heap sift moves whole entries; the rare command payload
+        // is boxed so it does not set the size of all of them.
+        let size = std::mem::size_of::<Ev>();
+        assert!(size <= 48, "calendar event is {size} bytes");
+    }
 
     fn connected_sim(seed: u64) -> Simulator {
         let mut b = crate::SimBuilder::new(seed, SimConfig::default());

@@ -85,7 +85,9 @@ pub(super) enum Ev {
     },
     Command {
         dev: usize,
-        cmd: LcCommand,
+        /// Boxed: commands are rare, and an inline `LcCommand` would
+        /// make every calendar entry the heap sifts several times larger.
+        cmd: Box<LcCommand>,
         /// When the command was scheduled — decides whether the target
         /// device's lockstep tick at the dispatch instant runs before or
         /// after it, which the event-driven engine must reproduce.
@@ -222,7 +224,7 @@ impl World {
         // runs bit-identical to monolithic ones.
         let faults = cfg.faults.restricted_to(globals);
         for (idx, ev) in faults.events().iter().enumerate() {
-            let at = SimTime::from_ns(ev.at_slot * SimDuration::SLOT.ns());
+            let at = SimTime::ZERO + SimDuration::from_slots(ev.at_slot);
             cal.schedule(at, Ev::Fault { idx });
         }
         let positions: Vec<Position> = globals.iter().map(|&g| positions[g]).collect();
@@ -310,6 +312,7 @@ impl World {
     /// Schedules a command for local device `dev` at `at`.
     pub(super) fn command_at(&mut self, dev: usize, cmd: LcCommand, at: SimTime) {
         let inserted = self.cal.now();
+        let cmd = Box::new(cmd);
         self.cal.schedule(at, Ev::Command { dev, cmd, inserted });
     }
 
@@ -414,7 +417,7 @@ impl World {
                     return; // powered off: queued host commands are lost
                 }
                 self.capture_lmp_out(dev, &cmd, t);
-                let actions = self.devices[dev].lc.command(cmd, t);
+                let actions = self.devices[dev].lc.command(*cmd, t);
                 self.apply_actions(dev, actions, t);
                 // A command scheduled *before* this instant runs ahead of
                 // the device's lockstep tick at this instant (FIFO by

@@ -556,6 +556,16 @@ impl<T: Snap> Snap for Option<T> {
     }
 }
 
+/// A box is transparent on the wire: the same bytes as its contents.
+impl<T: Snap> Snap for Box<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        T::snap(self, w);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        T::unsnap(r).map(Box::new)
+    }
+}
+
 impl<T: Snap> Snap for Vec<T> {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_usize(self.len());
