@@ -1,5 +1,5 @@
 //! Criterion bench of the per-packet hot path: the word-parallel coding
-//! primitives (`coding_hotpath`) and the bucketed medium (`medium_scaling`).
+//! primitives (`coding_hotpath`) and the medium's scans (`medium_scaling`).
 //! The `bench_hotpath` binary records the same quantities as
 //! `BENCH_hotpath.json` for CI trend tracking; methodology in
 //! `docs/PERF.md`.

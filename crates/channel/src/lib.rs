@@ -118,22 +118,52 @@ pub struct SpatialConfig {
     cell_size: f64,
 }
 
+/// Why [`SpatialConfig::try_new`] rejected a cell size: it is not a
+/// finite number of metres at least the interaction radius.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellSizeError {
+    /// The rejected cell size in metres.
+    pub cell_size: f64,
+    /// The interaction radius it must reach, in metres.
+    pub radius: f64,
+}
+
+impl std::fmt::Display for CellSizeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "cell size {} must be >= the interaction radius {}",
+            self.cell_size, self.radius
+        )
+    }
+}
+
+impl std::error::Error for CellSizeError {}
+
 impl SpatialConfig {
+    /// A spatial model with an explicit cell size, or why the cell size
+    /// is illegal.
+    pub fn try_new(path_loss: PathLoss, cell_size: f64) -> Result<Self, CellSizeError> {
+        if cell_size.is_finite() && cell_size >= path_loss.radius() {
+            Ok(Self {
+                path_loss,
+                cell_size,
+            })
+        } else {
+            Err(CellSizeError {
+                cell_size,
+                radius: path_loss.radius(),
+            })
+        }
+    }
+
     /// A spatial model with an explicit cell size.
     ///
     /// # Panics
     ///
     /// Panics if `cell_size` is smaller than the interaction radius.
     pub fn new(path_loss: PathLoss, cell_size: f64) -> Self {
-        assert!(
-            cell_size.is_finite() && cell_size >= path_loss.radius(),
-            "cell size {cell_size} must be >= the interaction radius {}",
-            path_loss.radius()
-        );
-        Self {
-            path_loss,
-            cell_size,
-        }
+        Self::try_new(path_loss, cell_size).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// A spatial model whose cells are exactly one interaction radius
@@ -288,7 +318,38 @@ struct Transmission {
 
 impl Transmission {
     fn end(&self) -> SimTime {
-        self.start + SimDuration::from_bits(self.noisy_bits.len())
+        self.start + self.air_time()
+    }
+
+    fn air_time(&self) -> SimDuration {
+        SimDuration::from_bits(self.noisy_bits.len())
+    }
+}
+
+/// An entry of the medium's on-air index: what the interference scans
+/// filter on, inline, so only a real overlap reads the retained store.
+#[derive(Debug, Clone, Copy)]
+struct OnAir {
+    id: u64,
+    rf_channel: u8,
+    start: SimTime,
+    end: SimTime,
+}
+
+impl OnAir {
+    fn of(t: &Transmission) -> OnAir {
+        OnAir {
+            id: t.id.0,
+            rf_channel: t.rf_channel,
+            start: t.start,
+            end: t.end(),
+        }
+    }
+
+    /// Whether this entry shares `rf_channel` and air time with
+    /// `[start, end)`.
+    fn overlaps(&self, rf_channel: u8, start: SimTime, end: SimTime) -> bool {
+        self.rf_channel == rf_channel && self.start < end && self.end > start
     }
 }
 
@@ -498,15 +559,26 @@ pub struct Medium {
     first: u64,
     /// Number of `Some` entries in `txs`.
     live: usize,
-    /// Co-channel index for the interference scans: per `(cell index,
-    /// RF channel)` (see `bucket_index`), the ids of retained
-    /// transmissions from sources in that cell, ascending (one implicit
-    /// cell without a spatial model). A collected id may linger behind
-    /// a live one until it reaches the front; the front is always live.
-    buckets: Vec<VecDeque<u64>>,
+    /// On-air index for the interference scans: per cell index (one
+    /// implicit cell without a spatial model), the transmissions from
+    /// sources in that cell that end after `floor`, in no particular
+    /// order. An entry may outlive its transmission's collection (the
+    /// scans check the store on an overlap) or end at or before `floor`
+    /// (a push into its cell prunes it).
+    on_air: Vec<Vec<OnAir>>,
+    /// Entries ending at or before this instant may be missing from
+    /// `on_air`. It trails the newest start by the longest air time
+    /// plus the modem delay, so a packet delivered on time starts at or
+    /// after it; [`Medium::receive`] of an older packet scans the store.
+    /// Monotone.
+    floor: SimTime,
+    /// Longest air time registered since construction (or, after a
+    /// decode, over the retained set): no retained transmission that
+    /// started this long before an instant is still on air then.
+    max_air: SimDuration,
     /// Cell indices and populated neighbourhoods, derived from `cells`.
     grid: Grid,
-    /// Set by [`Medium::register_radio`]: `grid` and `buckets` are
+    /// Set by [`Medium::register_radio`]: `grid` and `on_air` are
     /// rebuilt on the next use, so registering N radios costs one
     /// rebuild, not N.
     stale: bool,
@@ -535,7 +607,7 @@ pub struct Medium {
     /// Latest air-time end over every *bit-level* transmission ever
     /// registered (monotone; never reduced by [`Medium::gc`]). The
     /// statistical tier uses it to prove the medium is quiescent
-    /// without scanning the buckets.
+    /// without scanning the store.
     last_end: SimTime,
     /// Packet-capture sink (disabled by default): air records are pushed
     /// at [`Medium::begin_tx`] and [`Medium::receive`], and the simulator
@@ -666,7 +738,9 @@ impl Medium {
             txs: VecDeque::new(),
             first: 0,
             live: 0,
-            buckets: Vec::new(),
+            on_air: Vec::new(),
+            floor: SimTime::ZERO,
+            max_air: SimDuration::ZERO,
             grid: Grid::default(),
             stale: true,
             radios: Vec::new(),
@@ -959,23 +1033,31 @@ impl Medium {
         // packet starts in is a burst slot.
         let jammed = self.interferer_active(rf_channel, start);
         // Collision accounting: overlap in both time and channel with a
-        // still-live transmission marks both sides, once each. The
-        // retention window far exceeds a packet's air time, so the
-        // earlier partner of every overlap is always still registered.
-        let end = start + SimDuration::from_bits(noisy.len());
+        // still-retained transmission marks both sides, once each. Every
+        // one still on air at `start` ends after the floor, so the
+        // on-air index lists it.
+        let air = SimDuration::from_bits(noisy.len());
+        let end = start + air;
+        self.max_air = self.max_air.max(air);
+        self.floor = self
+            .floor
+            .max(start - (self.max_air + self.cfg.modem_delay));
         let mut collided = false;
         let mut newly_collided = 0u64;
         let (cell, reach) = self.home(source);
         let (txs, first) = (&mut self.txs, self.first);
         for &c in &self.grid.near[cell] {
-            for &id in &self.buckets[bucket_index(c as usize, rf_channel)] {
-                let Some(other) = txs[(id - first) as usize].as_mut() else {
+            for e in &self.on_air[c as usize] {
+                if !e.overlaps(rf_channel, start, end) {
                     continue;
+                }
+                let Some(Some(other)) =
+                    e.id.checked_sub(first)
+                        .and_then(|k| txs.get_mut(k as usize))
+                else {
+                    continue; // collected since
                 };
-                if other.start < end
-                    && other.end() > start
-                    && in_reach(reach, &self.radios, other.source)
-                {
+                if in_reach(reach, &self.radios, other.source) {
                     collided = true;
                     if !other.counted_collided {
                         other.counted_collided = true;
@@ -1021,7 +1103,7 @@ impl Medium {
             let radio = self.radios[source].as_mut().expect("registered above");
             radio.last_end = radio.last_end.max(end);
         }
-        self.txs.push_back(Some(Transmission {
+        let t = Transmission {
             id,
             source,
             rf_channel,
@@ -1030,9 +1112,13 @@ impl Medium {
             jammed,
             counted_collided: collided,
             delivered: false,
-        }));
+        };
+        let floor = self.floor;
+        let home = &mut self.on_air[cell];
+        home.retain(|e| e.end > floor);
+        home.push(OnAir::of(&t));
+        self.txs.push_back(Some(t));
         self.live += 1;
-        self.buckets[bucket_index(cell, rf_channel)].push_back(id.0);
         id
     }
 
@@ -1078,7 +1164,7 @@ impl Medium {
     /// shape-identical with bit-level runs, but touches neither the
     /// noise RNG (fingerprints keep proving draw parity of the bit
     /// path) nor the flip accounting ([`Medium::measured_ber`] remains
-    /// a bit-level diagnostic) nor the retention buckets (nothing can
+    /// a bit-level diagnostic) nor the retained store (nothing can
     /// be received or collided with — the tier only runs while it has
     /// the medium to itself).
     pub fn record_stat_tx(&mut self, rf_channel: u8) {
@@ -1126,33 +1212,17 @@ impl Medium {
         } else {
             None
         };
-        let (cell, reach) = self.home(tx.source);
-        for &c in &self.grid.near[cell] {
-            for &other_id in &self.buckets[bucket_index(c as usize, tx.rf_channel)] {
-                if other_id == id.0 {
-                    continue;
-                }
-                let Some(other) = self.slot(other_id) else {
-                    continue;
-                };
-                let (o_start, o_end) = (other.start, other.end());
-                if o_end <= tx_start
-                    || o_start >= tx_end
-                    || !in_reach(reach, &self.radios, other.source)
-                {
-                    continue;
-                }
-                overlapped = true;
-                // Mark the overlapped bit span [lo, hi).
-                let mask = mask.get_or_insert_with(|| BitVec::zeros(len));
-                let lo = o_start.since(tx_start).ns() / SimDuration::SYMBOL.ns();
-                let hi = o_end
-                    .since(tx_start)
-                    .ns()
-                    .div_ceil(SimDuration::SYMBOL.ns());
-                mask.fill_range(lo as usize, hi.min(len as u64) as usize);
-            }
-        }
+        self.for_each_overlap(tx, |o_start, o_end| {
+            overlapped = true;
+            // Mark the overlapped bit span [lo, hi).
+            let mask = mask.get_or_insert_with(|| BitVec::zeros(len));
+            let lo = o_start.since(tx_start).ns() / SimDuration::SYMBOL.ns();
+            let hi = o_end
+                .since(tx_start)
+                .ns()
+                .div_ceil(SimDuration::SYMBOL.ns());
+            mask.fill_range(lo as usize, hi.min(len as u64) as usize);
+        });
         let rec = Reception {
             tx_id: tx.id,
             source: tx.source,
@@ -1231,7 +1301,6 @@ impl Medium {
     /// Call periodically; `retention` must exceed the modem delay plus the
     /// longest listener window so receptions are still materialisable.
     pub fn gc(&mut self, now: SimTime, retention: SimDuration) {
-        self.reindex();
         let cutoff = now - retention;
         let expired = |t: &Transmission| {
             !(t.end() >= cutoff || (!t.delivered && t.end() + retention >= cutoff))
@@ -1348,43 +1417,84 @@ impl Medium {
         }
     }
 
-    /// Rebuilds the cell table and the co-channel buckets after radios
-    /// were registered (or the medium was decoded).
+    /// Calls `f` with the air span of every retained transmission that
+    /// overlaps `tx` in time and RF channel from a source within
+    /// interaction range, `tx` itself excepted.
+    ///
+    /// A transmission starting at or after the floor finds its partners
+    /// in the on-air index: each one ends after its start, hence after
+    /// the floor. An older one scans the store around its own id
+    /// instead — ids are start-ordered and no partner started more than
+    /// the longest air time before it.
+    fn for_each_overlap(&self, tx: &Transmission, mut f: impl FnMut(SimTime, SimTime)) {
+        let (start, end) = (tx.start, tx.end());
+        let (cell, reach) = self.home(tx.source);
+        let mut visit = |o: &Transmission| {
+            if o.id != tx.id
+                && o.rf_channel == tx.rf_channel
+                && o.start < end
+                && o.end() > start
+                && in_reach(reach, &self.radios, o.source)
+            {
+                f(o.start, o.end());
+            }
+        };
+        if start >= self.floor {
+            for &c in &self.grid.near[cell] {
+                for e in &self.on_air[c as usize] {
+                    if !e.overlaps(tx.rf_channel, start, end) {
+                        continue;
+                    }
+                    if let Some(o) = self.slot(e.id) {
+                        visit(o);
+                    }
+                }
+            }
+            return;
+        }
+        let own = tx.id.0;
+        for id in (self.first..own).rev() {
+            let Some(o) = self.slot(id) else { continue };
+            if o.start + self.max_air <= start {
+                break;
+            }
+            visit(o);
+        }
+        for id in own + 1..self.next_id {
+            let Some(o) = self.slot(id) else { continue };
+            if o.start >= end {
+                break;
+            }
+            visit(o);
+        }
+    }
+
+    /// Rebuilds the cell table and the on-air index after radios were
+    /// registered (or the medium was decoded).
     fn reindex(&mut self) {
         if !self.stale {
             return;
         }
         self.grid = Grid::build(self.cfg.spatial.is_some(), &self.cells, &self.radios);
-        let mut buckets = vec![VecDeque::new(); self.grid.near.len() * RF_CHANNELS as usize];
+        let mut on_air = vec![Vec::new(); self.grid.near.len()];
         for t in self.txs.iter().flatten() {
-            buckets[bucket_index(self.home(t.source).0, t.rf_channel)].push_back(t.id.0);
+            if t.end() > self.floor {
+                on_air[self.home(t.source).0].push(OnAir::of(t));
+            }
         }
-        self.buckets = buckets;
+        self.on_air = on_air;
         self.stale = false;
     }
 
-    /// Removes a live transmission, keeping its bucket's front live.
+    /// Removes a live transmission from the store (its on-air entry, if
+    /// any, is pruned once its air time falls behind the floor).
     fn collect(&mut self, id: u64) {
         let k = (id - self.first) as usize;
-        let t = self.txs[k]
+        self.txs[k]
             .take()
             .expect("collecting a retained transmission");
         self.live -= 1;
-        let b = bucket_index(self.home(t.source).0, t.rf_channel);
-        let (txs, first) = (&self.txs, self.first);
-        let bucket = &mut self.buckets[b];
-        while bucket
-            .front()
-            .is_some_and(|&i| txs[(i - first) as usize].is_none())
-        {
-            bucket.pop_front();
-        }
     }
-}
-
-/// Position of the `(cell, rf_channel)` bucket in `Medium::buckets`.
-fn bucket_index(cell: usize, rf_channel: u8) -> usize {
-    cell * RF_CHANNELS as usize + rf_channel as usize
 }
 
 /// Whether `source` is within `reach` (always, without a spatial model).
@@ -2009,6 +2119,40 @@ mod tests {
         for &id in &ids {
             assert!(m.receive(id).is_none());
         }
+    }
+
+    #[test]
+    fn on_air_index_holds_only_what_can_still_be_on_air() {
+        // Eight clusters of four radios, 40 m apart (a cell each); half
+        // of every cluster sends a 1-slot packet in each slot, on a
+        // hopping channel, collected with the simulator's 50 ms
+        // retention.
+        let mut m = spatial_medium(0.0, 2, 10.0);
+        for k in 0..32 {
+            let x = 40.0 * (k / 4) as f64 + (k % 4) as f64;
+            m.register_radio(k, Position::new(x, 0.0), k as u64);
+        }
+        let mut longest = 0;
+        for slot in 0..400u64 {
+            let at = SimTime::ZERO + SimDuration::from_slots(slot);
+            for k in (slot as usize % 2..32).step_by(2) {
+                let ch = ((slot * 7 + k as u64 * 13) % 79) as u8;
+                let start = at + SimDuration::from_us(k as u64);
+                let tx = m.begin_tx(k, ch, start, bits(366));
+                assert!(m.receive(tx).is_some());
+            }
+            m.gc(at, SimDuration::from_us(50_000));
+            longest = longest.max(m.on_air.iter().map(Vec::len).max().unwrap());
+        }
+        assert!(
+            m.live_count() >= 80 * 16,
+            "the store keeps the whole 50 ms window: {}",
+            m.live_count()
+        );
+        assert!(
+            longest <= 4,
+            "a cell lists at most its last two slots' packets, got {longest}"
+        );
     }
 
     #[test]

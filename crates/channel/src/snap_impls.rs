@@ -6,7 +6,8 @@
 //! the way an earlier bucketed store held them: 79 id-ordered per-channel
 //! buckets (`channels`) without a spatial model, and per source cell in
 //! ascending order (`cell_buckets`, occupied cells only) with one. The
-//! id-ordered queue, the cell table, the co-channel index and the
+//! id-ordered queue, the cell table, the on-air index (with its floor
+//! and the longest air time, taken over the retained set) and the
 //! collector's progress are derived state, rebuilt on decode.
 
 use btsim_kernel::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
@@ -190,6 +191,12 @@ impl Medium {
         // `next_id`, collected ones as holes.
         m.txs.resize_with((m.next_id - m.first) as usize, || None);
         m.live = txs.len();
+        m.max_air = txs
+            .iter()
+            .map(Transmission::air_time)
+            .max()
+            .unwrap_or_default();
+        m.floor = m.newest_start - (m.max_air + m.cfg.modem_delay);
         for t in txs {
             let k = (t.id.0 - m.first) as usize;
             m.txs[k] = Some(t);

@@ -8,7 +8,9 @@
 //! must agree on `tx_stats`, `live_count`, `delivery_time`, every
 //! reception's collision mask, and which transmissions are still
 //! retained — in spatial mode (clustered radios, range culling across
-//! cell edges) and without a spatial model.
+//! cell edges) and without a spatial model, for single- and multi-slot
+//! packets, receives long after a packet left the air, retentions
+//! shorter than a packet, and a copy decoded mid-run that carries on.
 
 use btsim_channel::{ChannelConfig, Medium, Position, SpatialConfig, TxId, TxStats};
 use btsim_coding::BitVec;
@@ -142,15 +144,47 @@ fn clustered(k: u64, word: u64) -> Position {
     )
 }
 
+/// The traffic and collection pattern of a generated run.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// Packet lengths: up to one slot's worth of bits only, or also
+    /// whole 1-, 3- and 5-slot packets (DH1/DH3/DH5 air times).
+    multi_slot: bool,
+    /// The retention `gc` starts with and the range a retention change
+    /// draws from, in µs.
+    retention_us: (u64, u64),
+    /// Instead of round-tripping the medium in place, decode a copy
+    /// at this op and drive both with the rest of the ops: the copy
+    /// must answer every query exactly like the medium it came from.
+    fork_at: Option<usize>,
+}
+
+/// The shape the first two properties ran on: single-slot packets and
+/// retentions of 0.2-3.2 ms.
+const PLAIN: Shape = Shape {
+    multi_slot: false,
+    retention_us: (1_500, 200),
+    fork_at: None,
+};
+
+/// Air lengths in bits of a DH1, DH3 and DH5 packet.
+const SLOT_PACKETS: [usize; 3] = [366, 1_622, 2_870];
+
 /// Runs `ops` (each a kind selector and a word of parameters) on a
 /// medium and on the model, comparing them after every step.
 fn check(spatial: bool, ops: &[(u8, u64)]) {
+    check_shaped(spatial, PLAIN, ops);
+}
+
+/// [`check`] with an explicit [`Shape`].
+fn check_shaped(spatial: bool, shape: Shape, ops: &[(u8, u64)]) {
     let cfg = ChannelConfig {
         ber: 0.01,
         spatial: spatial.then(|| SpatialConfig::with_radius(RADIUS)),
         ..ChannelConfig::default()
     };
     let mut m = Medium::new(cfg, SimRng::new(ops.len() as u64));
+    let mut twin: Option<Medium> = None;
     let mut model = Model {
         positions: Vec::new(),
         spatial,
@@ -169,16 +203,29 @@ fn check(spatial: bool, ops: &[(u8, u64)]) {
         register(&mut m, &mut model, k * 0x9E37_79B9);
     }
     let mut clock = SimTime::ZERO;
-    let mut retention = SimDuration::from_us(1_500);
-    for &(kind, word) in ops {
+    let (initial, least) = shape.retention_us;
+    let mut retention = SimDuration::from_us(initial);
+    for (step, &(kind, word)) in ops.iter().enumerate() {
+        if shape.fork_at == Some(step) {
+            twin = Some(roundtrip(&m));
+        }
         match kind {
             // Transmit on one of three channels, so collisions are common.
             0..=6 => {
                 clock += SimDuration::from_us(word % 400);
                 let source = (word >> 12) as usize % model.positions.len();
                 let channel = (word >> 20) as u8 % 3;
-                let len = 1 + (word >> 24) as usize % 366;
+                let len = match (word >> 40) % 4 {
+                    k @ 0..=2 if shape.multi_slot => SLOT_PACKETS[k as usize],
+                    _ => 1 + (word >> 24) as usize % 366,
+                };
                 let id = m.begin_tx(source, channel, clock, BitVec::zeros(len));
+                if let Some(twin) = &mut twin {
+                    assert_eq!(
+                        twin.begin_tx(source, channel, clock, BitVec::zeros(len)),
+                        id
+                    );
+                }
                 model.begin_tx(id, source, channel, clock, len);
             }
             // Deliver any transmission ever sent, retained or not.
@@ -189,6 +236,20 @@ fn check(spatial: bool, ops: &[(u8, u64)]) {
                 let expected = t.retained.then(|| t.end + MODEM_DELAY);
                 assert_eq!(m.delivery_time(id), expected, "delivery_time of {i}");
                 let rx = m.receive(id);
+                if let Some(twin) = &mut twin {
+                    assert_eq!(
+                        twin.delivery_time(id),
+                        expected,
+                        "twin delivery_time of {i}"
+                    );
+                    let twin_rx = twin.receive(id);
+                    assert_eq!(
+                        twin_rx.map(|r| (r.bits, r.collision_mask)),
+                        rx.as_ref()
+                            .map(|r| (r.bits.clone(), r.collision_mask.clone())),
+                        "twin receive of {i}"
+                    );
+                }
                 assert_eq!(rx.is_some(), t.retained, "receive of {i}");
                 if let Some(rx) = rx {
                     assert_eq!((rx.source, rx.rf_channel), (t.source, t.channel));
@@ -203,19 +264,34 @@ fn check(spatial: bool, ops: &[(u8, u64)]) {
             11..=13 => {
                 let mut now = clock + SimDuration::from_us(word % 3_000);
                 match (word >> 16) % 16 {
-                    0 => retention = SimDuration::from_us(200 + (word >> 20) % 3_000),
+                    0 => retention = SimDuration::from_us(least + (word >> 20) % 3_000),
                     1 => now = now - SimDuration::from_us((word >> 20) % 5_000),
                     _ => {}
                 }
                 m.gc(now, retention);
+                if let Some(twin) = &mut twin {
+                    twin.gc(now, retention);
+                }
                 model.gc(now, retention);
             }
-            14 => m = roundtrip(&m),
-            15 if spatial && model.positions.len() < 12 => register(&mut m, &mut model, word),
+            14 if shape.fork_at.is_none() => m = roundtrip(&m),
+            15 if spatial && model.positions.len() < 12 => {
+                register(&mut m, &mut model, word);
+                if let Some(twin) = &mut twin {
+                    let (source, pos) =
+                        (model.positions.len() - 1, *model.positions.last().unwrap());
+                    twin.register_radio(source, pos, source as u64);
+                }
+            }
             _ => {}
         }
         assert_eq!(m.tx_stats(), model.stats);
         assert_eq!(m.live_count(), model.live());
+        if let Some(twin) = &twin {
+            assert_eq!(twin.tx_stats(), model.stats);
+            assert_eq!(twin.live_count(), model.live());
+            assert_eq!(twin.rng_fingerprint(), m.rng_fingerprint());
+        }
     }
     // Whatever is still retained survives a final round trip intact.
     let mut back = roundtrip(&m);
@@ -240,5 +316,51 @@ proptest! {
     #[test]
     fn spatial_store_matches_the_model(ops in prop::collection::vec((0u8..16, any::<u64>()), 1..400)) {
         check(true, &ops);
+    }
+
+    /// 1-, 3- and 5-slot packets mixed with short ones: the longest air
+    /// time, which sets how far the on-air index reaches back, changes
+    /// mid-run.
+    #[test]
+    fn mixed_slot_packets_match_the_model(
+        spatial in any::<bool>(),
+        ops in prop::collection::vec((0u8..16, any::<u64>()), 1..400),
+    ) {
+        let shape = Shape { multi_slot: true, ..PLAIN };
+        check_shaped(spatial, shape, &ops);
+    }
+
+    /// A long retention keeps packets receivable long after the on-air
+    /// index has moved past them, so most receives take the store scan.
+    #[test]
+    fn late_receives_match_the_model(
+        spatial in any::<bool>(),
+        ops in prop::collection::vec((0u8..16, any::<u64>()), 1..400),
+    ) {
+        let shape = Shape { multi_slot: true, retention_us: (40_000, 20_000), fork_at: None };
+        check_shaped(spatial, shape, &ops);
+    }
+
+    /// Retentions down to 20 µs, shorter than most packets' air time:
+    /// `gc` collects transmissions while they are still on air.
+    #[test]
+    fn retention_shorter_than_air_time_matches_the_model(
+        spatial in any::<bool>(),
+        ops in prop::collection::vec((0u8..16, any::<u64>()), 1..400),
+    ) {
+        let shape = Shape { multi_slot: true, retention_us: (100, 20), fork_at: None };
+        check_shaped(spatial, shape, &ops);
+    }
+
+    /// A copy decoded mid-run and then driven on with the original
+    /// answers every later query exactly like it.
+    #[test]
+    fn decoded_medium_continues_like_the_original(
+        spatial in any::<bool>(),
+        fork_at in 0usize..200,
+        ops in prop::collection::vec((0u8..16, any::<u64>()), 1..400),
+    ) {
+        let shape = Shape { multi_slot: true, fork_at: Some(fork_at), ..PLAIN };
+        check_shaped(spatial, shape, &ops);
     }
 }

@@ -31,16 +31,54 @@ pub const DIAC_LAP_BASE: u32 = 0x9E8B00;
 /// tolerates up to 10 channel errors).
 pub const DEFAULT_SYNC_THRESHOLD: u8 = 54;
 
-/// Returns bit `i` (0-based, transmission order) of the PN sequence.
-fn pn_bit(i: usize) -> bool {
-    debug_assert!(i < 64);
-    (PN64 >> (63 - i)) & 1 == 1
+/// The PN sequence in transmission order: bit `i` is `p_i`, so XOR-ing
+/// it scrambles a whole codeword at once.
+const PN_WORD: u64 = PN64.reverse_bits();
+
+/// `p34..p63`, aligned with the information bits `x0..x29` they
+/// scramble before encoding.
+const PN_INFO: u32 = (PN_WORD >> 34) as u32;
+
+/// The BCH parity of `v` (degree < 64): `v(D) mod g(D)`, coefficient of
+/// `D^i` at bit `i`, by long division.
+const fn bch_remainder(mut v: u64) -> u64 {
+    let mut k = 63;
+    while k >= 34 {
+        if v & (1 << k) != 0 {
+            v ^= BCH_GEN << (k - 34);
+        }
+        k -= 1;
+    }
+    v
 }
+
+/// `BCH_PARITY[j][b]` is the parity of information byte `j` holding `b`,
+/// i.e. `(b·D^(8j))·D^34 mod g(D)`. The remainder is linear over GF(2),
+/// so the parity of a 30-bit information word is the XOR of its four
+/// bytes' entries.
+static BCH_PARITY: [[u64; 256]; 4] = {
+    let mut t = [[0u64; 256]; 4];
+    let mut j = 0;
+    while j < 4 {
+        let mut b = 0;
+        while b < 256 {
+            t[j][b] = bch_remainder((b as u64) << (34 + 8 * j));
+            b += 1;
+        }
+        j += 1;
+    }
+    t
+};
 
 /// Computes the 64-bit sync word of `lap`.
 ///
 /// The returned word has bit 0 (LSB) as the first transmitted bit.
 /// Only the low 24 bits of `lap` are used.
+///
+/// The spec's construction — scramble the information bits with
+/// `p34..p63`, append the (64,30) BCH parity, scramble the codeword
+/// with `p0..p63` — costs two XORs with constant masks and four table
+/// lookups.
 ///
 /// # Examples
 ///
@@ -60,30 +98,14 @@ pub fn sync_word(lap: u32) -> u64 {
     } else {
         0b010011
     };
-    let mut info = lap | (ext << 24); // bit i = x_i
-                                      // Scramble the information bits with p34..p63 before encoding.
-    for i in 0..30 {
-        if pn_bit(34 + i) {
-            info ^= 1 << i;
-        }
-    }
-    // BCH encode: codeword c(D) = info(D)·D^34 + (info(D)·D^34 mod g(D)).
-    // Coefficient of D^i lives at bit i; bit 0 is transmitted first.
-    let mut v = (info as u64) << 34;
-    for k in (34..64).rev() {
-        if v & (1 << k) != 0 {
-            v ^= BCH_GEN << (k - 34);
-        }
-    }
-    let codeword = ((info as u64) << 34) | v;
-    // Final scrambling of the whole word with p0..p63.
-    let mut sync = codeword;
-    for i in 0..64 {
-        if pn_bit(i) {
-            sync ^= 1 << i;
-        }
-    }
-    sync
+    let info = (lap | (ext << 24)) ^ PN_INFO; // bit i = x_i, scrambled
+                                              // Codeword c(D) = info(D)·D^34 + (info(D)·D^34 mod g(D)); the
+                                              // coefficient of D^i lives at bit i, and bit 0 is transmitted first.
+    let parity = BCH_PARITY[0][(info & 0xFF) as usize]
+        ^ BCH_PARITY[1][((info >> 8) & 0xFF) as usize]
+        ^ BCH_PARITY[2][((info >> 16) & 0xFF) as usize]
+        ^ BCH_PARITY[3][(info >> 24) as usize];
+    (((info as u64) << 34) | parity) ^ PN_WORD
 }
 
 /// Extracts the 34 parity bits of a sync word (the FHS "parity" field).
@@ -161,6 +183,63 @@ pub fn correlate(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The spec's bit-serial construction, PN bit by PN bit and one
+    /// division step per information bit: the reference `sync_word`
+    /// must equal.
+    fn sync_word_bit_serial(lap: u32) -> u64 {
+        let pn_bit = |i: usize| (PN64 >> (63 - i)) & 1 == 1;
+        let lap = lap & 0x00FF_FFFF;
+        let ext: u32 = if lap & 0x80_0000 == 0 {
+            0b101100
+        } else {
+            0b010011
+        };
+        let mut info = lap | (ext << 24);
+        for i in 0..30 {
+            if pn_bit(34 + i) {
+                info ^= 1 << i;
+            }
+        }
+        let mut v = (info as u64) << 34;
+        for k in (34..64).rev() {
+            if v & (1 << k) != 0 {
+                v ^= BCH_GEN << (k - 34);
+            }
+        }
+        let mut sync = ((info as u64) << 34) | v;
+        for i in 0..64 {
+            if pn_bit(i) {
+                sync ^= 1 << i;
+            }
+        }
+        sync
+    }
+
+    #[test]
+    fn sync_word_matches_the_bit_serial_construction() {
+        // Edge LAPs (both extension patterns, every single-bit LAP),
+        // then a fixed pseudo-random sample of the 2^24 LAP space.
+        let edges = [
+            0u32,
+            0xFF_FFFF,
+            0x7F_FFFF,
+            0x80_0000,
+            GIAC_LAP,
+            DIAC_LAP_BASE,
+        ];
+        let singles = (0..32).map(|b| 1u32 << b);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let random = std::iter::repeat_with(move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u32
+        });
+        for lap in edges.into_iter().chain(singles).chain(random.take(20_000)) {
+            assert_eq!(sync_word(lap), sync_word_bit_serial(lap), "lap {lap:#08X}");
+        }
+    }
 
     #[test]
     fn sync_word_is_deterministic_and_lap_dependent() {

@@ -125,15 +125,16 @@ impl ExpOptions {
     /// them. Deliberately does *not* stamp `capture`/`metrics_every`:
     /// those belong to the one representative run
     /// ([`ExpOptions::observed_sim`]), never to campaign runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `--cell-size` is below the interaction radius of a
+    /// spatial `base`; runners reject that first with
+    /// [`ExpOptions::spatial_for`].
     pub fn sim(&self, mut base: SimConfig) -> SimConfig {
         base.engine = self.engine;
         base.fidelity = self.fidelity;
-        if let Some(cell) = self.cell_size {
-            base.channel.spatial = Some(match base.channel.spatial {
-                Some(sp) => btsim_channel::SpatialConfig::new(sp.path_loss(), cell),
-                None => btsim_channel::SpatialConfig::with_radius(cell),
-            });
-        }
+        base.channel.spatial = self.spatial_for(&base).unwrap_or_else(|e| panic!("{e}"));
         if let Some(shards) = self.shards {
             base.shards = shards;
         }
@@ -141,6 +142,23 @@ impl ExpOptions {
             base.faults = plan.clone();
         }
         base
+    }
+
+    /// The spatial model [`ExpOptions::sim`] gives `base`: `base`'s own
+    /// without `--cell-size`; with it, `base`'s interaction radius on
+    /// cells of that size, or a radius of one cell when `base` has no
+    /// spatial model. Errs when the cell size is below `base`'s radius.
+    pub fn spatial_for(
+        &self,
+        base: &SimConfig,
+    ) -> Result<Option<btsim_channel::SpatialConfig>, btsim_channel::CellSizeError> {
+        let Some(cell) = self.cell_size else {
+            return Ok(base.channel.spatial);
+        };
+        match base.channel.spatial {
+            Some(sp) => btsim_channel::SpatialConfig::try_new(sp.path_loss(), cell).map(Some),
+            None => Ok(Some(btsim_channel::SpatialConfig::with_radius(cell))),
+        }
     }
 
     /// [`ExpOptions::sim`] plus the observability toggles — for the

@@ -265,12 +265,18 @@ static REGISTRY: [Experiment; 25] = [
     Experiment {
         name: "scat_speed",
         description: "Scat-C — multi-piconet simulation speed (Table 1 extension)",
-        runner: |o| Ok(run_scat_speed(o)),
+        runner: |o| {
+            check_floor_cell_size(o)?;
+            Ok(run_scat_speed(o))
+        },
     },
     Experiment {
         name: "dense_floor",
         description: "Spatial — dense-floor collision rate vs density (vs one-cluster analytic)",
-        runner: |o| Ok(run_dense_floor(o)),
+        runner: |o| {
+            check_floor_cell_size(o)?;
+            Ok(run_dense_floor(o))
+        },
     },
     Experiment {
         name: "capture_scan",
@@ -482,6 +488,16 @@ fn run_scat_bridge(opts: &ExpOptions) -> Result<ExpReport, String> {
             .note("(note: --piconets raised to 2 — a bridged chain needs at least two piconets)");
     }
     Ok(report.table(f.table()))
+}
+
+/// Rejects a `--cell-size` below the dense floor's interaction radius
+/// before anything runs: the floor keeps its radius and only resizes
+/// its cells.
+fn check_floor_cell_size(opts: &ExpOptions) -> Result<(), String> {
+    match opts.spatial_for(&DenseFloorConfig::default().sim) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(format!("invalid --cell-size value: {e}")),
+    }
 }
 
 fn run_scat_speed(opts: &ExpOptions) -> ExpReport {

@@ -46,3 +46,21 @@ fn waveform_entries_emit_vcd_artifacts() {
         );
     }
 }
+
+#[test]
+fn cell_size_below_the_floor_radius_is_a_typed_error() {
+    // The dense floor keeps its 10 m interaction radius and only resizes
+    // its cells, so a smaller cell is rejected before anything runs.
+    let opts = ExpOptions {
+        cell_size: Some(0.001),
+        ..ExpOptions::quick()
+    };
+    for name in ["dense_floor", "scat_speed"] {
+        let entry = btsim::core::experiments::find(name).expect("registered");
+        let err = entry.run(&opts).expect_err("cell size below the radius");
+        assert!(
+            err.contains("cell size 0.001") && err.contains("interaction radius 10"),
+            "{name}: {err}"
+        );
+    }
+}
