@@ -627,6 +627,16 @@ impl LinkController {
             .collect()
     }
 
+    /// The master's address when this device is a slave in exactly one
+    /// piconet; `None` otherwise. A non-allocating
+    /// [`LinkController::slave_masters`] for the single-link case.
+    pub fn sole_slave_master(&self) -> Option<BdAddr> {
+        match self.slave_links.as_slice() {
+            [s] => Some(s.master),
+            _ => None,
+        }
+    }
+
     /// Half-slot tick: drive the current state.
     pub fn on_tick(&mut self, now: SimTime) -> Vec<LcAction> {
         if now < self.ff_until {

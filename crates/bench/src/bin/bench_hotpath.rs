@@ -9,13 +9,17 @@
 //! The saturated section always measures **both** engines (that is the
 //! point of the gate), so the common `--engine` flag is ignored here.
 //!
-//! Three sections:
+//! Four sections:
 //!
 //! * **coding** — ns/op of the word-parallel codecs (whitening, FEC 1/3,
 //!   FEC 2/3, CRC-16, packet encode/decode) over DH5/DM5-sized images;
 //! * **medium** — `begin_tx` + `receive` µs/packet as co-channel and
 //!   cross-channel retained traffic grows (the on-air index keeps the
 //!   collision scan from degrading with total retained traffic);
+//! * **calendar** — ns per event-calendar `pop` + `schedule` at 400 and
+//!   1,600 pending events, on a few lattice instants and on distinct
+//!   instants, next to a plain `BinaryHeap` of whole events (reported,
+//!   not gated);
 //! * **saturated** — slots per wall-second of an ACL-saturated link for
 //!   every fidelity tier (`bit`, `stat`, `auto`) under *both* engines,
 //!   with smoke assertions that every slots/sec figure is nonzero, that
@@ -42,12 +46,12 @@
 //! its overhead are reported, not gated; the mid-window plan must fail
 //! the same comparison, which shows the gate can see a plan at work.
 //!
-//! A fourth **sharding** section times a 200-device dense spatial floor
+//! A fifth **sharding** section times a 200-device dense spatial floor
 //! (100 out-of-range clusters, `docs/SPATIAL.md`) at `--shards 1` vs
 //! `4`; on a host with ≥ 4 cores the 4-shard run must be at least 2×
 //! faster.
 //!
-//! A fifth **formation** section times formation amortization on a
+//! A sixth **formation** section times formation amortization on a
 //! 3-piconet scatternet campaign (`docs/SNAPSHOT.md`): forming once,
 //! snapshotting and forking every run (`restore` +
 //! `reseed_for_fork(base + i)` + `drive_formed`) against re-forming per
@@ -55,6 +59,8 @@
 //! construction, so any divergence exits nonzero. The `fork_speedup`
 //! row must be at least 2×.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -65,7 +71,7 @@ use btsim_channel::{ChannelConfig, Medium};
 use btsim_coding::{crc, fec, syncword, BitVec, Whitener};
 use btsim_core::net::{register_devices, ScatternetConfig, Topology};
 use btsim_core::{Engine, Fidelity, SimBuilder, Simulator};
-use btsim_kernel::{SimDuration, SimRng, SimTime};
+use btsim_kernel::{Calendar, SimDuration, SimRng, SimTime};
 use btsim_stats::JsonValue;
 
 /// Times `op` repeatedly and returns ns per iteration (best of 3 samples).
@@ -201,6 +207,78 @@ fn medium_rows(iters: u64) -> Vec<JsonValue> {
             ("retained".to_string(), JsonValue::from(retained as u64)),
             ("us_per_packet".to_string(), JsonValue::from(ns / 1000.0)),
         ]));
+    }
+    rows
+}
+
+/// A calendar payload the size of the simulator's event type.
+type CalendarPayload = [u64; 6];
+
+/// ns per `pop` + `schedule` in a steady state of `pending` entries:
+/// each popped event is rescheduled at its instant plus the next of
+/// `offsets` (cycled). Returns (calendar, reference `BinaryHeap` of
+/// `(time, seq, payload)` — the layout of a heap-only calendar).
+fn calendar_op_ns(iters: u64, pending: usize, offsets: &[u64]) -> (f64, f64) {
+    let payload: CalendarPayload = [7; 6];
+    let mut cal = Calendar::new();
+    for &off in offsets.iter().cycle().take(pending) {
+        cal.schedule(SimTime::from_ns(off), payload);
+    }
+    let mut k = 0;
+    let cal_ns = time_ns(iters, || {
+        let (at, p) = cal.pop().expect("steady state");
+        cal.schedule(at + SimDuration::from_ns(offsets[k]), p);
+        k = (k + 1) % offsets.len();
+    });
+    let mut heap: BinaryHeap<Reverse<(SimTime, u64, CalendarPayload)>> = BinaryHeap::new();
+    let mut seq = 0u64;
+    for &off in offsets.iter().cycle().take(pending) {
+        heap.push(Reverse((SimTime::from_ns(off), seq, payload)));
+        seq += 1;
+    }
+    let mut k = 0;
+    let heap_ns = time_ns(iters, || {
+        let Reverse((at, _, p)) = heap.pop().expect("steady state");
+        heap.push(Reverse((at + SimDuration::from_ns(offsets[k]), seq, p)));
+        seq += 1;
+        k = (k + 1) % offsets.len();
+    });
+    (cal_ns, heap_ns)
+}
+
+/// The calendar section: pop + schedule cost at 400 and 1,600 pending
+/// entries, on a `lattice` (offsets of 1-8 half slots, so at most nine
+/// distinct instants, the dense floor's shape) and on `distinct`
+/// instants (random nanosecond offsets up to 2 µs times the pending
+/// count, so nearly every entry has an instant of its own). Reported
+/// only.
+fn calendar_rows(iters: u64) -> Vec<JsonValue> {
+    let mut rows = Vec::new();
+    println!(
+        "{:<28} {:>14} {:>14}",
+        "calendar pop+schedule", "ns/op", "heap ns/op"
+    );
+    for pending in [400usize, 1_600] {
+        let mut rng = SimRng::new(pending as u64);
+        let lattice: Vec<u64> = (0..4096)
+            .map(|_| (1 + rng.range_u64(8)) * SimDuration::HALF_SLOT.ns())
+            .collect();
+        let distinct: Vec<u64> = (0..4096)
+            .map(|_| 1 + rng.range_u64(2_000 * pending as u64))
+            .collect();
+        for (pattern, offsets) in [("lattice", &lattice), ("distinct", &distinct)] {
+            let (ns, heap_ns) = calendar_op_ns(iters * 100, pending, offsets);
+            println!(
+                "{:<28} {ns:>14.1} {heap_ns:>14.1}",
+                format!("{pattern}_{pending}")
+            );
+            rows.push(JsonValue::Obj(vec![
+                ("pattern".to_string(), JsonValue::from(pattern)),
+                ("pending".to_string(), JsonValue::from(pending as u64)),
+                ("ns_per_op".to_string(), JsonValue::from(ns)),
+                ("heap_ns_per_op".to_string(), JsonValue::from(heap_ns)),
+            ]));
+        }
     }
     rows
 }
@@ -403,6 +481,7 @@ fn main() -> ExitCode {
 
     let coding = coding_rows(iters);
     let medium = medium_rows(iters);
+    let calendar = calendar_rows(iters);
 
     // Fidelity × engine matrix: every tier must be engine-bit-exact,
     // and the statistical tier must actually be faster than bit level
@@ -635,6 +714,7 @@ fn main() -> ExitCode {
     let doc = JsonValue::Obj(vec![
         ("coding_hotpath".to_string(), JsonValue::Arr(coding)),
         ("medium_scaling".to_string(), JsonValue::Arr(medium)),
+        ("calendar".to_string(), JsonValue::Arr(calendar)),
         ("saturated".to_string(), JsonValue::Obj(fields)),
         ("sharding".to_string(), JsonValue::Obj(shard_fields)),
         ("formation".to_string(), JsonValue::Obj(formation_fields)),

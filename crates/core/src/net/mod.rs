@@ -353,6 +353,10 @@ mod tests {
         let bridge = topo.bridge_device(0);
         let masters = sim.lc(bridge).slave_masters();
         assert_eq!(masters.len(), 2, "bridge is a slave twice: {masters:?}");
+        assert_eq!(sim.lc(bridge).sole_slave_master(), None);
+        let slave = sim.lc(topo.slave_device(0, 0));
+        let master = sim.lc(topo.master_device(0)).addr();
+        assert_eq!(slave.sole_slave_master(), Some(master));
         assert_eq!(map.masters.len(), 2);
         assert_ne!(map.masters[0], map.masters[1]);
         assert!(map.link(0, bridge).is_some());

@@ -641,8 +641,8 @@ impl World {
                     return;
                 };
                 (dev, s)
-            } else if let [link] = lc.slave_masters().as_slice() {
-                let Some(m) = self.index.device_by_addr(link.1) else {
+            } else if let Some(master) = lc.sole_slave_master() {
+                let Some(m) = self.index.device_by_addr(master) else {
                     return;
                 };
                 if self.devices[m].lc.stat_master_attempt(t) != Some(lc.addr()) {
@@ -1152,10 +1152,12 @@ impl World {
                     self.events.push(LoggedEvent {
                         at: now,
                         device: dev,
-                        event: event.clone(),
+                        event,
                     });
-                    // LMP PDUs drive the device's link manager.
-                    let outs = self.devices[dev].lm.on_lc_event(&event, now.slots());
+                    // LMP PDUs drive the device's link manager, which
+                    // reads the logged copy.
+                    let logged = &self.events[self.events.len() - 1].event;
+                    let outs = self.devices[dev].lm.on_lc_event(logged, now.slots());
                     self.apply_lm_outputs(dev, outs, now);
                 }
             }

@@ -1,7 +1,18 @@
 //! Property-based tests of the simulation kernel.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use btsim_kernel::{Calendar, SimDuration, SimRng, SimTime, Wire};
 use proptest::prelude::*;
+
+/// The calendar's pending entries as sorted `(time, seq)` pairs, read
+/// through `iter` (events carry their own seq).
+fn iter_multiset(cal: &Calendar<u64>) -> Vec<(SimTime, u64)> {
+    let mut v: Vec<_> = cal.iter().map(|(at, &seq)| (at, seq)).collect();
+    v.sort_unstable();
+    v
+}
 
 proptest! {
     #[test]
@@ -38,6 +49,73 @@ proptest! {
             }
             cal.schedule(cal.now() + SimDuration::from_ns(delay), 0u8);
         }
+    }
+
+    /// The calendar against a reference `BinaryHeap` of `(time, seq)`:
+    /// random interleavings of `schedule`, `pop`, `advance_to` and an
+    /// `entries`/`from_parts` round trip must pop the same sequence.
+    /// `distinct` of 4 schedules pick a random nanosecond offset (an
+    /// instant of their own); the rest reuse the half-slot lattice,
+    /// `now` included, so many events share few instants.
+    #[test]
+    fn calendar_matches_a_reference_heap(
+        distinct in 0u64..=4,
+        ops in prop::collection::vec((0u8..16, any::<u64>()), 1..600)
+    ) {
+        let mut cal: Calendar<u64> = Calendar::new();
+        let mut model: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut now = SimTime::ZERO;
+        let mut seq = 0u64;
+        for (kind, v) in ops {
+            match kind {
+                0..=8 => {
+                    let offset = if v % 4 < distinct {
+                        SimDuration::from_ns(v % 1_000_000)
+                    } else {
+                        SimDuration::from_ns(SimDuration::HALF_SLOT.ns() * (v % 5))
+                    };
+                    cal.schedule(now + offset, seq);
+                    model.push(Reverse((now + offset, seq)));
+                    seq += 1;
+                }
+                9..=12 => {
+                    let want = model.pop().map(|Reverse(e)| e);
+                    if let Some((at, _)) = want {
+                        now = at;
+                    }
+                    prop_assert_eq!(cal.pop(), want);
+                }
+                13 => {
+                    let to = now + SimDuration::from_ns(v % 2_000_000);
+                    let limit = model.peek().map_or(to, |Reverse((at, _))| (*at).min(to));
+                    now = now.max(limit);
+                    prop_assert_eq!(cal.advance_to(to), now);
+                }
+                _ => {
+                    let mut want: Vec<_> = model.iter().map(|Reverse(e)| *e).collect();
+                    want.sort_unstable();
+                    prop_assert_eq!(iter_multiset(&cal), want.clone());
+                    let entries: Vec<_> =
+                        cal.entries().into_iter().map(|(at, s, &e)| (at, s, e)).collect();
+                    let in_order: Vec<_> = entries.iter().map(|&(at, s, _)| (at, s)).collect();
+                    prop_assert_eq!(in_order, want);
+                    prop_assert!(entries.iter().all(|&(_, s, e)| s == e));
+                    // Rebuild from the entries in reverse: `from_parts` sorts.
+                    let mut reversed = entries;
+                    reversed.reverse();
+                    cal = Calendar::from_parts(cal.now(), cal.next_seq(), reversed);
+                }
+            }
+            prop_assert_eq!(cal.now(), now);
+            prop_assert_eq!(cal.len(), model.len());
+            prop_assert_eq!(cal.peek_time(), model.peek().map(|Reverse((at, _))| *at));
+            prop_assert_eq!(cal.next_seq(), seq);
+        }
+        prop_assert_eq!(iter_multiset(&cal).len(), model.len());
+        while let Some(Reverse(want)) = model.pop() {
+            prop_assert_eq!(cal.pop(), Some(want));
+        }
+        prop_assert_eq!(cal.pop(), None);
     }
 
     #[test]
