@@ -544,12 +544,6 @@ pub struct SimSpeed {
     pub clock_cycles_per_sec: f64,
     /// Speedup over the paper's reported 747 cycles/s.
     pub speedup_vs_paper: f64,
-    /// Simulated slots of the ACL-saturated window.
-    pub saturated_slots: u64,
-    /// Slots per wall second with every slot carrying saturated ACL
-    /// traffic — the hot-path row: nothing is idle, so this measures the
-    /// per-packet encode/channel/decode cost (see `docs/PERF.md`).
-    pub saturated_slots_per_sec: f64,
 }
 
 impl SimSpeed {
@@ -571,20 +565,13 @@ impl SimSpeed {
             "1x".into(),
             format!("{:.0}x", self.speedup_vs_paper),
         ]);
-        t.row([
-            "ACL-saturated slots / wall second".into(),
-            "-".into(),
-            format!("{:.0}", self.saturated_slots_per_sec),
-        ]);
         t
     }
 }
 
 /// **Table 1** (the §3.1 performance paragraph) — simulation speed of the
 /// piconet-creation scenario: the paper simulated 0.48 s in 10′47″
-/// (747 clock cycles per second at the 1 µs symbol clock). The
-/// ACL-saturated row extends the measurement with the steady-state
-/// traffic workload the word-parallel hot path is judged on.
+/// (747 clock cycles per second at the 1 µs symbol clock).
 pub fn table1_sim_speed(seed: u64, engine: Engine) -> SimSpeed {
     let sim_seconds = 0.48;
     let mut cfg = paper_config();
@@ -594,7 +581,7 @@ pub fn table1_sim_speed(seed: u64, engine: Engine) -> SimSpeed {
         n_slaves: 3,
         inquiry_timeout_slots: (sim_seconds * 1600.0) as u32,
         page_timeout_slots: 512,
-        sim: cfg.clone(),
+        sim: cfg,
         ..CreationConfig::default()
     })
     .run(seed);
@@ -602,45 +589,12 @@ pub fn table1_sim_speed(seed: u64, engine: Engine) -> SimSpeed {
     let wall = started.elapsed().as_secs_f64().max(1e-9);
     let cycles = sim_seconds * 1e6; // 1 MHz symbol clock
     let per_sec = cycles / wall;
-    let (saturated_slots, saturated_slots_per_sec) = saturated_slots_per_sec(seed, cfg);
     SimSpeed {
         sim_seconds,
         wall_seconds: wall,
         clock_cycles_per_sec: per_sec,
         speedup_vs_paper: per_sec / 747.0,
-        saturated_slots,
-        saturated_slots_per_sec,
     }
-}
-
-/// Times an ACL-saturated window on an already-connected pair: the
-/// master polls every other slot and drains a transfer large enough to
-/// keep every slot busy, so the run isolates per-packet hot-path cost
-/// (coding, medium, baseband) from formation and idle skipping.
-fn saturated_slots_per_sec(seed: u64, cfg: crate::SimConfig) -> (u64, f64) {
-    let slots = 10_000u64;
-    let mut b = SimBuilder::new(seed ^ 0x5A7, cfg);
-    let m = b.add_device("master");
-    let s = b.add_device("slave1");
-    let mut sim = b.build();
-    let Some(lt) = connect_pair(&mut sim, m, s, SimTime::from_us(60_000_000)) else {
-        return (slots, 0.0); // clean channel: does not happen
-    };
-    sim.command(m, LcCommand::SetTpoll(2));
-    sim.command(
-        m,
-        LcCommand::AclData {
-            lt_addr: lt,
-            data: vec![0x5A; slots as usize * 9],
-        },
-    );
-    let end = sim.now() + SimDuration::from_slots(slots);
-    let started = Instant::now();
-    sim.run_until(end);
-    (
-        slots,
-        slots as f64 / started.elapsed().as_secs_f64().max(1e-9),
-    )
 }
 
 /// One row of the extension experiment Ext-A.
@@ -1751,9 +1705,7 @@ pub fn scat_speed(opts: &ExpOptions) -> ScatSpeed {
         .iter()
         .map(|&n| {
             // Form the topology outside the timed region so the number
-            // is pure steady-state engine throughput, matching the
-            // `scatternet_scaling` criterion bench (which isolates
-            // formation in its batched setup).
+            // is pure steady-state engine throughput.
             let mut topo = crate::net::Topology::new();
             for p in 0..n {
                 topo.piconet(&format!("p{p}"), 1);
@@ -1804,20 +1756,9 @@ pub fn scat_speed(opts: &ExpOptions) -> ScatSpeed {
 
 /// Times the saturated window of one dense spatial floor (a 4×2 grid of
 /// 2-piconet clusters, 32 devices) at the given worker-shard cap: the
-/// slots/sec-vs-shards row of `scat_speed` and `bench_hotpath`.
+/// slots/sec-vs-shards row of `scat_speed`.
 pub fn dense_floor_speed(opts: &ExpOptions, shards: usize, measure: u64) -> ShardSpeedRow {
-    dense_floor_speed_on(opts, (4, 2), 2, shards, measure)
-}
-
-/// [`dense_floor_speed`] with an explicit floor layout: `grid` clusters
-/// of `per_point` co-located piconets each.
-pub fn dense_floor_speed_on(
-    opts: &ExpOptions,
-    grid: (usize, usize),
-    per_point: usize,
-    shards: usize,
-    measure: u64,
-) -> ShardSpeedRow {
+    let (grid, per_point) = ((4, 2), 2);
     let base = DenseFloorConfig {
         grid,
         piconets_per_point: per_point,
