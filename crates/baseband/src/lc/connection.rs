@@ -167,15 +167,26 @@ impl LinkState {
         self.in_flight.is_some() || !self.tx.is_empty()
     }
 
-    /// Fragment to transmit now: the unacknowledged one, or a fresh pop.
-    pub(crate) fn next_outgoing(&mut self, max_bytes: usize) -> Option<(Llid, Vec<u8>)> {
+    /// Fragment to transmit now — the unacknowledged one, or a fresh
+    /// pop — moved out without a copy. The in-flight slot keeps its LLID
+    /// but stays empty until [`LinkState::restore_outgoing`] hands the
+    /// bytes back, which the caller does as soon as it has built the
+    /// packet.
+    pub(crate) fn take_outgoing(&mut self, max_bytes: usize) -> Option<(Llid, Vec<u8>)> {
         if self.in_flight.is_none() {
             self.in_flight = self.tx.pop_fragment(max_bytes);
         }
-        self.in_flight.clone()
+        let (llid, data) = self.in_flight.as_mut()?;
+        Some((*llid, std::mem::take(data)))
     }
 
-    /// The `(llid, length)` [`LinkState::next_outgoing`] would transmit,
+    /// Puts back the bytes [`LinkState::take_outgoing`] lent out.
+    pub(crate) fn restore_outgoing(&mut self, data: Vec<u8>) {
+        let (_, lent) = self.in_flight.as_mut().expect("a fragment is in flight");
+        *lent = data;
+    }
+
+    /// The `(llid, length)` [`LinkState::take_outgoing`] would hand out,
     /// without consuming or cloning anything.
     pub(crate) fn peek_outgoing(&self, max_bytes: usize) -> Option<(Llid, usize)> {
         match &self.in_flight {
@@ -578,7 +589,7 @@ impl LinkController {
 
     pub(crate) fn rx_connection(
         &mut self,
-        rx: &super::RxDelivery,
+        rx: &super::RxDelivery<'_>,
         now: SimTime,
         out: &mut Vec<LcAction>,
     ) {
@@ -747,7 +758,7 @@ impl LinkController {
             return;
         };
         let slave = &mut m.slaves[idx];
-        let (header, payload) = match slave.link.next_outgoing(acl_prefer.max_user_bytes()) {
+        let (header, payload) = match slave.link.take_outgoing(acl_prefer.max_user_bytes()) {
             Some((llid, data)) if !slave.poll_asap => {
                 let ptype = if llid == Llid::Lmp {
                     fit_type(PacketType::Dm1, data.len())
@@ -769,16 +780,21 @@ impl LinkController {
                     },
                 )
             }
-            _ => (
-                Header {
-                    lt_addr: slave.lt_addr,
-                    ptype: PacketType::Poll,
-                    flow: true,
-                    arqn: slave.link.take_arqn(),
-                    seqn: slave.link.seqn_out,
-                },
-                Payload::None,
-            ),
+            lent => {
+                if let Some((_, data)) = lent {
+                    slave.link.restore_outgoing(data);
+                }
+                (
+                    Header {
+                        lt_addr: slave.lt_addr,
+                        ptype: PacketType::Poll,
+                        flow: true,
+                        arqn: slave.link.take_arqn(),
+                        seqn: slave.link.seqn_out,
+                    },
+                    Payload::None,
+                )
+            }
         };
         let n_slots = header.ptype.slots() as u64;
         slave.last_poll_slot = now_slot;
@@ -789,6 +805,9 @@ impl LinkController {
         }
         let lt = slave.lt_addr;
         let bits = self.codec.encode(&keys, &header, &payload);
+        if let Payload::Acl { data, .. } = payload {
+            slave.link.restore_outgoing(data);
+        }
         let resp_at = now + SimDuration::from_slots(n_slots);
         m.busy_until = resp_at + SimDuration::SLOT;
         m.awaiting = Some((lt, resp_at + SimDuration::SLOT));
@@ -809,7 +828,12 @@ impl LinkController {
 
     /// Feeds a reception to the master context; returns `true` when the
     /// packet decoded under the piconet's access code.
-    fn master_rx(&mut self, rx: &super::RxDelivery, now: SimTime, out: &mut Vec<LcAction>) -> bool {
+    fn master_rx(
+        &mut self,
+        rx: &super::RxDelivery<'_>,
+        now: SimTime,
+        out: &mut Vec<LcAction>,
+    ) -> bool {
         let own = self.addr;
         let clk_at_start = self.clkn(rx.start);
         let sync_threshold = self.cfg.sync_threshold;
@@ -821,8 +845,10 @@ impl LinkController {
             sync_threshold,
             fhs_fec,
         };
-        let Ok(packet::Decoded::Packet { header, payload }) =
-            packet::decode(&rx.bits, rx.collision_mask.as_ref(), &keys)
+        let Ok(packet::Decoded::Packet {
+            header,
+            mut payload,
+        }) = self.codec.decode(rx.bits, rx.collision_mask, &keys)
         else {
             return false;
         };
@@ -833,26 +859,22 @@ impl LinkController {
             return true;
         };
         let lt = slave.lt_addr;
-        let mut events = Vec::new();
         if slave.link.on_arqn(header.arqn) {
-            events.push(LcEvent::AclDelivered { lt_addr: lt });
+            out.push(LcAction::Event(LcEvent::AclDelivered { lt_addr: lt }));
         }
         if header.ptype.has_crc() {
-            if let Payload::Acl { llid, data, .. } = &payload {
+            if let Payload::Acl { llid, data, .. } = &mut payload {
                 if slave.link.on_rx_crc_packet(header.seqn) {
-                    events.push(LcEvent::AclReceived {
+                    out.push(LcAction::Event(LcEvent::AclReceived {
                         lt_addr: lt,
                         llid: *llid,
-                        data: data.clone(),
-                    });
+                        data: std::mem::take(data),
+                    }));
                 }
             }
         }
-        if let Payload::Sco(data) = &payload {
-            events.push(LcEvent::ScoReceived {
-                lt_addr: lt,
-                data: data.clone(),
-            });
+        if let Payload::Sco(data) = payload {
+            out.push(LcAction::Event(LcEvent::ScoReceived { lt_addr: lt, data }));
         }
         slave.poll_asap = false;
         slave.newconn_deadline_slot = None;
@@ -871,9 +893,6 @@ impl LinkController {
             None
         };
         m.awaiting = None;
-        for e in events {
-            out.push(LcAction::Event(e));
-        }
         if let Some(e) = mode_event {
             out.push(LcAction::Event(e));
         }
@@ -1021,7 +1040,7 @@ impl LinkController {
     fn slave_rx_one(
         &mut self,
         i: usize,
-        rx: &super::RxDelivery,
+        rx: &super::RxDelivery<'_>,
         now: SimTime,
         out: &mut Vec<LcAction>,
     ) -> bool {
@@ -1041,8 +1060,10 @@ impl LinkController {
             sync_threshold,
             fhs_fec,
         };
-        let Ok(packet::Decoded::Packet { header, payload }) =
-            packet::decode(&rx.bits, rx.collision_mask.as_ref(), &keys)
+        let Ok(packet::Decoded::Packet {
+            header,
+            mut payload,
+        }) = self.codec.decode(rx.bits, rx.collision_mask, &keys)
         else {
             return false;
         };
@@ -1052,37 +1073,41 @@ impl LinkController {
         }
         s.last_rx_slot = now.slots();
         s.sup_hold_excuse_slot = None;
-        let mut events = Vec::new();
+        // Indications go straight to `out`; a response transmission is
+        // inserted ahead of them at `mark`, so it is applied first.
+        let mark = out.len();
         let mut phase_change = false;
         // First packet of a new connection: we are in the piconet.
         if s.newconn_deadline_slot.take().is_some() {
             s.listening_full_slot = false;
-            events.push(LcEvent::Connected {
+            out.push(LcAction::Event(LcEvent::Connected {
                 master: s.master,
                 lt_addr: s.lt_addr,
-            });
+            }));
         }
         if s.resync || (s.mode == LinkMode::Hold && s.hold_until_slot.is_some()) {
             s.resync = false;
             s.hold_until_slot = None;
             s.mode = LinkMode::Active;
-            events.push(LcEvent::ModeChanged {
+            out.push(LcAction::Event(LcEvent::ModeChanged {
                 lt_addr: s.lt_addr,
                 mode: LinkMode::Active,
-            });
+            }));
             phase_change = true;
         }
         if !broadcast && s.link.on_arqn(header.arqn) {
-            events.push(LcEvent::AclDelivered { lt_addr: s.lt_addr });
+            out.push(LcAction::Event(LcEvent::AclDelivered {
+                lt_addr: s.lt_addr,
+            }));
         }
         if header.ptype.has_crc() {
-            if let Payload::Acl { llid, data, .. } = &payload {
+            if let Payload::Acl { llid, data, .. } = &mut payload {
                 if s.link.on_rx_crc_packet(header.seqn) {
-                    events.push(LcEvent::AclReceived {
+                    out.push(LcAction::Event(LcEvent::AclReceived {
                         lt_addr: s.lt_addr,
                         llid: *llid,
-                        data: data.clone(),
-                    });
+                        data: std::mem::take(data),
+                    }));
                 }
             }
         }
@@ -1097,11 +1122,11 @@ impl LinkController {
         }
         // A voice packet: deliver it and answer with our own HV frame in
         // the reserved response slot (no ARQ on SCO).
-        if let Payload::Sco(data) = &payload {
-            events.push(LcEvent::ScoReceived {
+        if let Payload::Sco(data) = payload {
+            out.push(LcAction::Event(LcEvent::ScoReceived {
                 lt_addr: s.lt_addr,
-                data: data.clone(),
-            });
+                data,
+            }));
             if let Some(params) = s.sco {
                 let resp_at = rx.start + SimDuration::SLOT;
                 let resp_clk = clk_start.offset_by(2);
@@ -1126,14 +1151,14 @@ impl LinkController {
                     s.master.hop_input(),
                     afh.for_slot(resp_at.slots()),
                 );
-                out.push(LcAction::Tx {
-                    at: resp_at,
-                    rf_channel: ch,
-                    bits,
-                });
-            }
-            for e in events {
-                out.push(LcAction::Event(e));
+                out.insert(
+                    mark,
+                    LcAction::Tx {
+                        at: resp_at,
+                        rf_channel: ch,
+                        bits,
+                    },
+                );
             }
             if phase_change {
                 self.set_phase(self.connection_phase(), out);
@@ -1152,7 +1177,7 @@ impl LinkController {
                 ..keys
             };
             let (resp_header, resp_payload) =
-                match s.link.next_outgoing(acl_prefer.max_user_bytes()) {
+                match s.link.take_outgoing(acl_prefer.max_user_bytes()) {
                     Some((llid, data)) => {
                         let ptype = if llid == Llid::Lmp {
                             fit_type(PacketType::Dm1, data.len())
@@ -1187,16 +1212,19 @@ impl LinkController {
                 };
             let master = s.master;
             let bits = self.codec.encode(&resp_keys, &resp_header, &resp_payload);
+            if let Payload::Acl { data, .. } = resp_payload {
+                s.link.restore_outgoing(data);
+            }
             s.busy_until = resp_at + SimDuration::from_slots(resp_header.ptype.slots() as u64);
             let ch = conn_channel(resp_clk, master.hop_input(), afh.for_slot(resp_at.slots()));
-            out.push(LcAction::Tx {
-                at: resp_at,
-                rf_channel: ch,
-                bits,
-            });
-        }
-        for e in events {
-            out.push(LcAction::Event(e));
+            out.insert(
+                mark,
+                LcAction::Tx {
+                    at: resp_at,
+                    rf_channel: ch,
+                    bits,
+                },
+            );
         }
         if phase_change {
             self.set_phase(self.connection_phase(), out);
@@ -1488,11 +1516,15 @@ mod tests {
         l.tx.push(Llid::Start, vec![1, 2, 3]);
         assert!(l.has_data());
         let first_seqn = l.seqn_out;
-        let (llid, data) = l.next_outgoing(17).unwrap();
+        let (llid, data) = l.take_outgoing(17).unwrap();
         assert_eq!(llid, Llid::Start);
         assert_eq!(data, vec![1, 2, 3]);
+        assert_eq!(l.peek_outgoing(17), Some((Llid::Start, 0)), "lent out");
+        l.restore_outgoing(data);
         // Unacked: same fragment again (retransmission).
-        assert_eq!(l.next_outgoing(17).unwrap().1, vec![1, 2, 3]);
+        let (_, again) = l.take_outgoing(17).unwrap();
+        assert_eq!(again, vec![1, 2, 3]);
+        l.restore_outgoing(again);
         assert_eq!(l.seqn_out, first_seqn);
         // NAK does not advance.
         assert!(!l.on_arqn(false));
@@ -1601,15 +1633,16 @@ mod tests {
             1,
         );
         let map = ChannelMap::blocking(29..=50);
-        assert!(lc
-            .command(
-                LcCommand::SetAfhAt {
-                    map: map.clone(),
-                    at_slot: 100,
-                },
-                SimTime::ZERO,
-            )
-            .is_empty());
+        let mut out = Vec::new();
+        lc.command(
+            LcCommand::SetAfhAt {
+                map: map.clone(),
+                at_slot: 100,
+            },
+            SimTime::ZERO,
+            &mut out,
+        );
+        assert!(out.is_empty());
         // Hops before the instant keep the old (absent) map; hops at or
         // after it use the new one — on both sides of the same instant.
         assert_eq!(lc.afh_map_at(99), None);
@@ -1640,11 +1673,13 @@ mod tests {
                 at_slot: 100,
             },
             SimTime::ZERO,
+            &mut Vec::new(),
         );
         // Cancel before the instant: the switch never happens.
         lc.command(
             LcCommand::CancelAfhSwitch,
             SimTime::ZERO + SimDuration::from_slots(50),
+            &mut Vec::new(),
         );
         assert_eq!(lc.afh_map_at(100), None);
         assert_eq!(lc.afh_pending_switch(), None);
@@ -1656,10 +1691,12 @@ mod tests {
                 at_slot: 100,
             },
             SimTime::ZERO + SimDuration::from_slots(60),
+            &mut Vec::new(),
         );
         lc.command(
             LcCommand::CancelAfhSwitch,
             SimTime::ZERO + SimDuration::from_slots(150),
+            &mut Vec::new(),
         );
         assert_eq!(lc.afh_map_at(150), Some(&map));
         // A later re-schedule first folds in the effective switch.
@@ -1670,6 +1707,7 @@ mod tests {
                 at_slot: 300,
             },
             SimTime::ZERO + SimDuration::from_slots(200),
+            &mut Vec::new(),
         );
         assert_eq!(lc.afh_map_at(299), Some(&map));
         assert_eq!(lc.afh_map_at(300), Some(&wider));

@@ -125,7 +125,7 @@ impl LinkController {
 
     pub(crate) fn rx_inquiry(
         &mut self,
-        rx: &super::RxDelivery,
+        rx: &super::RxDelivery<'_>,
         now: SimTime,
         out: &mut Vec<LcAction>,
     ) {
@@ -133,7 +133,7 @@ impl LinkController {
         let Ok(packet::Decoded::Packet {
             header,
             payload: Payload::Fhs(fhs),
-        }) = packet::decode(&rx.bits, rx.collision_mask.as_ref(), &keys)
+        }) = self.codec.decode(rx.bits, rx.collision_mask, &keys)
         else {
             return;
         };
@@ -193,13 +193,12 @@ impl LinkController {
 
     pub(crate) fn rx_inquiry_scan(
         &mut self,
-        rx: &super::RxDelivery,
+        rx: &super::RxDelivery<'_>,
         now: SimTime,
         out: &mut Vec<LcAction>,
     ) {
         let keys = self.giac_keys();
-        let Ok(packet::Decoded::Id) = packet::decode(&rx.bits, rx.collision_mask.as_ref(), &keys)
-        else {
+        let Ok(packet::Decoded::Id) = self.codec.decode(rx.bits, rx.collision_mask, &keys) else {
             return;
         };
         let first_backoff = self

@@ -424,13 +424,15 @@ pub enum LcAction {
     Event(LcEvent),
 }
 
-/// A demodulated packet delivery from the channel.
-#[derive(Debug, Clone)]
-pub struct RxDelivery {
+/// A demodulated packet delivery from the channel. It borrows the bit
+/// image and mask, so a simulator can hand every listener of a
+/// transmission one receive buffer that it reuses across deliveries.
+#[derive(Debug, Clone, Copy)]
+pub struct RxDelivery<'a> {
     /// The (noisy) bit image.
-    pub bits: BitVec,
+    pub bits: &'a BitVec,
     /// Collision mask from the channel resolver, if any.
-    pub collision_mask: Option<BitVec>,
+    pub collision_mask: Option<&'a BitVec>,
     /// RF channel it arrived on.
     pub rf_channel: u8,
     /// Air time of the first bit.
@@ -465,7 +467,8 @@ pub(crate) enum ProcState {
 ///     LcConfig::default(),
 ///     7,
 /// );
-/// let actions = lc.command(LcCommand::InquiryScan, SimTime::ZERO);
+/// let mut actions = Vec::new();
+/// lc.command(LcCommand::InquiryScan, SimTime::ZERO, &mut actions);
 /// assert!(!actions.is_empty()); // opens the scan window
 /// ```
 #[derive(Debug, Clone)]
@@ -637,56 +640,57 @@ impl LinkController {
         }
     }
 
-    /// Half-slot tick: drive the current state.
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<LcAction> {
+    /// Half-slot tick: drive the current state, appending the actions
+    /// it asks for to `out`.
+    ///
+    /// All three entry points append and never read or clear `out`, so
+    /// a caller can drain one buffer after each call and reuse it.
+    pub fn on_tick(&mut self, now: SimTime, out: &mut Vec<LcAction>) {
         if now < self.ff_until {
             // The statistical tier already simulated this span.
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         match &mut self.state {
             ProcState::Standby => {}
-            ProcState::Inquiry(_) => self.tick_inquiry(now, &mut out),
-            ProcState::InquiryScan(_) => self.tick_inquiry_scan(now, &mut out),
-            ProcState::Page(_) => self.tick_page(now, &mut out),
-            ProcState::PageScan(_) => self.tick_page_scan(now, &mut out),
-            ProcState::Connection => self.tick_connection(now, &mut out),
+            ProcState::Inquiry(_) => self.tick_inquiry(now, out),
+            ProcState::InquiryScan(_) => self.tick_inquiry_scan(now, out),
+            ProcState::Page(_) => self.tick_page(now, out),
+            ProcState::PageScan(_) => self.tick_page_scan(now, out),
+            ProcState::Connection => self.tick_connection(now, out),
         }
-        out
     }
 
-    /// Packet delivery from the channel.
-    pub fn on_rx(&mut self, rx: &RxDelivery, now: SimTime) -> Vec<LcAction> {
+    /// Packet delivery from the channel; appends the resulting actions
+    /// to `out`.
+    pub fn on_rx(&mut self, rx: &RxDelivery<'_>, now: SimTime, out: &mut Vec<LcAction>) {
         self.ff_until = SimTime::ZERO; // a delivery may arm earlier work
-        let mut out = Vec::new();
         match &mut self.state {
             ProcState::Standby => {}
-            ProcState::Inquiry(_) => self.rx_inquiry(rx, now, &mut out),
-            ProcState::InquiryScan(_) => self.rx_inquiry_scan(rx, now, &mut out),
-            ProcState::Page(_) => self.rx_page(rx, now, &mut out),
-            ProcState::PageScan(_) => self.rx_page_scan(rx, now, &mut out),
-            ProcState::Connection => self.rx_connection(rx, now, &mut out),
+            ProcState::Inquiry(_) => self.rx_inquiry(rx, now, out),
+            ProcState::InquiryScan(_) => self.rx_inquiry_scan(rx, now, out),
+            ProcState::Page(_) => self.rx_page(rx, now, out),
+            ProcState::PageScan(_) => self.rx_page_scan(rx, now, out),
+            ProcState::Connection => self.rx_connection(rx, now, out),
         }
-        out
     }
 
-    /// Application / link-manager command.
-    pub fn command(&mut self, cmd: LcCommand, now: SimTime) -> Vec<LcAction> {
+    /// Application / link-manager command; appends the resulting
+    /// actions to `out`.
+    pub fn command(&mut self, cmd: LcCommand, now: SimTime, out: &mut Vec<LcAction>) {
         self.ff_until = SimTime::ZERO; // a command may arm earlier work
-        let mut out = Vec::new();
         match cmd {
             LcCommand::Inquiry {
                 num_responses,
                 timeout_slots,
-            } => self.start_inquiry(num_responses, timeout_slots, now, &mut out),
-            LcCommand::InquiryScan => self.start_inquiry_scan(now, &mut out),
+            } => self.start_inquiry(num_responses, timeout_slots, now, out),
+            LcCommand::InquiryScan => self.start_inquiry_scan(now, out),
             LcCommand::Page {
                 target,
                 clke_offset,
                 timeout_slots,
-            } => self.start_page(target, clke_offset, timeout_slots, now, &mut out),
-            LcCommand::PageScan => self.start_page_scan(now, &mut out),
-            LcCommand::AbortProcedure => self.abort_procedure(now, &mut out),
+            } => self.start_page(target, clke_offset, timeout_slots, now, out),
+            LcCommand::PageScan => self.start_page_scan(now, out),
+            LcCommand::AbortProcedure => self.abort_procedure(now, out),
             LcCommand::AclData { lt_addr, data } => {
                 self.queue_payload(lt_addr, packet::Llid::Start, data)
             }
@@ -712,32 +716,31 @@ impl LinkController {
                 self.afh_pending = None;
             }
             LcCommand::ScoSetup { lt_addr, params } => {
-                self.cmd_sco_setup(lt_addr, params, now, &mut out)
+                self.cmd_sco_setup(lt_addr, params, now, out)
             }
-            LcCommand::ScoRemove { lt_addr } => self.cmd_sco_remove(lt_addr, now, &mut out),
+            LcCommand::ScoRemove { lt_addr } => self.cmd_sco_remove(lt_addr, now, out),
             LcCommand::ScoData { lt_addr, data } => self.queue_sco(lt_addr, data),
-            LcCommand::Sniff { lt_addr, params } => self.cmd_sniff(lt_addr, params, now, &mut out),
-            LcCommand::Unsniff { lt_addr } => self.cmd_unsniff(lt_addr, now, &mut out),
+            LcCommand::Sniff { lt_addr, params } => self.cmd_sniff(lt_addr, params, now, out),
+            LcCommand::Unsniff { lt_addr } => self.cmd_unsniff(lt_addr, now, out),
             LcCommand::Hold {
                 lt_addr,
                 hold_slots,
-            } => self.cmd_hold(lt_addr, hold_slots, now, &mut out),
+            } => self.cmd_hold(lt_addr, hold_slots, now, out),
             LcCommand::HoldPiconet { master, hold_slots } => {
-                self.cmd_hold_piconet(master, hold_slots, now, &mut out)
+                self.cmd_hold_piconet(master, hold_slots, now, out)
             }
             LcCommand::AclDataTo { master, data } => self.queue_payload_to(master, data),
             LcCommand::Park {
                 lt_addr,
                 beacon_interval,
-            } => self.cmd_park(lt_addr, beacon_interval, now, &mut out),
-            LcCommand::Unpark { lt_addr } => self.cmd_unpark(lt_addr, now, &mut out),
-            LcCommand::Detach { lt_addr } => self.cmd_detach(lt_addr, now, &mut out),
+            } => self.cmd_park(lt_addr, beacon_interval, now, out),
+            LcCommand::Unpark { lt_addr } => self.cmd_unpark(lt_addr, now, out),
+            LcCommand::Detach { lt_addr } => self.cmd_detach(lt_addr, now, out),
             LcCommand::SetSupervisionTimeout { timeout_slots } => {
                 self.cfg.supervision_timeout_slots = timeout_slots;
             }
-            LcCommand::PowerOff => self.cmd_power_off(&mut out),
+            LcCommand::PowerOff => self.cmd_power_off(out),
         }
-        out
     }
 
     // ----- shared helpers -------------------------------------------------

@@ -242,7 +242,7 @@ impl LinkController {
 
     pub(crate) fn rx_page(
         &mut self,
-        rx: &super::RxDelivery,
+        rx: &super::RxDelivery<'_>,
         now: SimTime,
         out: &mut Vec<LcAction>,
     ) {
@@ -252,8 +252,7 @@ impl LinkController {
             };
             (ctx.target, self.dac_keys(ctx.target))
         };
-        let Ok(packet::Decoded::Id) = packet::decode(&rx.bits, rx.collision_mask.as_ref(), &keys)
-        else {
+        let Ok(packet::Decoded::Id) = self.codec.decode(rx.bits, rx.collision_mask, &keys) else {
             return;
         };
         let pageresp = SimDuration::from_slots(self.cfg.page_resp_timeout_slots as u64);
@@ -337,12 +336,12 @@ impl LinkController {
 
     pub(crate) fn rx_page_scan(
         &mut self,
-        rx: &super::RxDelivery,
+        rx: &super::RxDelivery<'_>,
         now: SimTime,
         out: &mut Vec<LcAction>,
     ) {
         let keys = self.dac_keys(self.addr);
-        let Ok(decoded) = packet::decode(&rx.bits, rx.collision_mask.as_ref(), &keys) else {
+        let Ok(decoded) = self.codec.decode(rx.bits, rx.collision_mask, &keys) else {
             return;
         };
         let pageresp = SimDuration::from_slots(self.cfg.page_resp_timeout_slots as u64);

@@ -246,7 +246,10 @@ pub fn stat_slot_pair(
     let m = master.master.as_mut().expect("attempt checked");
     let slot = &mut m.slaves[0];
     let lt_addr = slot.lt_addr;
-    let (llid, data) = slot.link.next_outgoing(max_user).expect("peeked non-empty");
+    // The fragment stays in flight until acknowledged; the delivery
+    // event gets its own copy.
+    let (llid, data) = slot.link.take_outgoing(max_user).expect("peeked non-empty");
+    slot.link.restore_outgoing(data.clone());
     debug_assert_eq!((llid, data.len()), (peek_llid, peek_len));
     debug_assert!(ptype.has_crc());
     let arqn_f = slot.link.take_arqn();

@@ -12,7 +12,7 @@
 //! ## The contract
 //!
 //! For every tick instant `t` with `from ≤ t < next_wakeup(from)`,
-//! `on_tick(t)` must return no actions and leave the controller in a
+//! `on_tick(t, out)` must append no actions and leave the controller in a
 //! state indistinguishable from not having been ticked at all. The hint
 //! may be **conservative** (earlier than necessary — a woken no-op tick
 //! is harmless, the engine just recomputes), but never late. `None`
@@ -441,10 +441,22 @@ fn stride2_steps_to_congruent(s0: u32, d: u32, t: u32) -> Option<u64> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{LcCommand, LcConfig};
+    use super::super::{LcAction, LcCommand, LcConfig};
     use super::*;
     use crate::address::BdAddr;
     use crate::clock::Clock;
+
+    /// The actions one tick at `now` appends.
+    fn tick(c: &mut LinkController, now: SimTime) -> Vec<LcAction> {
+        let mut out = Vec::new();
+        c.on_tick(now, &mut out);
+        out
+    }
+
+    /// Issues `cmd` at `now`, discarding the actions it appends.
+    fn command(c: &mut LinkController, cmd: LcCommand, now: SimTime) {
+        c.command(cmd, now, &mut Vec::new());
+    }
 
     fn lc(start: u32) -> LinkController {
         LinkController::new(
@@ -466,7 +478,8 @@ mod tests {
     fn inquiry_wakes_at_master_tx_halves() {
         for start in [0u32, 1, 2, 3, 7] {
             let mut c = lc(start);
-            c.command(
+            command(
+                &mut c,
                 LcCommand::Inquiry {
                     num_responses: 1,
                     timeout_slots: 0,
@@ -497,7 +510,8 @@ mod tests {
     #[test]
     fn inquiry_timeout_bounds_the_wake() {
         let mut c = lc(2); // CLK1 = 1 at tick 0: next TX half is tick 2
-        c.command(
+        command(
+            &mut c,
             LcCommand::Inquiry {
                 num_responses: 0,
                 timeout_slots: 1,
@@ -512,7 +526,7 @@ mod tests {
     #[test]
     fn inquiry_scan_sleeps_to_the_channel_epoch() {
         let mut c = lc(100);
-        c.command(LcCommand::InquiryScan, SimTime::ZERO);
+        command(&mut c, LcCommand::InquiryScan, SimTime::ZERO);
         // The start command already opened the window on the current
         // channel; nothing happens until CLKN crosses a 4096 boundary.
         let wake = c.next_wakeup(SimTime::from_ns(1)).unwrap();
@@ -522,12 +536,12 @@ mod tests {
         // Ticks before the epoch are no-ops.
         for j in [1u64, 2, 100, 2000, k - 1] {
             assert!(
-                c.on_tick(SimTime::from_ns(j * HALF_NS)).is_empty(),
+                tick(&mut c, SimTime::from_ns(j * HALF_NS)).is_empty(),
                 "tick {j} must be a no-op"
             );
         }
         // The epoch tick re-opens the window on the new channel.
-        assert!(!c.on_tick(wake).is_empty(), "epoch tick acts");
+        assert!(!tick(&mut c, wake).is_empty(), "epoch tick acts");
     }
 
     #[test]
@@ -544,21 +558,21 @@ mod tests {
             cfg,
             7,
         );
-        c.command(LcCommand::PageScan, SimTime::ZERO);
+        command(&mut c, LcCommand::PageScan, SimTime::ZERO);
         // Window opened at slot 0; next action closes it at slot 8.
         let wake = c.next_wakeup(SimTime::from_ns(1)).unwrap();
         assert_eq!(wake.ns() / HALF_NS, 16, "close at slot 8 = tick 16");
         for j in 1..16u64 {
-            assert!(c.on_tick(SimTime::from_ns(j * HALF_NS)).is_empty());
+            assert!(tick(&mut c, SimTime::from_ns(j * HALF_NS)).is_empty());
         }
-        assert!(!c.on_tick(wake).is_empty(), "window closes");
+        assert!(!tick(&mut c, wake).is_empty(), "window closes");
         // Now closed; next action re-opens at slot 64.
         let wake2 = c.next_wakeup(wake + SimDuration::from_ns(1)).unwrap();
         assert_eq!(wake2.ns() / HALF_NS, 128, "open at slot 64 = tick 128");
         for j in 17..128u64 {
-            assert!(c.on_tick(SimTime::from_ns(j * HALF_NS)).is_empty());
+            assert!(tick(&mut c, SimTime::from_ns(j * HALF_NS)).is_empty());
         }
-        assert!(!c.on_tick(wake2).is_empty(), "window reopens");
+        assert!(!tick(&mut c, wake2).is_empty(), "window reopens");
     }
 
     #[test]
@@ -586,7 +600,7 @@ mod tests {
         ];
         for (start, cmd) in cases {
             let mut c = lc(start);
-            c.command(cmd.clone(), SimTime::ZERO);
+            command(&mut c, cmd.clone(), SimTime::ZERO);
             let from = SimTime::from_ns(1);
             let Some(wake) = c.next_wakeup(from) else {
                 continue;
@@ -594,12 +608,12 @@ mod tests {
             let k = wake.ns() / HALF_NS;
             for j in 1..k {
                 assert!(
-                    c.on_tick(SimTime::from_ns(j * HALF_NS)).is_empty(),
+                    tick(&mut c, SimTime::from_ns(j * HALF_NS)).is_empty(),
                     "{cmd:?} from start {start}: tick {j} acted before hint {k}"
                 );
             }
             assert!(
-                !c.on_tick(wake).is_empty()
+                !tick(&mut c, wake).is_empty()
                     || c.next_wakeup(wake + SimDuration::from_ns(1)).is_some(),
                 "{cmd:?}: hint tick neither acts nor reschedules"
             );

@@ -13,6 +13,8 @@
 //! packet types of the 2005-era standard are implemented: ID, NULL, POLL,
 //! FHS, DM1/3/5, DH1/3/5, AUX1, HV1/2/3 and DV.
 
+use std::ops::Range;
+
 use btsim_coding::{crc, fec, hec, syncword, BitVec, Whitener};
 
 use crate::address::BdAddr;
@@ -376,21 +378,24 @@ pub fn encode_id(lap: u32) -> BitVec {
     syncword::access_code(lap, false)
 }
 
-/// Per-link encoder state: memoized access-code images (the 72-bit
+/// Per-link codec state: memoized access-code images (the 72-bit
 /// access code is invariant per LAP, but costs a BCH encode to build)
 /// plus a scratch body buffer reused across calls, so a saturated ACL
-/// slot allocates only the returned air image.
+/// slot allocates only the returned air image, and a reception only the
+/// payload bytes it decodes.
 ///
 /// [`LinkController`](crate::LinkController) owns one and routes every
-/// packet build through it; the free [`encode`] function wraps a fresh
-/// `Codec` for one-off callers and is bit-for-bit identical.
+/// packet build and every reception through it; the free [`encode`] and
+/// [`decode`] functions wrap a fresh `Codec` for one-off callers and are
+/// bit-for-bit identical.
 #[derive(Debug, Clone, Default)]
 pub struct Codec {
     /// Cached access codes keyed by `(lap, with_trailer)`. A device
     /// talks to a handful of LAPs (its own CAC, peers' DACs, the GIAC),
     /// so a linear scan beats hashing.
     codes: Vec<(u32, bool, BitVec)>,
-    /// Reused body staging buffer (payload header + data + CRC).
+    /// Reused body buffer: the payload header + data + CRC being
+    /// encoded, or the FEC-decoded, de-whitened body being received.
     scratch: BitVec,
 }
 
@@ -600,14 +605,176 @@ pub enum Decoded {
     },
 }
 
-fn region_collided(mask: Option<&BitVec>, start: usize, len: usize) -> bool {
+/// Whether `mask` marks any bit of `range` as collided, 64 bits a step
+/// (bits past the mask's end count as clean).
+fn region_collided(mask: Option<&BitVec>, range: Range<usize>) -> bool {
     let Some(mask) = mask else { return false };
-    (start..start + len).any(|i| mask.get(i) == Some(true))
+    range
+        .clone()
+        .step_by(64)
+        .any(|i| mask.bits_lsb(i, (range.end - i).min(64) as u32) != 0)
+}
+
+/// The `n` bytes packed LSB-first at bit `start` of `bits`.
+fn read_bytes(bits: &BitVec, start: usize, n: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(n);
+    for k in (0..n).step_by(8) {
+        let m = (n - k).min(8);
+        let word = bits.bits_lsb(start + 8 * k, 8 * m as u32);
+        out.extend_from_slice(&word.to_le_bytes()[..m]);
+    }
+    out
+}
+
+impl Codec {
+    /// Decodes a received bit image against the link keys.
+    ///
+    /// `mask` marks bits hit by a collision (from the channel resolver).
+    /// The FEC, whitening and CRC stages run in the codec's scratch
+    /// buffer, read from the image by bit offset, so a reused codec
+    /// allocates only the payload bytes it returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] naming the first stage that failed; the
+    /// caller maps these to retransmissions or silence.
+    pub fn decode(
+        &mut self,
+        bits: &BitVec,
+        mask: Option<&BitVec>,
+        keys: &LinkKeys,
+    ) -> Result<Decoded, DecodeError> {
+        if bits.len() < syncword::ID_PACKET_BITS {
+            return Err(DecodeError::BadLength);
+        }
+        let corr = syncword::correlate(bits, 4, mask, keys.lap, keys.sync_threshold);
+        if !corr.detected {
+            return Err(DecodeError::NoSync);
+        }
+        if bits.len() <= syncword::ID_PACKET_BITS + ID_SLACK_BITS {
+            return Ok(Decoded::Id);
+        }
+        let pay_start = 72 + HEADER_AIR_BITS;
+        if bits.len() < pay_start {
+            return Err(DecodeError::BadLength);
+        }
+        if region_collided(mask, 72..pay_start) {
+            return Err(DecodeError::HeaderCollision);
+        }
+        let mut whitener = Whitener::from_clk(keys.whiten);
+        let body = &mut self.scratch;
+        body.clear();
+        fec::fec13_decode(bits, 72..pay_start, body);
+        let header_bits = body.bits_lsb(0, 18) ^ whitener.next_bits(18);
+        let info = (header_bits & 0x3FF) as u16;
+        let rx_hec = (header_bits >> 10) as u8;
+        if !hec::check(keys.uap, info, rx_hec) {
+            return Err(DecodeError::HeaderHec);
+        }
+        let header = Header::from_info(info).ok_or(DecodeError::UnknownType)?;
+
+        if matches!(header.ptype, PacketType::Null | PacketType::Poll) {
+            return Ok(Decoded::Packet {
+                header,
+                payload: Payload::None,
+            });
+        }
+        let raw = pay_start..bits.len();
+        if region_collided(mask, raw.clone()) {
+            return Err(DecodeError::PayloadCollision);
+        }
+
+        // Undo FEC into the scratch, then de-whiten it in place.
+        body.clear();
+        match header.ptype {
+            PacketType::Hv1 => {
+                if !raw.len().is_multiple_of(3) {
+                    return Err(DecodeError::BadLength);
+                }
+                fec::fec13_decode(bits, raw, body);
+            }
+            PacketType::Fhs if !keys.fhs_fec => body.extend_range(bits, raw),
+            t if t.fec23() || t == PacketType::Fhs => {
+                if !raw.len().is_multiple_of(15) {
+                    return Err(DecodeError::BadLength);
+                }
+                fec::fec23_decode(bits, raw, body);
+            }
+            _ => body.extend_range(bits, raw),
+        }
+        whitener.xor_into(body);
+
+        match header.ptype {
+            PacketType::Fhs => {
+                if body.len() < 160 {
+                    return Err(DecodeError::BadLength);
+                }
+                if !crc::check_framed(keys.uap, body, 160) {
+                    return Err(DecodeError::PayloadCrc);
+                }
+                body.truncate(144);
+                let fhs = FhsPayload::unpack(body).ok_or(DecodeError::PayloadFormat)?;
+                Ok(Decoded::Packet {
+                    header,
+                    payload: Payload::Fhs(fhs),
+                })
+            }
+            t if t.is_acl_data() => {
+                let ph_bytes = t.payload_header_bytes();
+                if body.len() < ph_bytes * 8 {
+                    return Err(DecodeError::BadLength);
+                }
+                let (llid_code, flow, length) = if ph_bytes == 1 {
+                    let h = body.bits_lsb(0, 8);
+                    ((h & 0b11) as u8, h & 0b100 != 0, ((h >> 3) & 0x1F) as usize)
+                } else {
+                    let h = body.bits_lsb(0, 16);
+                    (
+                        (h & 0b11) as u8,
+                        h & 0b100 != 0,
+                        ((h >> 3) & 0x1FF) as usize,
+                    )
+                };
+                let llid = Llid::from_code(llid_code).ok_or(DecodeError::PayloadFormat)?;
+                if length > t.max_user_bytes() {
+                    return Err(DecodeError::PayloadFormat);
+                }
+                let framed_bits = (ph_bytes + length) * 8 + if t.has_crc() { 16 } else { 0 };
+                if body.len() < framed_bits {
+                    return Err(DecodeError::BadLength);
+                }
+                if t.has_crc() && !crc::check_framed(keys.uap, body, framed_bits) {
+                    return Err(DecodeError::PayloadCrc);
+                }
+                let data = read_bytes(body, ph_bytes * 8, length);
+                Ok(Decoded::Packet {
+                    header,
+                    payload: Payload::Acl { llid, flow, data },
+                })
+            }
+            PacketType::Hv1 | PacketType::Hv2 | PacketType::Hv3 => {
+                let want = header.ptype.max_user_bytes();
+                if body.len() < want * 8 {
+                    return Err(DecodeError::BadLength);
+                }
+                Ok(Decoded::Packet {
+                    header,
+                    payload: Payload::Sco(read_bytes(body, 0, want)),
+                })
+            }
+            // DV combines an unprotected voice field with a FEC-protected
+            // data field in one payload; no experiment or LMP procedure of
+            // the paper uses it, so it is recognised but not reassembled.
+            PacketType::Dv => Err(DecodeError::PayloadFormat),
+            _ => Err(DecodeError::UnknownType),
+        }
+    }
 }
 
 /// Decodes a received bit image against the link keys.
 ///
-/// `mask` marks bits hit by a collision (from the channel resolver).
+/// One-off form of [`Codec::decode`] (no scratch reuse); hot paths
+/// should hold a [`Codec`] instead.
 ///
 /// # Errors
 ///
@@ -618,129 +785,7 @@ pub fn decode(
     mask: Option<&BitVec>,
     keys: &LinkKeys,
 ) -> Result<Decoded, DecodeError> {
-    if bits.len() < syncword::ID_PACKET_BITS {
-        return Err(DecodeError::BadLength);
-    }
-    let corr = syncword::correlate(bits, 4, mask, keys.lap, keys.sync_threshold);
-    if !corr.detected {
-        return Err(DecodeError::NoSync);
-    }
-    if bits.len() <= syncword::ID_PACKET_BITS + ID_SLACK_BITS {
-        return Ok(Decoded::Id);
-    }
-    if bits.len() < 72 + HEADER_AIR_BITS {
-        return Err(DecodeError::BadLength);
-    }
-    if region_collided(mask, 72, HEADER_AIR_BITS) {
-        return Err(DecodeError::HeaderCollision);
-    }
-    let mut whitener = Whitener::from_clk(keys.whiten);
-    let (header_fec, _) = fec::fec13_decode(&bits.slice(72, HEADER_AIR_BITS));
-    let header_bits = whitener.apply(&header_fec);
-    let info = header_bits.bits_lsb(0, 10) as u16;
-    let rx_hec = header_bits.bits_lsb(10, 8) as u8;
-    if !hec::check(keys.uap, info, rx_hec) {
-        return Err(DecodeError::HeaderHec);
-    }
-    let header = Header::from_info(info).ok_or(DecodeError::UnknownType)?;
-
-    let pay_start = 72 + HEADER_AIR_BITS;
-    let pay_bits = bits.len() - pay_start;
-    if matches!(header.ptype, PacketType::Null | PacketType::Poll) {
-        return Ok(Decoded::Packet {
-            header,
-            payload: Payload::None,
-        });
-    }
-    if region_collided(mask, pay_start, pay_bits) {
-        return Err(DecodeError::PayloadCollision);
-    }
-    let raw = bits.slice(pay_start, pay_bits);
-
-    // Undo FEC.
-    let body_white = match header.ptype {
-        PacketType::Hv1 => {
-            if !raw.len().is_multiple_of(3) {
-                return Err(DecodeError::BadLength);
-            }
-            fec::fec13_decode(&raw).0
-        }
-        PacketType::Fhs if !keys.fhs_fec => raw,
-        t if t.fec23() || t == PacketType::Fhs => {
-            if !raw.len().is_multiple_of(15) {
-                return Err(DecodeError::BadLength);
-            }
-            fec::fec23_decode(&raw).data
-        }
-        _ => raw,
-    };
-    let body = whitener.apply(&body_white);
-
-    match header.ptype {
-        PacketType::Fhs => {
-            if body.len() < 160 {
-                return Err(DecodeError::BadLength);
-            }
-            let framed = body.slice(0, 160);
-            let info = crc::strip_crc(keys.uap, &framed).ok_or(DecodeError::PayloadCrc)?;
-            let fhs = FhsPayload::unpack(&info).ok_or(DecodeError::PayloadFormat)?;
-            Ok(Decoded::Packet {
-                header,
-                payload: Payload::Fhs(fhs),
-            })
-        }
-        t if t.is_acl_data() => {
-            let ph_bytes = t.payload_header_bytes();
-            if body.len() < ph_bytes * 8 {
-                return Err(DecodeError::BadLength);
-            }
-            let (llid_code, flow, length) = if ph_bytes == 1 {
-                let h = body.bits_lsb(0, 8);
-                ((h & 0b11) as u8, h & 0b100 != 0, ((h >> 3) & 0x1F) as usize)
-            } else {
-                let h = body.bits_lsb(0, 16);
-                (
-                    (h & 0b11) as u8,
-                    h & 0b100 != 0,
-                    ((h >> 3) & 0x1FF) as usize,
-                )
-            };
-            let llid = Llid::from_code(llid_code).ok_or(DecodeError::PayloadFormat)?;
-            if length > t.max_user_bytes() {
-                return Err(DecodeError::PayloadFormat);
-            }
-            let framed_bits = (ph_bytes + length) * 8 + if t.has_crc() { 16 } else { 0 };
-            if body.len() < framed_bits {
-                return Err(DecodeError::BadLength);
-            }
-            let framed = body.slice(0, framed_bits);
-            let content = if t.has_crc() {
-                crc::strip_crc(keys.uap, &framed).ok_or(DecodeError::PayloadCrc)?
-            } else {
-                framed
-            };
-            let data = content.slice(ph_bytes * 8, length * 8).to_bytes_lsb();
-            Ok(Decoded::Packet {
-                header,
-                payload: Payload::Acl { llid, flow, data },
-            })
-        }
-        PacketType::Hv1 | PacketType::Hv2 | PacketType::Hv3 => {
-            let want = header.ptype.max_user_bytes() * 8;
-            if body.len() < want {
-                return Err(DecodeError::BadLength);
-            }
-            Ok(Decoded::Packet {
-                header,
-                payload: Payload::Sco(body.slice(0, want).to_bytes_lsb()),
-            })
-        }
-        // DV combines an unprotected voice field with a FEC-protected data
-        // field in one payload; no experiment or LMP procedure of the paper
-        // uses it, so it is recognised but not reassembled.
-        PacketType::Dv => Err(DecodeError::PayloadFormat),
-        _ => Err(DecodeError::UnknownType),
-    }
+    Codec::new().decode(bits, mask, keys)
 }
 
 /// Air length in bits of an encoded packet with the given type and user
@@ -1019,6 +1064,132 @@ mod tests {
             );
         }
         assert_eq!(codec.encode_id(keys().lap), encode_id(keys().lap));
+    }
+
+    #[test]
+    fn codec_reuse_matches_one_off_decode() {
+        // One Codec decodes a shuffled mix of every packet type, clean
+        // and damaged, so many decodes start from a scratch buffer that
+        // a longer packet or a failed stage left dirty. Every result
+        // must equal a fresh one-off decode.
+        let mut k2 = keys();
+        k2.fhs_fec = false;
+        let mut images: Vec<(BitVec, LinkKeys)> = vec![(encode_id(keys().lap), keys())];
+        for t in [
+            PacketType::Null,
+            PacketType::Poll,
+            PacketType::Fhs,
+            PacketType::Dm1,
+            PacketType::Dh1,
+            PacketType::Dm3,
+            PacketType::Dh3,
+            PacketType::Dm5,
+            PacketType::Dh5,
+            PacketType::Aux1,
+            PacketType::Hv1,
+            PacketType::Hv2,
+            PacketType::Hv3,
+            PacketType::Dv,
+        ] {
+            let payload = match t {
+                PacketType::Null | PacketType::Poll => Payload::None,
+                PacketType::Fhs => Payload::Fhs(fhs_payload()),
+                PacketType::Hv1 | PacketType::Hv2 | PacketType::Hv3 | PacketType::Dv => {
+                    Payload::Sco((0..t.max_user_bytes()).map(|i| i as u8 ^ 0x5A).collect())
+                }
+                _ => Payload::Acl {
+                    llid: Llid::Continuation,
+                    flow: true,
+                    data: (0..t.max_user_bytes()).map(|i| (i * 7) as u8).collect(),
+                },
+            };
+            images.push((encode(&keys(), &header(t), &payload), keys()));
+            if t == PacketType::Fhs {
+                images.push((encode(&k2, &header(t), &payload), k2));
+            }
+        }
+        let mut cases: Vec<(BitVec, Option<BitVec>, LinkKeys)> = Vec::new();
+        for (air, k) in &images {
+            let len = air.len();
+            cases.push((air.clone(), None, *k));
+            // Collisions over a few sync bits (still detected), the
+            // header, and the last payload bit.
+            for at in [10, 80, len - 1] {
+                if at >= len {
+                    continue;
+                }
+                let mut mask = BitVec::zeros(len);
+                mask.fill_range(at, (at + 3).min(len));
+                cases.push((air.clone(), Some(mask), *k));
+            }
+            let mut wrong_lap = *k;
+            wrong_lap.lap ^= 0x00_F00F;
+            cases.push((air.clone(), None, wrong_lap));
+            let mut wrong_uap = *k;
+            wrong_uap.uap ^= 0x01;
+            cases.push((air.clone(), None, wrong_uap));
+            // Payload damage: one flip (FEC may correct it), then a
+            // burst no code corrects.
+            if len > 140 {
+                let mut one = air.clone();
+                one.toggle(130);
+                cases.push((one, None, *k));
+                let mut burst = air.clone();
+                for i in 130..150 {
+                    burst.toggle(i);
+                }
+                cases.push((burst, None, *k));
+            }
+            // Bad lengths: cut mid-header and mid-payload, and one
+            // extra bit.
+            for cut in [100, len.saturating_sub(5)] {
+                if cut > 0 && cut < len {
+                    cases.push((air.slice(0, cut), None, *k));
+                }
+            }
+            let mut longer = air.clone();
+            longer.push(true);
+            cases.push((longer, None, *k));
+        }
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in (1..cases.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            cases.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let mut codec = Codec::new();
+        let mut outcomes = std::collections::HashSet::new();
+        for (i, (air, mask, k)) in cases.iter().enumerate() {
+            let want = decode(air, mask.as_ref(), k);
+            assert_eq!(
+                codec.decode(air, mask.as_ref(), k),
+                want,
+                "case {i}: {} bits",
+                air.len()
+            );
+            outcomes.insert(match want {
+                Ok(Decoded::Id) => "id".to_string(),
+                Ok(Decoded::Packet { header, .. }) => format!("{:?}", header.ptype),
+                Err(e) => format!("{e:?}"),
+            });
+        }
+        for seen in [
+            "id",
+            "Fhs",
+            "Dm1",
+            "Dh5",
+            "Hv1",
+            "NoSync",
+            "BadLength",
+            "HeaderCollision",
+            "HeaderHec",
+            "PayloadCollision",
+            "PayloadCrc",
+            "PayloadFormat",
+        ] {
+            assert!(outcomes.contains(seen), "no case decoded to {seen}");
+        }
     }
 
     #[test]

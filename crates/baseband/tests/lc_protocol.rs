@@ -57,7 +57,8 @@ impl Harness {
 
     fn command(&mut self, dev: usize, cmd: LcCommand) {
         let now = self.now;
-        let actions = self.lcs[dev].command(cmd, now);
+        let mut actions = Vec::new();
+        self.lcs[dev].command(cmd, now, &mut actions);
         self.apply(dev, actions);
     }
 
@@ -136,14 +137,15 @@ impl Harness {
                 let open = w.from <= p.at && w.until.is_none_or(|u| u >= p.at);
                 if open && w.rf_channel == p.rf_channel {
                     let rx = RxDelivery {
-                        bits: p.bits.clone(),
+                        bits: &p.bits,
                         collision_mask: None,
                         rf_channel: p.rf_channel,
                         start: p.at,
                         end,
                     };
                     let t = end + SimDuration::from_us(5);
-                    let actions = self.lcs[dev].on_rx(&rx, t);
+                    let mut actions = Vec::new();
+                    self.lcs[dev].on_rx(&rx, t, &mut actions);
                     self.apply(dev, actions);
                 }
             }
@@ -152,7 +154,8 @@ impl Harness {
         self.now = horizon;
         for dev in 0..self.lcs.len() {
             let now = self.now;
-            let actions = self.lcs[dev].on_tick(now);
+            let mut actions = Vec::new();
+            self.lcs[dev].on_tick(now, &mut actions);
             self.apply(dev, actions);
         }
     }

@@ -197,11 +197,13 @@ fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
 }
 
 fn coding_rows(timer: &Timer) -> Vec<JsonValue> {
-    let dh5_body = BitVec::from_fn(2728, |i| i % 3 == 0); // DH5 framed payload
+    let mut dh5_body = BitVec::from_fn(2728, |i| i % 3 == 0); // DH5 framed payload
     let dm5_body = BitVec::from_fn(1810, |i| i % 5 < 2); // DM5 framed payload
-    let dm5_coded = fec::fec23_encode(&dm5_body);
+    let mut dm5_coded = BitVec::new();
+    fec::fec23_encode_into(&dm5_body, &mut dm5_coded);
     let header_bits = BitVec::from_fn(18, |i| i % 2 == 0);
-    let header_coded = fec::fec13_encode(&header_bits);
+    let mut header_coded = BitVec::new();
+    fec::fec13_encode_into(&header_bits, &mut header_coded);
     let keys = LinkKeys {
         lap: 0x2C7F91,
         uap: 0x47,
@@ -221,8 +223,22 @@ fn coding_rows(timer: &Timer) -> Vec<JsonValue> {
         flow: false,
         data: vec![0xA5; 339],
     };
+    // The dense floor's packet: a full DM1.
+    let dm1 = Header {
+        ptype: PacketType::Dm1,
+        ..dh5
+    };
+    let dm1_payload = Payload::Acl {
+        llid: Llid::Start,
+        flow: false,
+        data: vec![0x5A; 17],
+    };
+    // One codec and one output buffer serve every row, as in the
+    // simulator, where each link controller reuses its codec's scratch.
     let mut codec = packet::Codec::new();
     let air = codec.encode(&keys, &dh5, &payload);
+    let dm1_air = codec.encode(&keys, &dm1, &dm1_payload);
+    let mut out = BitVec::new();
     let hop_addr = BdAddr::new(0, 0x47, 0x2A96EF).hop_input();
     let inquiry = HopSequence::Inquiry {
         kofs: hop::KOFFSET_A,
@@ -240,23 +256,35 @@ fn coding_rows(timer: &Timer) -> Vec<JsonValue> {
     header("coding op", "ns/op");
     row(
         "whiten_2728b",
-        &mut each(|| Whitener::from_clk(0x15).whiten(&dh5_body)),
+        &mut each(|| Whitener::from_clk(0x15).xor_into(&mut dh5_body)),
     );
     row(
         "fec13_encode_18b",
-        &mut each(|| fec::fec13_encode(&header_bits)),
+        &mut each(|| {
+            out.clear();
+            fec::fec13_encode_into(&header_bits, &mut out);
+        }),
     );
     row(
         "fec13_decode_54b",
-        &mut each(|| fec::fec13_decode(&header_coded)),
+        &mut each(|| {
+            out.clear();
+            fec::fec13_decode(&header_coded, 0..header_coded.len(), &mut out)
+        }),
     );
     row(
         "fec23_encode_1810b",
-        &mut each(|| fec::fec23_encode(&dm5_body)),
+        &mut each(|| {
+            out.clear();
+            fec::fec23_encode_into(&dm5_body, &mut out);
+        }),
     );
     row(
         "fec23_decode_2715b",
-        &mut each(|| fec::fec23_decode(&dm5_coded)),
+        &mut each(|| {
+            out.clear();
+            fec::fec23_decode(&dm5_coded, 0..dm5_coded.len(), &mut out)
+        }),
     );
     row(
         "crc16_2728b",
@@ -268,7 +296,11 @@ fn coding_rows(timer: &Timer) -> Vec<JsonValue> {
     );
     row(
         "decode_dh5",
-        &mut each(|| packet::decode(&air, None, &keys).expect("clean")),
+        &mut each(|| codec.decode(&air, None, &keys).expect("clean")),
+    );
+    row(
+        "decode_dm1_17B",
+        &mut each(|| codec.decode(&dm1_air, None, &keys).expect("clean")),
     );
     row(
         "correlate_sync",

@@ -1193,13 +1193,21 @@ impl Medium {
     ///
     /// The transmission stays registered (later `begin_tx` calls within
     /// the retention window still collide against it), so its bit image
-    /// is cloned exactly once into the returned [`Reception`]; masks are
+    /// is copied exactly once into the returned [`Reception`]; masks are
     /// built with ranged word fills over the co-channel traffic only —
     /// in spatial mode, further culled to sources within interaction
     /// range of the transmitter (interference is source-pairwise; every
     /// in-range listener sees the same corrupted image, the paper's
     /// single-output channel localised to one neighbourhood).
     pub fn receive(&mut self, id: TxId) -> Option<Reception> {
+        self.receive_with(id, BitVec::new())
+    }
+
+    /// [`Medium::receive`] that copies the bit image into `buf`'s
+    /// allocation instead of a fresh one. A caller that hands the
+    /// previous reception's `bits` back in receives without allocating
+    /// (a collision mask, when there is one, is still built fresh).
+    pub fn receive_with(&mut self, id: TxId, mut buf: BitVec) -> Option<Reception> {
         self.reindex();
         let tx = self.slot(id.0)?;
         let len = tx.noisy_bits.len();
@@ -1230,7 +1238,10 @@ impl Medium {
             start: tx_start,
             end: tx_end,
             available_at: tx_end + self.cfg.modem_delay,
-            bits: tx.noisy_bits.clone(),
+            bits: {
+                buf.clone_from(&tx.noisy_bits);
+                buf
+            },
             collision_mask: mask,
         };
         let k = (id.0 - self.first) as usize;

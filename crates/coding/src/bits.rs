@@ -6,6 +6,7 @@
 //! [`BitVec::bits_lsb`]) treat the lowest integer bit as the earliest bit.
 
 use std::fmt;
+use std::ops::Range;
 
 /// A growable, packed vector of bits.
 ///
@@ -21,10 +22,26 @@ use std::fmt;
 /// assert_eq!(v.get(2), Some(false));
 /// assert_eq!(v.bits_lsb(0, 4), 0b1011);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Default, PartialEq, Eq, Hash)]
 pub struct BitVec {
     words: Vec<u64>,
     len: usize,
+}
+
+impl Clone for BitVec {
+    fn clone(&self) -> Self {
+        Self {
+            words: self.words.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Copies `source` into `self`'s existing allocation, so a buffer
+    /// reused across packets stops allocating once it has grown.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.len = source.len;
+    }
 }
 
 impl BitVec {
@@ -230,9 +247,19 @@ impl BitVec {
 
     /// Appends every bit of `other` (word-wise, 64 bits at a step).
     pub fn extend_bits(&mut self, other: &BitVec) {
-        let mut i = 0;
-        while i < other.len {
-            let n = (other.len - i).min(64) as u32;
+        self.extend_range(other, 0..other.len);
+    }
+
+    /// Appends the bits `other[range]`, 64 at a step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds `other`'s length.
+    pub fn extend_range(&mut self, other: &BitVec, range: Range<usize>) {
+        assert!(range.end <= other.len, "range out of bounds");
+        let mut i = range.start;
+        while i < range.end {
+            let n = (range.end - i).min(64) as u32;
             self.push_bits_lsb(other.bits_lsb(i, n), n);
             i += n as usize;
         }
@@ -244,15 +271,23 @@ impl BitVec {
     ///
     /// Panics if the range exceeds the vector length.
     pub fn slice(&self, start: usize, len: usize) -> BitVec {
-        assert!(start + len <= self.len, "slice out of range");
         let mut v = BitVec::with_capacity(len);
-        let mut i = 0;
-        while i < len {
-            let n = (len - i).min(64) as u32;
-            v.push_bits_lsb(self.bits_lsb(start + i, n), n);
-            i += n as usize;
-        }
+        v.extend_range(self, start..start + len);
         v
+    }
+
+    /// Shortens the vector to its first `len` bits (no-op if it is
+    /// already that short), keeping the allocation.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len {
+            return;
+        }
+        self.words.truncate(len.div_ceil(64));
+        let tail = len % 64;
+        if tail != 0 {
+            *self.words.last_mut().expect("len > 0 when tail > 0") &= (1u64 << tail) - 1;
+        }
+        self.len = len;
     }
 
     /// Sets every bit in `[lo, hi)` in word-sized strokes.
@@ -538,6 +573,25 @@ mod tests {
         let s = v.slice(4, 8);
         assert_eq!(s.len(), 8);
         assert_eq!(s.bits_lsb(0, 8), 0xFF);
+    }
+
+    #[test]
+    fn reused_buffers_match_fresh_ones() {
+        let v = BitVec::from_fn(200, |i| i % 3 == 0);
+        let mut buf = BitVec::ones(300);
+        buf.clone_from(&v);
+        assert_eq!(buf, v);
+        buf.clear();
+        buf.push_bits_lsb(0b101, 3);
+        buf.extend_range(&v, 61..190);
+        let mut want = BitVec::from_fn(3, |i| i != 1);
+        want.extend_bits(&v.slice(61, 129));
+        assert_eq!(buf, want);
+        for len in [200, 129, 128, 64, 5, 0] {
+            let mut t = v.clone();
+            t.truncate(len);
+            assert_eq!(t, v.slice(0, len), "truncate to {len}");
+        }
     }
 
     #[test]

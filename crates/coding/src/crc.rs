@@ -90,7 +90,7 @@ pub fn crc16_bits(uap: u8, bits: &BitVec) -> u16 {
 
 /// Byte-stepped CRC over the first `len` bits of `bits` (so a framed
 /// payload can be checked without slicing it out first).
-pub(crate) fn crc16_prefix(uap: u8, bits: &BitVec, len: usize) -> u16 {
+fn crc16_prefix(uap: u8, bits: &BitVec, len: usize) -> u16 {
     debug_assert!(len <= bits.len());
     let mut reg = (uap as u16) << 8;
     let mut i = 0;
@@ -121,17 +121,20 @@ pub fn append_crc(uap: u8, bits: &mut BitVec) {
     bits.push_bits_lsb(c as u64, 16);
 }
 
-/// Splits `bits` into payload and CRC and verifies them.
+/// Whether the first `len` bits of `bits` are a payload followed by its
+/// CRC (false when `len` is shorter than a CRC). Checks in place, so a
+/// receiver keeps the payload in its own buffer.
 ///
-/// Returns the payload when the CRC matches, `None` otherwise (including
-/// when `bits` is shorter than a CRC).
-pub fn strip_crc(uap: u8, bits: &BitVec) -> Option<BitVec> {
-    if bits.len() < 16 {
-        return None;
+/// # Panics
+///
+/// Panics if `len` exceeds `bits.len()`.
+pub fn check_framed(uap: u8, bits: &BitVec, len: usize) -> bool {
+    assert!(len <= bits.len(), "framed length out of bounds");
+    if len < 16 {
+        return false;
     }
-    let plen = bits.len() - 16;
-    let rx_crc = bits.bits_lsb(plen, 16) as u16;
-    (crc16_prefix(uap, bits, plen) == rx_crc).then(|| bits.slice(0, plen))
+    let plen = len - 16;
+    crc16_prefix(uap, bits, plen) == bits.bits_lsb(plen, 16) as u16
 }
 
 #[cfg(test)]
@@ -153,13 +156,16 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_via_append_and_strip() {
+    fn roundtrip_via_append_and_check() {
         let uap = 0x9E;
         for msg in [&b"x"[..], b"hello world", b"\x00\x00\x00", b"\xff\xff"] {
             let mut bits = BitVec::from_bytes_lsb(msg);
             append_crc(uap, &mut bits);
-            let stripped = strip_crc(uap, &bits).expect("valid CRC");
-            assert_eq!(stripped.to_bytes_lsb(), msg);
+            assert!(check_framed(uap, &bits, bits.len()), "valid CRC");
+            // Only the framed prefix counts: trailing bits are ignored.
+            let framed = bits.len();
+            bits.push_bits_lsb(0b1011, 4);
+            assert!(check_framed(uap, &bits, framed));
         }
     }
 
@@ -171,7 +177,10 @@ mod tests {
         for i in 0..bits.len() {
             let mut corrupt = bits.clone();
             corrupt.toggle(i);
-            assert!(strip_crc(uap, &corrupt).is_none(), "missed flip at {i}");
+            assert!(
+                !check_framed(uap, &corrupt, corrupt.len()),
+                "missed flip at {i}"
+            );
         }
     }
 
@@ -186,7 +195,7 @@ mod tests {
                 corrupt.toggle(i);
                 corrupt.toggle(j);
                 assert!(
-                    strip_crc(uap, &corrupt).is_none(),
+                    !check_framed(uap, &corrupt, corrupt.len()),
                     "missed flips at {i},{j}"
                 );
             }
@@ -205,7 +214,7 @@ mod tests {
                     corrupt.toggle(start + k);
                 }
                 assert!(
-                    strip_crc(uap, &corrupt).is_none(),
+                    !check_framed(uap, &corrupt, corrupt.len()),
                     "missed burst len {burst_len} at {start}"
                 );
             }
@@ -216,12 +225,12 @@ mod tests {
     fn wrong_uap_fails() {
         let mut bits = BitVec::from_bytes_lsb(b"uap matters");
         append_crc(0x47, &mut bits);
-        assert!(strip_crc(0x48, &bits).is_none());
+        assert!(!check_framed(0x48, &bits, bits.len()));
     }
 
     #[test]
     fn short_input_is_rejected() {
         let bits = BitVec::from_bytes_lsb(&[0xAB]);
-        assert!(strip_crc(0, &bits).is_none());
+        assert!(!check_framed(0, &bits, bits.len()));
     }
 }

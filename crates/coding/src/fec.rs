@@ -15,6 +15,8 @@
 //! compile time from the bit-serial definitions, and the unit tests pin
 //! the tables to those definitions.
 
+use std::ops::Range;
+
 use crate::BitVec;
 
 /// Generator polynomial of the (15,10) code, including the D⁵ term.
@@ -88,15 +90,8 @@ pub fn trip_bits(value: u64, n: u32) -> u64 {
     out
 }
 
-/// Encodes `bits` with the 1/3 repetition code (each bit sent three times).
-pub fn fec13_encode(bits: &BitVec) -> BitVec {
-    let mut out = BitVec::with_capacity(bits.len() * 3);
-    fec13_encode_into(bits, &mut out);
-    out
-}
-
-/// Appends the 1/3-repetition encoding of `bits` to `out` (8 input bits
-/// per table step; avoids an intermediate allocation on the TX path).
+/// Appends the 1/3-repetition encoding of `bits` (each bit sent three
+/// times) to `out`, 8 input bits per table step.
 pub fn fec13_encode_into(bits: &BitVec, out: &mut BitVec) {
     let mut i = 0;
     while i < bits.len() {
@@ -106,26 +101,27 @@ pub fn fec13_encode_into(bits: &BitVec, out: &mut BitVec) {
     }
 }
 
-/// Majority-decodes a 1/3-repetition stream.
-///
-/// Returns the decoded bits and how many triples needed correction.
+/// Majority-decodes the 1/3-repetition stream `bits[range]`, appending
+/// the decoded bits to `out`; returns how many triples needed
+/// correction.
 ///
 /// # Panics
 ///
-/// Panics if `bits.len()` is not a multiple of 3.
-pub fn fec13_decode(bits: &BitVec) -> (BitVec, usize) {
-    assert_eq!(bits.len() % 3, 0, "FEC 1/3 stream length must be 3n");
-    let mut out = BitVec::with_capacity(bits.len() / 3);
+/// Panics if the range exceeds `bits` or its length is not a multiple
+/// of 3.
+pub fn fec13_decode(bits: &BitVec, range: Range<usize>, out: &mut BitVec) -> usize {
+    assert!(range.end <= bits.len(), "FEC 1/3 range out of bounds");
+    assert_eq!(range.len() % 3, 0, "FEC 1/3 stream length must be 3n");
     let mut corrected = 0usize;
-    let mut i = 0;
-    while i < bits.len() {
-        let n = (bits.len() - i).min(12) as u32;
+    let mut i = range.start;
+    while i < range.end {
+        let n = (range.end - i).min(12) as u32;
         let chunk = bits.bits_lsb(i, n) as usize;
         out.push_bits_lsb(VOTE.0[chunk] as u64, n / 3);
         corrected += VOTE.1[chunk] as usize;
         i += n as usize;
     }
-    (out, corrected)
+    corrected
 }
 
 /// Computes the 5 parity bits of one 10-bit data block, all in *spec
@@ -196,18 +192,11 @@ const fn build_syn_pos() -> [u8; 32] {
 
 const SYN_POS: [u8; 32] = build_syn_pos();
 
-/// Encodes `bits` with the 2/3 FEC.
+/// Appends the 2/3 FEC encoding of `bits` to `out`, one parity lookup
+/// per 10-bit block.
 ///
 /// The input is zero-padded to a multiple of 10 bits, as the baseband does
 /// for the final block; the receiver trims using the known payload length.
-pub fn fec23_encode(bits: &BitVec) -> BitVec {
-    let mut out = BitVec::with_capacity(bits.len().div_ceil(10) * 15);
-    fec23_encode_into(bits, &mut out);
-    out
-}
-
-/// Appends the 2/3 FEC encoding of `bits` to `out`, one parity lookup
-/// per 10-bit block.
 pub fn fec23_encode_into(bits: &BitVec, out: &mut BitVec) {
     let mut i = 0;
     while i < bits.len() {
@@ -217,32 +206,33 @@ pub fn fec23_encode_into(bits: &BitVec, out: &mut BitVec) {
     }
 }
 
-/// Outcome of a 2/3 FEC decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Codeword counts of a 2/3 FEC decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fec23Decoded {
-    /// Best-effort decoded data bits (10 per received codeword).
-    pub data: BitVec,
     /// Codewords whose single-bit error was corrected.
     pub corrected: usize,
     /// Codewords with an uncorrectable error pattern (≥ 2 errors detected).
     pub failed: usize,
 }
 
-/// Decodes a 2/3 FEC stream, correcting one error per 15-bit codeword.
+/// Decodes the 2/3 FEC stream `bits[range]`, correcting one error per
+/// 15-bit codeword and appending the 10 data bits of each codeword to
+/// `out`.
 ///
 /// Uncorrectable codewords are passed through uncorrected and counted in
 /// [`Fec23Decoded::failed`]; the payload CRC is expected to catch them.
 ///
 /// # Panics
 ///
-/// Panics if `bits.len()` is not a multiple of 15.
-pub fn fec23_decode(bits: &BitVec) -> Fec23Decoded {
-    assert_eq!(bits.len() % 15, 0, "FEC 2/3 stream length must be 15n");
-    let mut data = BitVec::with_capacity(bits.len() / 15 * 10);
+/// Panics if the range exceeds `bits` or its length is not a multiple
+/// of 15.
+pub fn fec23_decode(bits: &BitVec, range: Range<usize>, out: &mut BitVec) -> Fec23Decoded {
+    assert!(range.end <= bits.len(), "FEC 2/3 range out of bounds");
+    assert_eq!(range.len() % 15, 0, "FEC 2/3 stream length must be 15n");
     let mut corrected = 0;
     let mut failed = 0;
-    let mut i = 0;
-    while i < bits.len() {
+    let mut i = range.start;
+    while i < range.end {
         let cw = bits.bits_lsb(i, 15);
         let mut d = (cw & 0x3FF) as u16;
         let syndrome = PARITY_T[d as usize] ^ (cw >> 10) as u8;
@@ -259,14 +249,10 @@ pub fn fec23_decode(bits: &BitVec) -> Fec23Decoded {
                 _ => failed += 1,
             }
         }
-        data.push_bits_lsb(d as u64, 10);
+        out.push_bits_lsb(d as u64, 10);
         i += 15;
     }
-    Fec23Decoded {
-        data,
-        corrected,
-        failed,
-    }
+    Fec23Decoded { corrected, failed }
 }
 
 #[cfg(test)]
@@ -275,6 +261,32 @@ mod tests {
 
     fn sample_bits(len: usize) -> BitVec {
         BitVec::from_fn(len, |i| (i * 7 + 3) % 5 < 2)
+    }
+
+    fn fec13_encode(bits: &BitVec) -> BitVec {
+        let mut out = BitVec::new();
+        fec13_encode_into(bits, &mut out);
+        out
+    }
+
+    fn fec23_encode(bits: &BitVec) -> BitVec {
+        let mut out = BitVec::new();
+        fec23_encode_into(bits, &mut out);
+        out
+    }
+
+    /// The whole of `bits` 1/3-decoded into a fresh vector.
+    fn dec13(bits: &BitVec) -> (BitVec, usize) {
+        let mut out = BitVec::new();
+        let corrected = fec13_decode(bits, 0..bits.len(), &mut out);
+        (out, corrected)
+    }
+
+    /// The whole of `bits` 2/3-decoded into a fresh vector.
+    fn dec23(bits: &BitVec) -> (BitVec, Fec23Decoded) {
+        let mut out = BitVec::new();
+        let counts = fec23_decode(bits, 0..bits.len(), &mut out);
+        (out, counts)
     }
 
     /// Bit-serial reference encoders/decoders: the pre-table
@@ -346,7 +358,7 @@ mod tests {
             None
         }
 
-        pub fn fec23_decode(bits: &BitVec) -> super::super::Fec23Decoded {
+        pub fn fec23_decode(bits: &BitVec) -> (BitVec, super::super::Fec23Decoded) {
             assert_eq!(bits.len() % 15, 0);
             let mut data = BitVec::with_capacity(bits.len() / 15 * 10);
             let mut corrected = 0;
@@ -379,11 +391,7 @@ mod tests {
                     data.push(block & (1 << (9 - k)) != 0);
                 }
             }
-            super::super::Fec23Decoded {
-                data,
-                corrected,
-                failed,
-            }
+            (data, super::super::Fec23Decoded { corrected, failed })
         }
     }
 
@@ -394,19 +402,19 @@ mod tests {
             assert_eq!(fec13_encode(&data), reference::fec13_encode(&data), "{len}");
             assert_eq!(fec23_encode(&data), reference::fec23_encode(&data), "{len}");
             let coded13 = fec13_encode(&data);
-            assert_eq!(fec13_decode(&coded13), reference::fec13_decode(&coded13));
+            assert_eq!(dec13(&coded13), reference::fec13_decode(&coded13));
             // Corrupt a couple of bits so the decode paths diverge from
             // the trivial all-clean case.
             let mut dirty13 = coded13.clone();
             dirty13.toggle(0);
             dirty13.toggle(coded13.len() / 2);
-            assert_eq!(fec13_decode(&dirty13), reference::fec13_decode(&dirty13));
+            assert_eq!(dec13(&dirty13), reference::fec13_decode(&dirty13));
             let coded23 = fec23_encode(&data);
-            assert_eq!(fec23_decode(&coded23), reference::fec23_decode(&coded23));
+            assert_eq!(dec23(&coded23), reference::fec23_decode(&coded23));
             let mut dirty23 = coded23.clone();
             dirty23.toggle(1);
             dirty23.toggle(coded23.len() - 2);
-            assert_eq!(fec23_decode(&dirty23), reference::fec23_decode(&dirty23));
+            assert_eq!(dec23(&dirty23), reference::fec23_decode(&dirty23));
         }
     }
 
@@ -429,7 +437,7 @@ mod tests {
         let data = sample_bits(18);
         let coded = fec13_encode(&data);
         assert_eq!(coded.len(), 54);
-        let (decoded, corrected) = fec13_decode(&coded);
+        let (decoded, corrected) = dec13(&coded);
         assert_eq!(decoded, data);
         assert_eq!(corrected, 0);
     }
@@ -441,7 +449,7 @@ mod tests {
         for i in 0..coded.len() {
             let mut corrupt = coded.clone();
             corrupt.toggle(i);
-            let (decoded, corrected) = fec13_decode(&corrupt);
+            let (decoded, corrected) = dec13(&corrupt);
             assert_eq!(decoded, data, "flip at {i}");
             assert_eq!(corrected, 1);
         }
@@ -454,7 +462,7 @@ mod tests {
         let mut corrupt = coded.clone();
         corrupt.toggle(3);
         corrupt.toggle(4);
-        let (decoded, _) = fec13_decode(&corrupt);
+        let (decoded, _) = dec13(&corrupt);
         assert_eq!(decoded.get(0), data.get(0));
         assert_ne!(decoded.get(1), data.get(1));
     }
@@ -465,8 +473,8 @@ mod tests {
             let data = sample_bits(len);
             let coded = fec23_encode(&data);
             assert_eq!(coded.len(), len / 10 * 15);
-            let out = fec23_decode(&coded);
-            assert_eq!(out.data, data);
+            let (got, out) = dec23(&coded);
+            assert_eq!(got, data);
             assert_eq!(out.corrected, 0);
             assert_eq!(out.failed, 0);
         }
@@ -477,8 +485,8 @@ mod tests {
         let data = sample_bits(13);
         let coded = fec23_encode(&data);
         assert_eq!(coded.len(), 30);
-        let out = fec23_decode(&coded);
-        assert_eq!(out.data.slice(0, 13), data);
+        let (got, _) = dec23(&coded);
+        assert_eq!(got.slice(0, 13), data);
     }
 
     #[test]
@@ -488,8 +496,8 @@ mod tests {
         for i in 0..coded.len() {
             let mut corrupt = coded.clone();
             corrupt.toggle(i);
-            let out = fec23_decode(&corrupt);
-            assert_eq!(out.data, data, "flip at {i}");
+            let (got, out) = dec23(&corrupt);
+            assert_eq!(got, data, "flip at {i}");
             assert_eq!(out.corrected, 1, "flip at {i}");
             assert_eq!(out.failed, 0, "flip at {i}");
         }
@@ -508,13 +516,13 @@ mod tests {
                 let mut corrupt = coded.clone();
                 corrupt.toggle(i);
                 corrupt.toggle(j);
-                let out = fec23_decode(&corrupt);
+                let (got, out) = dec23(&corrupt);
                 total += 1;
                 if out.failed == 1 {
                     detected += 1;
                 } else {
                     // Miscorrection must not silently return the original.
-                    assert_ne!(out.data, data, "flips at {i},{j}");
+                    assert_ne!(got, data, "flips at {i},{j}");
                 }
             }
         }

@@ -14,7 +14,8 @@
 //!
 //! # Examples
 //!
-//! Building and checking a DM-style payload:
+//! Building and checking a DM-style payload. Every stage appends into or
+//! rewrites a caller's buffer, so a receiver reuses one scratch vector:
 //!
 //! ```
 //! use btsim_coding::{crc, fec, BitVec, Whitener};
@@ -22,15 +23,20 @@
 //! // payload + CRC, whiten, then 2/3 FEC — exactly the baseband TX chain.
 //! let mut payload = BitVec::from_bytes_lsb(b"data");
 //! crc::append_crc(0x47, &mut payload);
-//! let white = Whitener::from_clk(13).whiten(&payload);
-//! let air = fec::fec23_encode(&white);
+//! let framed = payload.len();
+//! Whitener::from_clk(13).xor_into(&mut payload);
+//! let mut air = BitVec::new();
+//! fec::fec23_encode_into(&payload, &mut air);
 //!
-//! // Receive chain: FEC decode, de-whiten, CRC strip.
-//! let decoded = fec::fec23_decode(&air);
-//! let trimmed = decoded.data.slice(0, payload.len());
-//! let dewhite = Whitener::from_clk(13).whiten(&trimmed);
-//! let got = crc::strip_crc(0x47, &dewhite).expect("CRC must pass");
-//! assert_eq!(got.to_bytes_lsb(), b"data");
+//! // Receive chain: FEC decode, de-whiten, CRC check, in one buffer.
+//! let mut rx = BitVec::new();
+//! let counts = fec::fec23_decode(&air, 0..air.len(), &mut rx);
+//! assert_eq!(counts.failed, 0);
+//! rx.truncate(framed);
+//! Whitener::from_clk(13).xor_into(&mut rx);
+//! assert!(crc::check_framed(0x47, &rx, framed), "CRC must pass");
+//! rx.truncate(framed - 16);
+//! assert_eq!(rx.to_bytes_lsb(), b"data");
 //! ```
 
 #![forbid(unsafe_code)]

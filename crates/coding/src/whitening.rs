@@ -9,7 +9,7 @@
 //! The LFSR has maximal period 127, so its output is one fixed 127-bit
 //! cycle entered at a seed-dependent position. The tables below hold that
 //! cycle (doubled, so any 64-bit window is a contiguous read) plus the
-//! position of every register state, letting [`Whitener::apply`] XOR the
+//! position of every register state, letting [`Whitener::xor_into`] XOR the
 //! stream in 64-bit words instead of clocking the register per bit.
 
 use crate::BitVec;
@@ -80,9 +80,11 @@ fn stream_word(pos: usize) -> u64 {
 /// use btsim_coding::{BitVec, Whitener};
 ///
 /// let data = BitVec::from_bytes_lsb(b"payload");
-/// let white = Whitener::from_clk(0x2A).whiten(&data);
-/// let back = Whitener::from_clk(0x2A).whiten(&white);
-/// assert_eq!(back, data);
+/// let mut bits = data.clone();
+/// Whitener::from_clk(0x2A).xor_into(&mut bits); // whiten
+/// assert_ne!(bits, data);
+/// Whitener::from_clk(0x2A).xor_into(&mut bits); // and back
+/// assert_eq!(bits, data);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Whitener {
@@ -120,27 +122,13 @@ impl Whitener {
         }
     }
 
-    /// XORs the whitening sequence over `bits`, returning the result.
-    ///
-    /// Whitening is an involution: applying it twice with the same seed
-    /// returns the original data.
-    pub fn whiten(mut self, bits: &BitVec) -> BitVec {
-        self.apply(bits)
-    }
-
-    /// XORs the next `bits.len()` sequence bits over `bits`, advancing the
-    /// register so a later call continues the stream.
-    ///
-    /// The baseband whitens the 18 header bits and the payload with one
-    /// continuous stream; use this method to process them in two steps.
-    pub fn apply(&mut self, bits: &BitVec) -> BitVec {
-        let mut out = bits.clone();
-        self.xor_into(&mut out);
-        out
-    }
-
     /// XORs the next `out.len()` sequence bits into `out` in place,
     /// 64 bits per step, advancing the register past them.
+    ///
+    /// Whitening is an involution: applying it twice from the same seed
+    /// restores the data. The baseband whitens the 18 header bits and
+    /// the payload with one continuous stream, so a later call (or
+    /// [`Whitener::next_bits`]) continues where this one stopped.
     pub fn xor_into(&mut self, out: &mut BitVec) {
         let len = out.len();
         let start = POS_OF[self.reg as usize] as usize;
@@ -163,6 +151,13 @@ impl Whitener {
 mod tests {
     use super::*;
 
+    /// `bits` whitened from seed `clk`.
+    fn whiten(clk: u8, bits: &BitVec) -> BitVec {
+        let mut out = bits.clone();
+        Whitener::from_clk(clk).xor_into(&mut out);
+        out
+    }
+
     /// Bit-serial reference: the pre-word-parallel implementation.
     fn apply_serial(w: &mut Whitener, bits: &BitVec) -> BitVec {
         BitVec::from_fn(bits.len(), |i| bits.get(i).unwrap() ^ w.next_bit())
@@ -172,8 +167,8 @@ mod tests {
     fn involution_for_all_seeds() {
         let data = BitVec::from_bytes_lsb(b"all seeds must invert");
         for clk in 0..64u8 {
-            let w = Whitener::from_clk(clk).whiten(&data);
-            let back = Whitener::from_clk(clk).whiten(&w);
+            let w = whiten(clk, &data);
+            let back = whiten(clk, &w);
             assert_eq!(back, data, "seed {clk}");
         }
     }
@@ -185,11 +180,9 @@ mod tests {
                 let data = BitVec::from_fn(len, |i| (i * 11 + clk as usize).is_multiple_of(3));
                 let mut fast = Whitener::from_clk(clk);
                 let mut slow = Whitener::from_clk(clk);
-                assert_eq!(
-                    fast.apply(&data),
-                    apply_serial(&mut slow, &data),
-                    "clk {clk} len {len}"
-                );
+                let mut got = data.clone();
+                fast.xor_into(&mut got);
+                assert_eq!(got, apply_serial(&mut slow, &data), "clk {clk} len {len}");
                 assert_eq!(fast, slow, "register desync: clk {clk} len {len}");
             }
         }
@@ -250,25 +243,28 @@ mod tests {
     #[test]
     fn different_seeds_give_different_streams() {
         let data = BitVec::zeros(64);
-        let a = Whitener::from_clk(1).whiten(&data);
-        let b = Whitener::from_clk(2).whiten(&data);
+        let a = whiten(1, &data);
+        let b = whiten(2, &data);
         assert_ne!(a, b);
     }
 
     #[test]
-    fn apply_continues_the_stream() {
+    fn xor_into_continues_the_stream() {
         let data = BitVec::from_bytes_lsb(b"header+payload stream");
-        let whole = Whitener::from_clk(9).whiten(&data);
+        let whole = whiten(9, &data);
         let mut w = Whitener::from_clk(9);
-        let mut split = w.apply(&data.slice(0, 18));
-        split.extend_bits(&w.apply(&data.slice(18, data.len() - 18)));
-        assert_eq!(split, whole);
+        let mut head = data.slice(0, 18);
+        let mut tail = data.slice(18, data.len() - 18);
+        w.xor_into(&mut head);
+        w.xor_into(&mut tail);
+        head.extend_bits(&tail);
+        assert_eq!(head, whole);
     }
 
     #[test]
     fn actually_scrambles() {
         let data = BitVec::zeros(128);
-        let w = Whitener::from_clk(0b11011).whiten(&data);
+        let w = whiten(0b11011, &data);
         let ones = w.count_ones();
         assert!(
             (32..=96).contains(&ones),

@@ -210,6 +210,63 @@ fn pattern(len: usize, seed: u64) -> BitVec {
     })
 }
 
+/// `bits` XORed with the next stretch of `w`'s whitening stream.
+fn whiten(w: &mut Whitener, bits: &BitVec) -> BitVec {
+    let mut out = bits.clone();
+    w.xor_into(&mut out);
+    out
+}
+
+fn fec13_encode(bits: &BitVec) -> BitVec {
+    let mut out = BitVec::new();
+    fec::fec13_encode_into(bits, &mut out);
+    out
+}
+
+fn fec23_encode(bits: &BitVec) -> BitVec {
+    let mut out = BitVec::new();
+    fec::fec23_encode_into(bits, &mut out);
+    out
+}
+
+/// `coded` embedded at bit `offset` of a longer image (junk before and
+/// after), so a range decoder starts mid-word and stops short of the
+/// end; and a non-empty output buffer, which the decoders append to.
+fn embedded(coded: &BitVec, offset: usize) -> (BitVec, BitVec) {
+    let mut host = pattern(offset, offset as u64 + 1);
+    host.extend_bits(coded);
+    host.extend_bits(&pattern(7, 99));
+    (host, pattern(offset % 13, 5))
+}
+
+/// The table FEC 1/3 decoder run over `coded` at bit `offset` of a
+/// longer image; returns only the bits it appended.
+fn fec13_decode_at(coded: &BitVec, offset: usize) -> (BitVec, usize) {
+    let (host, mut out) = embedded(coded, offset);
+    let before = out.clone();
+    let corrected = fec::fec13_decode(&host, offset..offset + coded.len(), &mut out);
+    assert_eq!(
+        out.slice(0, before.len()),
+        before,
+        "decoder rewrote its output prefix"
+    );
+    (out.slice(before.len(), out.len() - before.len()), corrected)
+}
+
+/// [`fec13_decode_at`] for the FEC 2/3 decoder: (data, corrected, failed).
+fn fec23_decode_at(coded: &BitVec, offset: usize) -> (BitVec, usize, usize) {
+    let (host, mut out) = embedded(coded, offset);
+    let before = out.clone();
+    let counts = fec::fec23_decode(&host, offset..offset + coded.len(), &mut out);
+    assert_eq!(
+        out.slice(0, before.len()),
+        before,
+        "decoder rewrote its output prefix"
+    );
+    let data = out.slice(before.len(), out.len() - before.len());
+    (data, counts.corrected, counts.failed)
+}
+
 /// Every air-image length the baseband can produce: 1..=2880 bits
 /// (a DH5 image is 2871 bits; 2880 adds margin to cover the FEC 2/3
 /// padded grid).
@@ -226,7 +283,7 @@ fn whitening_equivalent_for_all_lengths() {
         let data = pattern(len, len as u64);
         let mut fast = Whitener::from_clk(clk);
         let mut slow = RefWhitener::from_clk(clk);
-        assert_eq!(fast.apply(&data), slow.apply(&data), "len {len}");
+        assert_eq!(whiten(&mut fast, &data), slow.apply(&data), "len {len}");
     }
 }
 
@@ -234,14 +291,14 @@ fn whitening_equivalent_for_all_lengths() {
 fn fec13_equivalent_for_all_lengths() {
     for len in 1..=MAX_AIR_BITS / 3 {
         let data = pattern(len, 31 + len as u64);
-        let coded = fec::fec13_encode(&data);
+        let coded = fec13_encode(&data);
         assert_eq!(coded, ref_fec13_encode(&data), "encode len {len}");
         // Corrupt a deterministic sprinkle of bits before decoding.
         let mut dirty = coded.clone();
         for i in (0..dirty.len()).step_by(7) {
             dirty.toggle(i);
         }
-        let (d_fast, c_fast) = fec::fec13_decode(&dirty);
+        let (d_fast, c_fast) = fec13_decode_at(&dirty, len % 97);
         let (d_ref, c_ref) = ref_fec13_decode(&dirty);
         assert_eq!(d_fast, d_ref, "decode len {len}");
         assert_eq!(c_fast, c_ref, "corrected len {len}");
@@ -252,17 +309,14 @@ fn fec13_equivalent_for_all_lengths() {
 fn fec23_equivalent_for_all_lengths() {
     for len in 1..=MAX_AIR_BITS / 2 {
         let data = pattern(len, 47 + len as u64);
-        let coded = fec::fec23_encode(&data);
+        let coded = fec23_encode(&data);
         assert_eq!(coded, ref_fec23_encode(&data), "encode len {len}");
         let mut dirty = coded.clone();
         for i in (0..dirty.len()).step_by(11) {
             dirty.toggle(i);
         }
-        let fast = fec::fec23_decode(&dirty);
-        let (d_ref, c_ref, f_ref) = ref_fec23_decode(&dirty);
-        assert_eq!(fast.data, d_ref, "decode len {len}");
-        assert_eq!(fast.corrected, c_ref, "corrected len {len}");
-        assert_eq!(fast.failed, f_ref, "failed len {len}");
+        let fast = fec23_decode_at(&dirty, len % 97);
+        assert_eq!(fast, ref_fec23_decode(&dirty), "decode len {len}");
     }
 }
 
@@ -314,21 +368,25 @@ proptest! {
         // Split like the baseband: 18 header bits, then the payload,
         // whitened with one continuous stream.
         let head = len.min(18);
-        let mut got = fast.apply(&data.slice(0, head));
-        got.extend_bits(&fast.apply(&data.slice(head, len - head)));
+        let mut got = whiten(&mut fast, &data.slice(0, head));
+        got.extend_bits(&whiten(&mut fast, &data.slice(head, len - head)));
         let mut want = slow.apply(&data.slice(0, head));
         want.extend_bits(&slow.apply(&data.slice(head, len - head)));
         prop_assert_eq!(got, want);
     }
 
     #[test]
-    fn fec_equivalent_for_random_content(len in 1usize..=960, seed: u64) {
+    fn fec_equivalent_for_random_content(
+        len in 1usize..=960,
+        seed: u64,
+        offset in 0usize..200,
+    ) {
         let data = pattern(len, seed);
-        prop_assert_eq!(fec::fec13_encode(&data), ref_fec13_encode(&data));
-        prop_assert_eq!(fec::fec23_encode(&data), ref_fec23_encode(&data));
-        // Decode a randomly corrupted stream.
-        let mut coded13 = fec::fec13_encode(&data);
-        let mut coded23 = fec::fec23_encode(&data);
+        prop_assert_eq!(fec13_encode(&data), ref_fec13_encode(&data));
+        prop_assert_eq!(fec23_encode(&data), ref_fec23_encode(&data));
+        // Decode a randomly corrupted stream at a random offset.
+        let mut coded13 = fec13_encode(&data);
+        let mut coded23 = fec23_encode(&data);
         let mut x = seed | 1;
         for _ in 0..8 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -336,29 +394,24 @@ proptest! {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             coded23.toggle((x >> 33) as usize % coded23.len());
         }
-        let (d13, c13) = fec::fec13_decode(&coded13);
-        let (rd13, rc13) = ref_fec13_decode(&coded13);
-        prop_assert_eq!(d13, rd13);
-        prop_assert_eq!(c13, rc13);
-        let f23 = fec::fec23_decode(&coded23);
-        let (rd23, rc23, rf23) = ref_fec23_decode(&coded23);
-        prop_assert_eq!(f23.data, rd23);
-        prop_assert_eq!(f23.corrected, rc23);
-        prop_assert_eq!(f23.failed, rf23);
+        prop_assert_eq!(fec13_decode_at(&coded13, offset), ref_fec13_decode(&coded13));
+        prop_assert_eq!(fec23_decode_at(&coded23, offset), ref_fec23_decode(&coded23));
     }
 
     #[test]
-    fn crc_strip_equivalent_for_random_content(
+    fn crc_check_equivalent_for_random_content(
         len in 0usize..=2728,
         seed: u64,
         uap: u8,
     ) {
         let mut framed = pattern(len, seed);
+        let rx_crc = ref_crc16(uap, &framed);
         crc::append_crc(uap, &mut framed);
-        prop_assert_eq!(crc::strip_crc(uap, &framed), Some(framed.slice(0, len)));
+        prop_assert_eq!(framed.bits_lsb(len, 16) as u16, rx_crc);
+        prop_assert!(crc::check_framed(uap, &framed, len + 16));
         let mut corrupt = framed.clone();
         corrupt.toggle((seed as usize) % corrupt.len());
-        prop_assert_eq!(crc::strip_crc(uap, &corrupt), None);
+        prop_assert!(!crc::check_framed(uap, &corrupt, len + 16));
     }
 
     #[test]

@@ -35,7 +35,8 @@ proptest! {
 
     #[test]
     fn fec13_corrects_any_single_error_per_triple(data in bitvec_strategy(60), seed: u64) {
-        let coded = fec::fec13_encode(&data);
+        let mut coded = BitVec::new();
+        fec::fec13_encode_into(&data, &mut coded);
         let mut corrupt = coded.clone();
         // Flip exactly one bit in each triple, position chosen per-triple.
         let mut x = seed;
@@ -43,7 +44,8 @@ proptest! {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             corrupt.toggle(t * 3 + (x >> 33) as usize % 3);
         }
-        let (decoded, corrected) = fec::fec13_decode(&corrupt);
+        let mut decoded = BitVec::new();
+        let corrected = fec::fec13_decode(&corrupt, 0..corrupt.len(), &mut decoded);
         prop_assert_eq!(decoded, data.clone());
         prop_assert_eq!(corrected, data.len());
     }
@@ -55,13 +57,15 @@ proptest! {
         data_seed: u64,
     ) {
         let data = BitVec::from_fn(blocks * 10, |i| (data_seed >> (i % 64)) & 1 == 1);
-        let coded = fec::fec23_encode(&data);
+        let mut coded = BitVec::new();
+        fec::fec23_encode_into(&data, &mut coded);
         let mut corrupt = coded.clone();
         for (b, &pos) in positions.iter().enumerate().take(blocks) {
             corrupt.toggle(b * 15 + pos);
         }
-        let out = fec::fec23_decode(&corrupt);
-        prop_assert_eq!(out.data, data);
+        let mut decoded = BitVec::new();
+        let out = fec::fec23_decode(&corrupt, 0..corrupt.len(), &mut decoded);
+        prop_assert_eq!(decoded, data);
         prop_assert_eq!(out.corrected, blocks);
         prop_assert_eq!(out.failed, 0);
     }
@@ -86,7 +90,7 @@ proptest! {
         }
         // An odd number of distinct flips can never cancel out.
         if any_flip {
-            prop_assert!(crc::strip_crc(uap, &corrupt).is_none());
+            prop_assert!(!crc::check_framed(uap, &corrupt, corrupt.len()));
         }
     }
 
@@ -97,9 +101,10 @@ proptest! {
 
     #[test]
     fn whitening_is_involution(data in bitvec_strategy(512), clk in 0u8..64) {
-        let white = Whitener::from_clk(clk).whiten(&data);
-        let back = Whitener::from_clk(clk).whiten(&white);
-        prop_assert_eq!(back, data);
+        let mut bits = data.clone();
+        Whitener::from_clk(clk).xor_into(&mut bits);
+        Whitener::from_clk(clk).xor_into(&mut bits);
+        prop_assert_eq!(bits, data);
     }
 
     #[test]

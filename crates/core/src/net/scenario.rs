@@ -634,8 +634,9 @@ impl DenseFloorScenario {
         Ok(map)
     }
 
-    /// Issues the saturating transfers on a formed floor.
-    fn saturate(&self, sim: &mut Simulator, map: &ScatternetMap) {
+    /// Issues the saturating transfers on a formed floor: T_poll = 2 and
+    /// `measure_slots × 9` bytes per piconet, enough for one window.
+    pub(crate) fn saturate(&self, sim: &mut Simulator, map: &ScatternetMap) {
         let topo = &map.topology;
         let payload = (self.cfg.measure_slots as usize) * 9;
         for p in 0..self.piconets() {

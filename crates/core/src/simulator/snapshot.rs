@@ -15,7 +15,7 @@
 //! simulator relies on (device maps, merge cursors, wakeup arrays,
 //! calendar device indices) are re-validated on the way in.
 
-use super::world::{ActiveWindow, Cost, DeviceCell, Ev, PendingWindow, World};
+use super::world::{ActiveWindow, Cost, DeviceCell, Ev, PendingWindow, Scratch, World};
 use super::*;
 use btsim_kernel::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use index::Indexes;
@@ -94,6 +94,7 @@ impl Snap for World {
             muted,
             drifted,
             faults_applied,
+            scratch: _,
         } = self;
         cal.snap(w);
         medium.snap(w);
@@ -156,6 +157,7 @@ impl Snap for World {
             muted: Snap::unsnap(r)?,
             drifted: Snap::unsnap(r)?,
             faults_applied: Snap::unsnap(r)?,
+            scratch: Scratch::default(),
         };
         validate_world(&world).map_err(|what| r.malformed(what))?;
         world.index = derive_index(&world).map_err(|what| r.malformed(what))?;

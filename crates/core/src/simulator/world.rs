@@ -63,6 +63,22 @@ pub(super) struct Cost {
     pub(super) stat_walk_visits: u64,
 }
 
+/// Buffers the dispatch loop reuses, so the steady-state packet path
+/// does not allocate for them. Derived state: empty between dispatches
+/// (apart from retained capacity), never snapshotted.
+#[derive(Clone, Default)]
+pub(super) struct Scratch {
+    /// The action buffer every link-controller call appends to and
+    /// [`World::apply_actions`] drains.
+    actions: Vec<LcAction>,
+    /// Emptied listener lists of delivered transmissions, handed to the
+    /// next `TxStart`.
+    listeners: Vec<Vec<usize>>,
+    /// The bit image of the previous reception, whose allocation the
+    /// next delivery copies into.
+    rx_bits: BitVec,
+}
+
 #[derive(Clone)]
 pub(super) struct DeviceCell {
     pub(super) lc: LinkController,
@@ -186,6 +202,8 @@ pub(super) struct World {
     pub(super) drifted: Vec<bool>,
     /// Fault events dispatched so far (metrics hub).
     pub(super) faults_applied: u64,
+    /// Reused dispatch buffers.
+    pub(super) scratch: Scratch,
 }
 
 impl World {
@@ -306,6 +324,7 @@ impl World {
             muted: vec![false; n],
             drifted: vec![false; n],
             faults_applied: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -417,8 +436,7 @@ impl World {
                     return; // powered off: queued host commands are lost
                 }
                 self.capture_lmp_out(dev, &cmd, t);
-                let actions = self.devices[dev].lc.command(*cmd, t);
-                self.apply_actions(dev, actions, t);
+                self.drive_lc(dev, t, |lc, out| lc.command(*cmd, t, out));
                 // A command scheduled *before* this instant runs ahead of
                 // the device's lockstep tick at this instant (FIFO by
                 // insertion), so that tick sees post-command state and
@@ -449,7 +467,7 @@ impl World {
                 // range of the transmitter (a far window stays open and
                 // never hears the packet). The neighbour list is
                 // ascending, so listeners are in device order.
-                let mut listeners = Vec::new();
+                let mut listeners = self.scratch.listeners.pop().unwrap_or_default();
                 let mut visits = 0;
                 for &i in self.index.neighbours(dev) {
                     if i == dev {
@@ -472,7 +490,9 @@ impl World {
                     }
                 }
                 self.cost.listener_visits += visits;
-                if !listeners.is_empty() {
+                if listeners.is_empty() {
+                    self.scratch.listeners.push(listeners);
+                } else {
                     let at = self
                         .medium
                         .delivery_time(tx)
@@ -480,31 +500,33 @@ impl World {
                     self.cal.schedule(at, Ev::Deliver { tx, listeners });
                 }
             }
-            Ev::Deliver { tx, listeners } => {
-                let Some(rec) = self.medium.receive(tx) else {
-                    return;
-                };
-                let rxd = RxDelivery {
-                    bits: rec.bits,
-                    collision_mask: rec.collision_mask,
-                    rf_channel: rec.rf_channel,
-                    start: rec.start,
-                    end: rec.end,
-                };
-                for dev in listeners {
-                    if self.crashed[dev] || self.muted[dev] {
-                        continue; // faulted after the window latched on
+            Ev::Deliver { tx, mut listeners } => {
+                let buf = std::mem::take(&mut self.scratch.rx_bits);
+                if let Some(rec) = self.medium.receive_with(tx, buf) {
+                    let rxd = RxDelivery {
+                        bits: &rec.bits,
+                        collision_mask: rec.collision_mask.as_ref(),
+                        rf_channel: rec.rf_channel,
+                        start: rec.start,
+                        end: rec.end,
+                    };
+                    for &dev in &listeners {
+                        if self.crashed[dev] || self.muted[dev] {
+                            continue; // faulted after the window latched on
+                        }
+                        self.drive_lc(dev, t, |lc, out| lc.on_rx(&rxd, t, out));
+                        // Receptions land off the half-slot grid (packet
+                        // end + modem delay): the next tick that can act
+                        // is strictly after this instant.
+                        self.recompute_wakeup(dev, t + SimDuration::from_ns(1));
                     }
-                    let actions = self.devices[dev].lc.on_rx(&rxd, t);
-                    self.apply_actions(dev, actions, t);
-                    // Receptions land off the half-slot grid (packet end
-                    // + modem delay): the next tick that can act is
-                    // strictly after this instant.
-                    self.recompute_wakeup(dev, t + SimDuration::from_ns(1));
+                    if self.engine == Engine::EventDriven {
+                        self.arm_wake();
+                    }
+                    self.scratch.rx_bits = rec.bits;
                 }
-                if self.engine == Engine::EventDriven {
-                    self.arm_wake();
-                }
+                listeners.clear();
+                self.scratch.listeners.push(listeners);
             }
             Ev::WindowOpen { dev, id } => {
                 let cell = &mut self.devices[dev];
@@ -548,8 +570,7 @@ impl World {
     /// preconditions).
     fn tick_device(&mut self, dev: usize, t: SimTime) {
         self.try_stat_batch(dev, t);
-        let actions = self.devices[dev].lc.on_tick(t);
-        self.apply_actions(dev, actions, t);
+        self.drive_lc(dev, t, |lc, out| lc.on_tick(t, out));
         if t.ns().is_multiple_of(SimDuration::SLOT.ns()) {
             let outs = self.devices[dev].lm.poll(t.slots());
             self.apply_lm_outputs(dev, outs, t);
@@ -921,8 +942,7 @@ impl World {
                 // manager: a revived device restarts from standby with
                 // its role intact but no link state — peers only learn
                 // of the death through their supervision timers.
-                let actions = self.devices[dev].lc.command(LcCommand::PowerOff, t);
-                self.apply_actions(dev, actions, t);
+                self.drive_lc(dev, t, |lc, out| lc.command(LcCommand::PowerOff, t, out));
                 let role = self.devices[dev].lm.role();
                 self.devices[dev].lm = LinkManager::new(role);
                 self.rearm_wakeup(dev, t);
@@ -1076,8 +1096,26 @@ impl World {
             .record(to, self.devices[dev].sig_rx, TraceValue::Bit(false));
     }
 
-    fn apply_actions(&mut self, dev: usize, actions: Vec<LcAction>, now: SimTime) {
-        for a in actions {
+    /// Runs one link-controller entry point of `dev` on the world's
+    /// action buffer and applies what it appended. Applying may re-enter
+    /// (an LMP PDU makes the link manager issue a command); the nested
+    /// call then finds the buffer taken and grows a fresh one, which
+    /// only such rare commands pay for.
+    fn drive_lc(
+        &mut self,
+        dev: usize,
+        now: SimTime,
+        call: impl FnOnce(&mut LinkController, &mut Vec<LcAction>),
+    ) {
+        let mut actions = std::mem::take(&mut self.scratch.actions);
+        call(&mut self.devices[dev].lc, &mut actions);
+        self.apply_actions(dev, &mut actions, now);
+        self.scratch.actions = actions;
+    }
+
+    /// Carries out (and drains) the actions a link controller asked for.
+    fn apply_actions(&mut self, dev: usize, actions: &mut Vec<LcAction>, now: SimTime) {
+        for a in actions.drain(..) {
             match a {
                 LcAction::Tx {
                     at,
@@ -1169,8 +1207,7 @@ impl World {
             match o {
                 LmOutput::Command(cmd) => {
                     self.capture_lmp_out(dev, &cmd, now);
-                    let actions = self.devices[dev].lc.command(cmd, now);
-                    self.apply_actions(dev, actions, now);
+                    self.drive_lc(dev, now, |lc, out| lc.command(cmd, now, out));
                 }
                 LmOutput::Event(event) => {
                     self.lm_events.push(LoggedLmEvent {

@@ -139,14 +139,18 @@ fn fec23_ok_table() -> &'static [[f64; 16]; 11] {
     static TABLE: OnceLock<[[f64; 16]; 11]> = OnceLock::new();
     TABLE.get_or_init(|| {
         let mut table = [[0.0f64; 16]; 11];
+        let mut bits = BitVec::new();
+        let mut decoded = BitVec::new();
         for pattern in 0u32..(1 << 15) {
-            let bits = BitVec::from_fn(15, |i| pattern & (1 << i) != 0);
-            let decoded = fec23_decode(&bits);
+            bits.clear();
+            bits.push_bits_lsb(pattern as u64, 15);
+            decoded.clear();
+            fec23_decode(&bits, 0..15, &mut decoded);
             let w = pattern.count_ones() as usize;
             table[0][w] += 1.0; // k = 0: vacuously intact
             let mut intact = true;
             for (k, row) in table.iter_mut().enumerate().skip(1) {
-                intact = intact && decoded.data.get(k - 1) != Some(true);
+                intact = intact && decoded.get(k - 1) != Some(true);
                 if intact {
                     row[w] += 1.0;
                 }
@@ -336,7 +340,7 @@ fn binomial_tail_gt(n: u32, k: i32, p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btsim_coding::fec::{fec13_decode, fec13_encode, fec23_encode};
+    use btsim_coding::fec::{fec13_decode, fec13_encode_into, fec23_encode_into};
     use btsim_coding::syncword::{access_code, correlate, DEFAULT_SYNC_THRESHOLD};
 
     fn flip_bits(bits: &BitVec, ber: f64, rng: &mut SimRng) -> BitVec {
@@ -452,13 +456,15 @@ mod tests {
         let ber = 0.05;
         let model = ErrorModel::new(ber, DEFAULT_SYNC_THRESHOLD);
         let header = BitVec::from_fn(18, |i| i % 3 != 1);
-        let coded = fec13_encode(&header);
+        let mut coded = BitVec::new();
+        fec13_encode_into(&header, &mut coded);
         let mut rng = SimRng::new(0x13EC);
         let trials = 20_000;
         let mut failures = 0usize;
         for _ in 0..trials {
             let dirty = flip_bits(&coded, ber, &mut rng);
-            let (decoded, _) = fec13_decode(&dirty);
+            let mut decoded = BitVec::new();
+            fec13_decode(&dirty, 0..dirty.len(), &mut decoded);
             if decoded != header {
                 failures += 1;
             }
@@ -480,14 +486,16 @@ mod tests {
             let ber = 0.03;
             let model = ErrorModel::new(ber, DEFAULT_SYNC_THRESHOLD);
             let data = BitVec::from_fn(framed, |i| (i * 5 + 1) % 3 == 0);
-            let coded = fec23_encode(&data);
+            let mut coded = BitVec::new();
+            fec23_encode_into(&data, &mut coded);
             let mut rng = SimRng::new(seed);
             let trials = 20_000;
             let mut failures = 0usize;
             for _ in 0..trials {
                 let dirty = flip_bits(&coded, ber, &mut rng);
-                let decoded = fec23_decode(&dirty);
-                if decoded.data.slice(0, framed) != data {
+                let mut decoded = BitVec::new();
+                fec23_decode(&dirty, 0..dirty.len(), &mut decoded);
+                if decoded.slice(0, framed) != data {
                     failures += 1;
                 }
             }
