@@ -22,6 +22,8 @@ use btsim::core::scenario::{connect_pair, paper_config};
 use btsim::core::{Engine, Fidelity, SimBuilder, Simulator};
 use btsim::kernel::{SimDuration, SimTime};
 
+mod common;
+
 /// Everything deterministic about a finished simulation.
 fn sim_digest(sim: &Simulator) -> String {
     format!(
@@ -139,8 +141,18 @@ fn assert_reports_close(
 /// lockstep/event-driven agreement *of the statistical tier itself*
 /// on every entry, so the bit-vs-stat comparison transfers to both
 /// engines.
+///
+/// The statistical-tier reports are also pinned: `(entry, byte length,
+/// FNV-1a-64)` over each report's rendering and artifacts
+/// ([`common::report_pin`]), so a refactor of the experiment code must
+/// keep every output byte. Any deliberate change to what an entry
+/// prints or writes, or to the statistical tier's draws, changes these
+/// values and must re-pin [`STAT_REGISTRY_PINS`] in the same commit; on
+/// a mismatch the test prints the full table as the current build
+/// computes it.
 #[test]
 fn all_registry_experiments_match_across_fidelity_tiers() {
+    let mut pins = Vec::new();
     for entry in registry() {
         if WALL_CLOCK_ENTRIES.contains(&entry.name) {
             continue;
@@ -170,8 +182,39 @@ fn all_registry_experiments_match_across_fidelity_tiers() {
                 entry.name
             );
         }
+        let (len, fnv) = common::report_pin(&stat);
+        pins.push((entry.name, len, fnv));
     }
+    common::assert_pinned(&pins, STAT_REGISTRY_PINS);
 }
+
+/// `(entry, byte length, FNV-1a-64)` of each registry report at
+/// `--quick --runs 2`, statistical tier (both engines).
+const STAT_REGISTRY_PINS: &[(&str, usize, u64)] = &[
+    ("fig5_waveform", 33371, 0x11639b1106dbfaa1),
+    ("fig6_inquiry_vs_ber", 755, 0xa52bca78f843e3da),
+    ("fig7_page_vs_ber", 688, 0x5165eed232f4835e),
+    ("fig8_creation_failure", 677, 0xac6aef6d9d137aee),
+    ("fig9_sniff_waveform", 5129, 0x9d6bdd8842f97ea0),
+    ("fig10_master_rf", 696, 0xd199b34ab41cfb13),
+    ("fig11_sniff_activity", 838, 0x7a4b635ee444432b),
+    ("fig12_hold_activity", 804, 0xb58254408076c139),
+    ("ext_packet_throughput", 1244, 0xf3f8a727f8b95268),
+    ("ext_coexistence", 350, 0x7aa318895d59fd5e),
+    ("ext_sco", 903, 0xf0e28c596b026fc6),
+    ("ext_park", 582, 0x796a405c4ef9fe91),
+    ("ext_inquiry_distribution", 1192, 0x3d1f710bb1042184),
+    ("ext_wlan", 689, 0x9af10d7370c1d526),
+    ("afh_adapt", 1055, 0x922a19619a783f58),
+    ("ext_ablation", 752, 0xc774e945d526d486),
+    ("scat_collisions", 810, 0x57c52a8be4f41442),
+    ("scat_bridge", 705, 0x3a73537055cc8627),
+    ("dense_floor", 3423, 0xef54184c21badc38),
+    ("capture_scan", 343570, 0x009f80276a1bb1c0),
+    ("fault_recovery", 2815, 0x330bd61f53e1460d),
+    ("fault_churn", 657, 0xffc9f6fbb782987e),
+    ("fault_degrade_heal", 372, 0xdfa4e0d12c7add72),
+];
 
 /// Where the statistical tier really samples (saturated 1-slot ACL at
 /// nonzero BER), its delivered-packet mean must sit within a CI95-wide
