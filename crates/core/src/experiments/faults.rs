@@ -26,7 +26,8 @@ use btsim_baseband::LcCommand;
 use btsim_kernel::{SimDuration, SimTime};
 use btsim_stats::{Record, Table};
 
-use crate::campaign::{Campaign, ExpOptions};
+use super::ExpReport;
+use crate::campaign::{Campaign, CampaignResult, ExpOptions};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 use crate::net::{
     form_scatternet, register_devices, schedule_bridge, BridgeLink, BridgePlan, FormationStatus,
@@ -944,83 +945,13 @@ impl Scenario for FaultDegradeHealScenario {
 // ---------------------------------------------------------------------------
 // Experiment functions.
 
-/// One arm of the `fault_recovery` experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultRecoveryRow {
-    /// `"recovery on"` or `"recovery off"`.
-    pub arm: String,
-    /// Mean overall delivery ratio.
-    pub delivered: f64,
-    /// Mean delivery ratio of pre-crash injections.
-    pub pre_delivered: f64,
-    /// Mean delivery ratio of post-window injections.
-    pub post_delivered: f64,
-    /// 95% confidence half-width of the post-window ratio.
-    pub post_ci95: f64,
-    /// Mean supervision detection latency, in slots.
-    pub detect_slots: f64,
-    /// Mean detection→link-back time, in slots (0 for the off arm).
-    pub reform_slots: f64,
-    /// Mean abandoned links per run.
-    pub gave_up: f64,
-    /// Mean orphaned in-flight frames per run.
-    pub orphaned: f64,
-}
-
-/// Result of the `fault_recovery` experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultRecovery {
-    /// The recovery-on and recovery-off arms.
-    pub rows: Vec<FaultRecoveryRow>,
-    /// Share of injections that pre-date the crash — the delivery floor
-    /// the recovery-off arm collapses to (its post-crash traffic is
-    /// orphaned at the dead bridge).
-    pub analytic_floor: f64,
-    /// The campaign result as deterministic JSON (byte-diffed by CI
-    /// across engines and `--shards` values).
-    pub json: String,
-}
-
-impl FaultRecovery {
-    /// Renders the two arms.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new([
-            "arm",
-            "delivered",
-            "post delivered",
-            "ci95",
-            "detect TS",
-            "reform TS",
-            "gave up",
-            "orphaned",
-        ]);
-        for r in &self.rows {
-            t.row([
-                r.arm.clone(),
-                format!("{:.1}%", r.delivered * 100.0),
-                format!("{:.1}%", r.post_delivered * 100.0),
-                format!("{:.3}", r.post_ci95),
-                format!("{:.0}", r.detect_slots),
-                format!("{:.0}", r.reform_slots),
-                format!("{:.2}", r.gave_up),
-                format!("{:.1}", r.orphaned),
-            ]);
-        }
-        t
-    }
-}
-
-/// **Fault-R** — bridge death and self-healing: the chain's bridge
-/// crashes mid-traffic. With recovery on, the supervisor detects the
-/// death at the supervision timeout, exhausts re-pages against the
-/// corpse and re-forms the scatternet through a surviving slave; the
-/// post-window delivery ratio returns to ≈1. With recovery off the
-/// same crash strands every post-crash frame and overall delivery
-/// collapses to the analytic pre-crash floor.
-///
-/// Fails before any run starts when the fault plan targets a device
-/// the chain does not have or a slot past [`crate::MAX_FAULT_SLOT`].
-pub fn fault_recovery(opts: &ExpOptions) -> Result<FaultRecovery, FaultPlanError> {
+/// The `fault_recovery` campaign (the recovery-on and recovery-off arms)
+/// and its analytic no-recovery delivery floor: the share of injections
+/// that pre-date the crash, which the off arm collapses to (its
+/// post-crash traffic is orphaned at the dead bridge).
+fn recovery_arms(
+    opts: &ExpOptions,
+) -> Result<(CampaignResult<FaultRecoveryOutcome>, f64), FaultPlanError> {
     let mut sim = opts.sim(paper_config());
     // The default supervisionTO (32 000 slots) would outlast the whole
     // measurement window; detection must fit inside the post grace.
@@ -1029,124 +960,99 @@ pub fn fault_recovery(opts: &ExpOptions) -> Result<FaultRecovery, FaultPlanError
         sim,
         ..FaultRecoveryConfig::default()
     };
-    let arms = [("recovery on", true), ("recovery off", false)];
-    let points: Vec<(String, FaultRecoveryScenario)> = arms
-        .iter()
-        .map(|&(label, enabled)| {
-            (
-                label.to_owned(),
-                FaultRecoveryScenario::new(FaultRecoveryConfig {
-                    recovery: RecoveryConfig {
-                        enabled,
-                        ..base.recovery
-                    },
-                    ..base.clone()
-                }),
-            )
-        })
-        .collect();
+    let points: Vec<(String, FaultRecoveryScenario)> =
+        [("recovery on", true), ("recovery off", false)]
+            .into_iter()
+            .map(|(label, enabled)| {
+                (
+                    label.to_owned(),
+                    FaultRecoveryScenario::new(FaultRecoveryConfig {
+                        recovery: RecoveryConfig {
+                            enabled,
+                            ..base.recovery
+                        },
+                        ..base.clone()
+                    }),
+                )
+            })
+            .collect();
     for (_, s) in &points {
         s.cfg
             .sim
             .faults
             .check(FaultRecoveryScenario::topology(&s.cfg).device_count())?;
     }
-    let result = Campaign::sweep(points.iter().cloned()).options(opts).run();
-    let rows = arms
-        .iter()
-        .zip(&result.points)
-        .map(|(&(label, _), p)| {
-            let post = p.metric("post_delivered");
-            FaultRecoveryRow {
-                arm: label.to_owned(),
-                delivered: p.metric("delivered").mean(),
-                pre_delivered: p.metric("pre_delivered").mean(),
-                post_delivered: post.mean(),
-                post_ci95: post.ci95(),
-                detect_slots: p.metric("detect_slots").mean(),
-                reform_slots: p.metric("reform_slots").mean(),
-                gave_up: p.metric("gave_up").mean(),
-                orphaned: p.metric("orphaned").mean(),
-            }
-        })
-        .collect();
+    let result = Campaign::sweep(points).options(opts).run();
     // Injections are periodic from the traffic anchor, so the floor is
     // the pre-crash share of the injection window.
     let window =
         base.crash_slot + base.post_grace_slots + base.post_window_slots - base.traffic_start_slot;
-    let analytic_floor = (base.crash_slot - base.traffic_start_slot) as f64 / window as f64;
-    Ok(FaultRecovery {
-        rows,
-        analytic_floor,
-        json: result.to_json().render(),
-    })
+    let floor = (base.crash_slot - base.traffic_start_slot) as f64 / window as f64;
+    Ok((result, floor))
 }
 
-/// One churn-rate point of the `fault_churn` experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultChurnRow {
-    /// Mean up-time between outages, in slots.
-    pub mean_up_slots: u64,
-    /// Mean delivery ratio.
-    pub delivered: f64,
-    /// 95% confidence half-width of the delivery ratio.
-    pub ci95: f64,
-    /// Mean detected losses per run.
-    pub losses: f64,
-    /// Mean links re-paged back per run.
-    pub recovered: f64,
-    /// Mean losses abandoned per run.
-    pub gave_up: f64,
-    /// Mean supervision detection latency, in slots.
-    pub detect_slots: f64,
-}
-
-/// Result of the `fault_churn` experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultChurn {
-    /// One row per churn rate, fastest churn first.
-    pub rows: Vec<FaultChurnRow>,
-}
-
-impl FaultChurn {
-    /// Renders the churn sweep.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new([
-            "mean up TS",
-            "delivered",
-            "ci95",
-            "losses",
-            "recovered",
-            "gave up",
-            "detect TS",
-        ]);
-        for r in &self.rows {
-            t.row([
-                format!("{}", r.mean_up_slots),
-                format!("{:.1}%", r.delivered * 100.0),
-                format!("{:.3}", r.ci95),
-                format!("{:.1}", r.losses),
-                format!("{:.1}", r.recovered),
-                format!("{:.1}", r.gave_up),
-                format!("{:.0}", r.detect_slots),
-            ]);
-        }
-        t
-    }
-}
-
-/// **Fault-C** — device churn: slaves crash and revive on a seeded
-/// calendar while the supervisor re-pages each revived member.
-/// Delivery degrades gracefully as the mean up-time shrinks; every
-/// detected loss is either recovered or accounted as abandoned.
+/// **Fault-R** — bridge death and self-healing: the chain's bridge
+/// crashes mid-traffic. With recovery on, the supervisor detects the
+/// death at the supervision timeout, exhausts re-pages against the
+/// corpse and re-forms the scatternet through a surviving slave; the
+/// post-window delivery ratio returns to ≈1. With recovery off the
+/// same crash strands every post-crash frame and overall delivery
+/// collapses to the analytic pre-crash floor. The campaign result is
+/// attached as deterministic JSON, which CI byte-diffs across engines
+/// and `--shards` values.
 ///
 /// Fails before any run starts when the fault plan targets a device
-/// the piconet does not have or a slot past [`crate::MAX_FAULT_SLOT`].
-pub fn fault_churn(opts: &ExpOptions) -> Result<FaultChurn, FaultPlanError> {
-    let rates: [u64; 3] = [3_000, 6_000, 12_000];
-    let points: Vec<(String, FaultChurnScenario)> = rates
-        .iter()
-        .map(|&mean_up| {
+/// the chain does not have or a slot past [`crate::MAX_FAULT_SLOT`].
+pub(super) fn fault_recovery(opts: &ExpOptions) -> Result<ExpReport, String> {
+    // Two arms of a bridged chain over a ~27k-slot window: cap runs.
+    let opts = &ExpOptions {
+        runs: opts.runs.min(8),
+        ..opts.clone()
+    };
+    let (result, floor) = recovery_arms(opts).map_err(|e| e.to_string())?;
+    let mut t = Table::new([
+        "arm",
+        "delivered",
+        "post delivered",
+        "ci95",
+        "detect TS",
+        "reform TS",
+        "gave up",
+        "orphaned",
+    ]);
+    for p in &result.points {
+        let post = p.metric("post_delivered");
+        t.row([
+            p.label.clone(),
+            format!("{:.1}%", p.metric("delivered").mean() * 100.0),
+            format!("{:.1}%", post.mean() * 100.0),
+            format!("{:.3}", post.ci95()),
+            format!("{:.0}", p.metric("detect_slots").mean()),
+            format!("{:.0}", p.metric("reform_slots").mean()),
+            format!("{:.2}", p.metric("gave_up").mean()),
+            format!("{:.1}", p.metric("orphaned").mean()),
+        ]);
+    }
+    Ok(
+        ExpReport::new(
+            "Fault-R — bridge death: self-healing re-formation vs the no-recovery floor",
+        )
+        .note("(the chain's bridge crashes mid-traffic; the on arm re-forms through a slave)")
+        .note(format!(
+            "(analytic no-recovery delivery floor: {:.1}% — the pre-crash share of injections)",
+            floor * 100.0
+        ))
+        .table(t)
+        .artifact("fault_recovery.json", result.to_json().render()),
+    )
+}
+
+/// The `fault_churn` campaign: one point per mean up-time between
+/// outages, in slots, fastest churn first.
+fn churn_sweep(opts: &ExpOptions) -> Result<CampaignResult<FaultChurnOutcome>, FaultPlanError> {
+    let points: Vec<(String, FaultChurnScenario)> = [3_000u64, 6_000, 12_000]
+        .into_iter()
+        .map(|mean_up| {
             let mut sim = opts.sim(paper_config());
             sim.lc.supervision_timeout_slots = 800;
             (
@@ -1163,58 +1069,56 @@ pub fn fault_churn(opts: &ExpOptions) -> Result<FaultChurn, FaultPlanError> {
     for (_, s) in &points {
         s.cfg.sim.faults.check(s.topo.device_count())?;
     }
-    let result = Campaign::sweep(points.iter().cloned()).options(opts).run();
-    let rows = rates
-        .iter()
-        .zip(&result.points)
-        .map(|(&mean_up, p)| {
-            let delivered = p.metric("delivered");
-            FaultChurnRow {
-                mean_up_slots: mean_up,
-                delivered: delivered.mean(),
-                ci95: delivered.ci95(),
-                losses: p.metric("losses").mean(),
-                recovered: p.metric("recovered").mean(),
-                gave_up: p.metric("gave_up").mean(),
-                detect_slots: p.metric("detect_slots").mean(),
-            }
-        })
-        .collect();
-    Ok(FaultChurn { rows })
+    Ok(Campaign::sweep(points).options(opts).run())
 }
 
-/// Result of the `fault_degrade_heal` experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultDegradeHeal {
-    /// Mean goodput before the ramp, in bit/s.
-    pub pre_bps: f64,
-    /// Mean goodput while fully degraded, in bit/s.
-    pub during_bps: f64,
-    /// Mean goodput after the heal grace, in bit/s.
-    pub post_bps: f64,
-    /// Mean overall delivery ratio.
-    pub delivered: f64,
-}
-
-impl FaultDegradeHeal {
-    /// Renders the three windows.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(["window", "goodput bit/s"]);
-        t.row(["before degrade".into(), format!("{:.0}", self.pre_bps)]);
-        t.row(["degraded".into(), format!("{:.0}", self.during_bps)]);
-        t.row(["after heal".into(), format!("{:.0}", self.post_bps)]);
-        t
-    }
-}
-
-/// **Fault-D** — degrade then heal: one slave's transmit BER ramps up
-/// mid-run and heals later. ARQ keeps the link alive through the
-/// degradation, so the signature is a goodput dip bracketed by two
-/// healthy windows rather than a supervision death.
+/// **Fault-C** — device churn: slaves crash and revive on a seeded
+/// calendar while the supervisor re-pages each revived member.
+/// Delivery degrades gracefully as the mean up-time shrinks; every
+/// detected loss is either recovered or accounted as abandoned.
 ///
 /// Fails before any run starts when the fault plan targets a device
-/// the link does not have or a slot past [`crate::MAX_FAULT_SLOT`].
-pub fn fault_degrade_heal(opts: &ExpOptions) -> Result<FaultDegradeHeal, FaultPlanError> {
+/// the piconet does not have or a slot past [`crate::MAX_FAULT_SLOT`].
+pub(super) fn fault_churn(opts: &ExpOptions) -> Result<ExpReport, String> {
+    // Three churn rates over a ~30k-slot window each: cap runs.
+    let opts = &ExpOptions {
+        runs: opts.runs.min(8),
+        ..opts.clone()
+    };
+    let result = churn_sweep(opts).map_err(|e| e.to_string())?;
+    let mut t = Table::new([
+        "mean up TS",
+        "delivered",
+        "ci95",
+        "losses",
+        "recovered",
+        "gave up",
+        "detect TS",
+    ]);
+    for p in &result.points {
+        let delivered = p.metric("delivered");
+        t.row([
+            p.label.clone(),
+            format!("{:.1}%", delivered.mean() * 100.0),
+            format!("{:.3}", delivered.ci95()),
+            format!("{:.1}", p.metric("losses").mean()),
+            format!("{:.1}", p.metric("recovered").mean()),
+            format!("{:.1}", p.metric("gave_up").mean()),
+            format!("{:.0}", p.metric("detect_slots").mean()),
+        ]);
+    }
+    Ok(
+        ExpReport::new("Fault-C — delivery under seeded device churn with supervised re-paging")
+            .note("(slaves crash/revive on a fixed calendar; the supervisor re-pages each revival)")
+            .table(t),
+    )
+}
+
+/// The `fault_degrade_heal` campaign: one point, one degrade/heal window
+/// per run.
+fn degrade_heal_runs(
+    opts: &ExpOptions,
+) -> Result<CampaignResult<FaultDegradeHealOutcome>, FaultPlanError> {
     let scenario = FaultDegradeHealScenario::new(FaultDegradeHealConfig {
         sim: opts.sim(paper_config()),
         ..FaultDegradeHealConfig::default()
@@ -1224,14 +1128,39 @@ pub fn fault_degrade_heal(opts: &ExpOptions) -> Result<FaultDegradeHeal, FaultPl
         .sim
         .faults
         .check(scenario.topo.device_count())?;
-    let result = Campaign::new(scenario).options(opts).run();
+    Ok(Campaign::new(scenario).options(opts).run())
+}
+
+/// **Fault-D** — degrade then heal: one slave's transmit BER ramps up
+/// mid-run and heals later. ARQ keeps the link alive through the
+/// degradation, so the signature is a goodput dip bracketed by two
+/// healthy windows rather than a supervision death.
+///
+/// Fails before any run starts when the fault plan targets a device
+/// the link does not have or a slot past [`crate::MAX_FAULT_SLOT`].
+pub(super) fn fault_degrade_heal(opts: &ExpOptions) -> Result<ExpReport, String> {
+    let opts = &ExpOptions {
+        runs: opts.runs.min(8),
+        ..opts.clone()
+    };
+    let result = degrade_heal_runs(opts).map_err(|e| e.to_string())?;
     let p = &result.points[0];
-    Ok(FaultDegradeHeal {
-        pre_bps: p.metric("pre_bps").mean(),
-        during_bps: p.metric("during_bps").mean(),
-        post_bps: p.metric("post_bps").mean(),
-        delivered: p.metric("delivered").mean(),
-    })
+    let mut t = Table::new(["window", "goodput bit/s"]);
+    for (label, metric) in [
+        ("before degrade", "pre_bps"),
+        ("degraded", "during_bps"),
+        ("after heal", "post_bps"),
+    ] {
+        t.row([label.into(), format!("{:.0}", p.metric(metric).mean())]);
+    }
+    Ok(
+        ExpReport::new("Fault-D — goodput dip and recovery across a BER degrade/heal window")
+            .note(format!(
+                "(overall delivery {:.1}% — ARQ keeps the link alive through the degradation)",
+                p.metric("delivered").mean() * 100.0
+            ))
+            .table(t),
+    )
 }
 
 #[cfg(test)]
@@ -1248,68 +1177,73 @@ mod tests {
 
     #[test]
     fn fault_recovery_on_beats_the_floor_and_off_collapses_to_it() {
-        let f = fault_recovery(&opts(2)).unwrap();
-        let on = &f.rows[0];
-        let off = &f.rows[1];
+        let (result, floor) = recovery_arms(&opts(2)).unwrap();
+        let on = &result.points[0];
+        let off = &result.points[1];
+        let on_post = on.metric("post_delivered").mean();
+        let off_post = off.metric("post_delivered").mean();
+        let off_delivered = off.metric("delivered").mean();
         assert!(
-            on.post_delivered >= 0.95,
-            "recovery-on post-window delivery {:.3} < 0.95",
-            on.post_delivered
+            on_post >= 0.95,
+            "recovery-on post-window delivery {on_post:.3} < 0.95"
         );
         assert!(
-            off.post_delivered <= 0.05,
-            "recovery-off post-window delivery {:.3} should be ~0",
-            off.post_delivered
+            off_post <= 0.05,
+            "recovery-off post-window delivery {off_post:.3} should be ~0"
         );
         assert!(
-            (off.delivered - f.analytic_floor).abs() < 0.15,
-            "recovery-off overall delivery {:.3} should sit near the floor {:.3}",
-            off.delivered,
-            f.analytic_floor
+            (off_delivered - floor).abs() < 0.15,
+            "recovery-off overall delivery {off_delivered:.3} should sit near the floor {floor:.3}"
         );
-        assert!(on.reform_slots > 0.0, "the on arm must re-form the bridge");
-        assert!(off.orphaned > 0.0, "the off arm must strand frames");
+        assert!(
+            on.metric("reform_slots").mean() > 0.0,
+            "the on arm must re-form the bridge"
+        );
+        assert!(
+            off.metric("orphaned").mean() > 0.0,
+            "the off arm must strand frames"
+        );
     }
 
     #[test]
     fn fault_churn_recovers_revived_members() {
-        let f = fault_churn(&opts(1)).unwrap();
+        let result = churn_sweep(&opts(1)).unwrap();
         // Fastest churn loses the most but still delivers something.
-        let fast = &f.rows[0];
-        let slow = &f.rows[2];
-        assert!(fast.losses >= 1.0, "churn must cause supervision losses");
+        let fast = &result.points[0];
+        let slow = &result.points[2];
+        let fast_delivered = fast.metric("delivered").mean();
+        let slow_delivered = slow.metric("delivered").mean();
         assert!(
-            fast.recovered >= 1.0,
+            fast.metric("losses").mean() >= 1.0,
+            "churn must cause supervision losses"
+        );
+        assert!(
+            fast.metric("recovered").mean() >= 1.0,
             "the supervisor must re-page at least one revived member"
         );
+        assert!(fast_delivered > 0.2, "delivery {fast_delivered:.3} too low");
         assert!(
-            fast.delivered > 0.2,
-            "delivery {:.3} too low",
-            fast.delivered
-        );
-        assert!(
-            slow.delivered >= fast.delivered,
-            "slower churn ({:.3}) must not deliver less than faster churn ({:.3})",
-            slow.delivered,
-            fast.delivered
+            slow_delivered >= fast_delivered,
+            "slower churn ({slow_delivered:.3}) must not deliver less than faster churn \
+             ({fast_delivered:.3})"
         );
     }
 
     #[test]
     fn fault_degrade_heal_dips_then_recovers() {
-        let f = fault_degrade_heal(&opts(1)).unwrap();
-        assert!(f.pre_bps > 0.0);
+        let result = degrade_heal_runs(&opts(1)).unwrap();
+        let p = &result.points[0];
+        let pre = p.metric("pre_bps").mean();
+        let during = p.metric("during_bps").mean();
+        let post = p.metric("post_bps").mean();
+        assert!(pre > 0.0);
         assert!(
-            f.during_bps < f.pre_bps * 0.8,
-            "degraded goodput {:.0} should dip well below healthy {:.0}",
-            f.during_bps,
-            f.pre_bps
+            during < pre * 0.8,
+            "degraded goodput {during:.0} should dip well below healthy {pre:.0}"
         );
         assert!(
-            f.post_bps > f.during_bps,
-            "post-heal goodput {:.0} must recover above degraded {:.0}",
-            f.post_bps,
-            f.during_bps
+            post > during,
+            "post-heal goodput {post:.0} must recover above degraded {during:.0}"
         );
     }
 
@@ -1319,15 +1253,20 @@ mod tests {
         // arms deliver fully, no losses are recorded.
         let mut o = opts(1);
         o.faults = Some(FaultPlan::parse("crash@900000:dev=0").unwrap());
-        let f = fault_recovery(&o).unwrap();
-        for r in &f.rows {
+        let (result, _) = recovery_arms(&o).unwrap();
+        for p in &result.points {
+            let post = p.metric("post_delivered").mean();
             assert!(
-                r.post_delivered >= 0.95,
-                "{}: post delivery {:.3} with no crash in window",
-                r.arm,
-                r.post_delivered
+                post >= 0.95,
+                "{}: post delivery {post:.3} with no crash in window",
+                p.label
             );
-            assert_eq!(r.detect_slots, 0.0, "{}: no loss should be detected", r.arm);
+            assert_eq!(
+                p.metric("detect_slots").mean(),
+                0.0,
+                "{}: no loss should be detected",
+                p.label
+            );
         }
     }
 }

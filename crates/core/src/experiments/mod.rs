@@ -1,16 +1,23 @@
 //! The paper's experiments, one function per table/figure.
 //!
-//! Each function expresses the corresponding workload as a
-//! [`Campaign`] over a [`Scenario`](crate::scenario::Scenario) — the
-//! campaign owns seeding, parallelism and aggregation — and returns a
-//! structured result with a [`Table`] renderer printing the same series
-//! the paper reports. Absolute numbers depend on the calibrated
-//! behavioural model (see EXPERIMENTS.md); the shapes — break-even
-//! points, bottleneck ordering, saturation — are the reproduction target.
+//! Each experiment expresses its workload as a [`Campaign`] over a
+//! [`Scenario`] — the campaign owns seeding, parallelism and
+//! aggregation — and is one function
+//! `fn(&ExpOptions) -> Result<ExpReport, String>` that builds its
+//! [`Table`]s straight from the campaign's points
+//! (`metric(..).mean()`/`ci95()`, `completion_rate()`, `first()`) and
+//! owns its title, notes, run caps and artifacts. That function is the
+//! experiment's [`registry`] entry, which is what the `experiments`
+//! multiplexer in `btsim-bench` executes; `registry()` and `find()` are
+//! the public surface. Absolute numbers depend on the calibrated
+//! behavioural model (see [`paper_config`]'s knob list and the
+//! `ext_ablation` entry); the shapes — break-even points, bottleneck
+//! ordering, saturation — are the reproduction target.
 //!
-//! Every experiment is also a [`registry`] entry (name + description +
-//! runner), which is what the `btsim-bench` binaries and the
-//! `experiments` multiplexer execute.
+//! A few experiments keep a typed result with a `table()` renderer
+//! because code outside the registry reads it: the BER sweeps of
+//! Figs. 6-8, the waveforms of Figs. 5 and 9, Fig. 10, the low-power
+//! mode sweeps of Figs. 11-12 and Ext-D, Table 1 and Ext-A.
 
 use std::time::Instant;
 
@@ -19,10 +26,11 @@ use btsim_kernel::{SimDuration, SimTime};
 use btsim_stats::{Summary, Table};
 use btsim_trace::{render_ascii, to_vcd, AsciiOptions};
 
-use crate::campaign::Campaign;
+use crate::campaign::{Campaign, CampaignResult};
 use crate::net::{
     analytic_collision_rate, BridgePlan, DenseFloorConfig, DenseFloorScenario, MultiPiconetConfig,
-    MultiPiconetScenario, ScatternetConfig, ScatternetScenario, Topology,
+    MultiPiconetOutcome, MultiPiconetScenario, ScatternetConfig, ScatternetOutcome,
+    ScatternetScenario, Topology,
 };
 use crate::scenario::{
     connect_pair, paper_config, AfhAdaptConfig, AfhAdaptScenario, CoexistenceConfig,
@@ -31,7 +39,7 @@ use crate::scenario::{
     ParkScenario, Scenario, ScoLinkConfig, ScoLinkScenario, SniffConfig, SniffScenario,
     TrafficConfig, TrafficScenario,
 };
-use crate::{AfhConfig, Engine, LoggedEvent, SimBuilder};
+use crate::{AfhConfig, Engine, SimBuilder};
 
 mod faults;
 mod registry;
@@ -709,50 +717,15 @@ pub fn ext_packet_throughput(opts: &ExpOptions) -> ExtThroughput {
     ExtThroughput { rows }
 }
 
-/// Result of the Ext-B coexistence experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExtCoexistence {
-    /// Mean creation slots without an interfering piconet.
-    pub baseline_mean_slots: f64,
-    /// Mean creation slots with a busy piconet nearby.
-    pub interfered_mean_slots: f64,
-    /// Creation success fraction without interference.
-    pub baseline_success: f64,
-    /// Creation success fraction with interference.
-    pub interfered_success: f64,
-}
-
-impl ExtCoexistence {
-    /// Renders the comparison.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(["scenario", "mean creation TS", "success"]);
-        t.row([
-            "isolated".into(),
-            format!("{:.0}", self.baseline_mean_slots),
-            format!("{:.1}%", self.baseline_success * 100.0),
-        ]);
-        t.row([
-            "next to busy piconet".into(),
-            format!("{:.0}", self.interfered_mean_slots),
-            format!("{:.1}%", self.interfered_success * 100.0),
-        ]);
-        t
-    }
-}
-
 /// **Ext-B** — collision behaviour with two co-located piconets (the
 /// situation of the paper's references [3-5]): piconet B forms while
 /// piconet A saturates the channel with traffic. Hop collisions corrupt
 /// some of B's exchanges, stretching its creation time.
-pub fn ext_coexistence(opts: &ExpOptions) -> ExtCoexistence {
-    let result = Campaign::sweep([false, true].map(|with_interferer| {
+fn ext_coexistence(opts: &ExpOptions) -> Result<ExpReport, String> {
+    let arms = [(false, "isolated"), (true, "next to busy piconet")];
+    let result = Campaign::sweep(arms.map(|(with_interferer, label)| {
         (
-            if with_interferer {
-                "interfered"
-            } else {
-                "isolated"
-            }
-            .to_string(),
+            label.to_string(),
             CoexistenceScenario::new(CoexistenceConfig {
                 with_interferer,
                 sim: opts.sim(paper_config()),
@@ -761,177 +734,79 @@ pub fn ext_coexistence(opts: &ExpOptions) -> ExtCoexistence {
         )
     }))
     .options(opts)
-    .runs(opts.runs.max(4))
+    // Four devices per run: keep the campaign bounded.
+    .runs(opts.runs.clamp(4, 40))
     .run();
-    let baseline = &result.points[0];
-    let interfered = &result.points[1];
-    ExtCoexistence {
-        baseline_mean_slots: baseline.metric("slots").mean(),
-        interfered_mean_slots: interfered.metric("slots").mean(),
-        baseline_success: baseline.completion_rate(),
-        interfered_success: interfered.completion_rate(),
+    let mut t = Table::new(["scenario", "mean creation TS", "success"]);
+    for p in &result.points {
+        t.row([
+            p.label.clone(),
+            format!("{:.0}", p.metric("slots").mean()),
+            format!("{:.1}%", p.completion_rate() * 100.0),
+        ]);
     }
-}
-
-/// One row of the Ext-C SCO experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScoRow {
-    /// Voice packet type (HV1/HV2/HV3).
-    pub ptype: PacketType,
-    /// Slave RF activity fraction while the link carries voice.
-    pub activity: f64,
-    /// Delivered voice frames / reserved pairs, per BER label.
-    pub delivery: Vec<(String, f64)>,
-    /// Residual voice byte-error fraction after FEC, per BER label —
-    /// where HV1's 1/3 FEC earns its slots.
-    pub residual_err: Vec<(String, f64)>,
-}
-
-/// Result of the Ext-C experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExtSco {
-    /// One row per HV type.
-    pub rows: Vec<ScoRow>,
-}
-
-impl ExtSco {
-    /// Renders the HV comparison.
-    pub fn table(&self) -> Table {
-        let mut headers = vec!["type".to_string(), "slave activity".to_string()];
-        if let Some(first) = self.rows.first() {
-            for (label, _) in &first.delivery {
-                headers.push(format!("delivery @{label}"));
-            }
-            for (label, _) in &first.residual_err {
-                headers.push(format!("byte err @{label}"));
-            }
-        }
-        let mut t = Table::with_headers(headers);
-        for r in &self.rows {
-            let mut cells = vec![
-                format!("{:?}", r.ptype),
-                format!("{:.2}%", r.activity * 100.0),
-            ];
-            for (_, d) in &r.delivery {
-                cells.push(format!("{:.1}%", d * 100.0));
-            }
-            for (_, e) in &r.residual_err {
-                cells.push(format!("{:.3}%", e * 100.0));
-            }
-            t.row(cells);
-        }
-        t
-    }
+    Ok(ExpReport::new("Ext-B — creation of piconet B while piconet A saturates the band").table(t))
 }
 
 /// **Ext-C** — SCO voice links (the standard's second link type, paper
 /// §1): RF cost and frame-delivery rate of HV1/HV2/HV3. HV1 reserves
 /// every slot pair (maximum RF cost, maximum FEC protection); HV3 uses
-/// one pair in three with no FEC.
-pub fn ext_sco(opts: &ExpOptions) -> ExtSco {
+/// one pair in three with no FEC. The residual byte-error columns show
+/// where HV1's 1/3 FEC earns its slots.
+fn ext_sco(opts: &ExpOptions) -> Result<ExpReport, String> {
     let types = [PacketType::Hv1, PacketType::Hv2, PacketType::Hv3];
     let bers: [(&str, f64); 3] = [("0", 0.0), ("1/100", 0.01), ("1/40", 1.0 / 40.0)];
-    let mut jobs = Vec::new();
-    for t in types {
+    let mut points = Vec::new();
+    for ptype in types {
         for (label, ber) in bers {
-            jobs.push((t, label, ber));
+            points.push((
+                format!("{ptype:?}@{label}"),
+                ScoLinkScenario::new(ScoLinkConfig {
+                    ptype,
+                    ber,
+                    sim: opts.sim(paper_config()),
+                    ..ScoLinkConfig::default()
+                }),
+            ));
         }
     }
-    let result = Campaign::sweep(jobs.iter().map(|(ptype, label, ber)| {
-        (
-            format!("{ptype:?}@{label}"),
-            ScoLinkScenario::new(ScoLinkConfig {
-                ptype: *ptype,
-                ber: *ber,
-                sim: opts.sim(paper_config()),
-                ..ScoLinkConfig::default()
-            }),
+    let result = Campaign::sweep(points).options(opts).runs(1).run();
+    let mut headers = vec!["type".to_string(), "slave activity".to_string()];
+    headers.extend(bers.iter().map(|(label, _)| format!("delivery @{label}")));
+    headers.extend(bers.iter().map(|(label, _)| format!("byte err @{label}")));
+    let mut t = Table::with_headers(headers);
+    // One chunk of BER points per type; activity is read on the clean one.
+    for (ptype, row) in types.iter().zip(result.points.chunks(bers.len())) {
+        let mut cells = vec![
+            format!("{ptype:?}"),
+            format!("{:.2}%", row[0].first().activity * 100.0),
+        ];
+        cells.extend(
+            row.iter()
+                .map(|p| format!("{:.1}%", p.first().delivery * 100.0)),
+        );
+        cells.extend(
+            row.iter()
+                .map(|p| format!("{:.3}%", p.first().residual_err * 100.0)),
+        );
+        t.row(cells);
+    }
+    Ok(
+        ExpReport::new(
+            "Ext-C — SCO voice links: HV1 (max FEC, every pair) vs HV3 (no FEC, 1-in-3)",
         )
-    }))
-    .options(opts)
-    .runs(1)
-    .run();
-    let rows = types
-        .iter()
-        .map(|&ptype| {
-            let mut delivery = Vec::new();
-            let mut residual_err = Vec::new();
-            let mut activity = 0.0;
-            for (k, (label, _)) in bers.iter().enumerate() {
-                let point = result
-                    .point(&format!("{ptype:?}@{label}"))
-                    .expect("swept point");
-                let out = point.first();
-                delivery.push((label.to_string(), out.delivery));
-                residual_err.push((label.to_string(), out.residual_err));
-                if k == 0 {
-                    activity = out.activity;
-                }
-            }
-            ScoRow {
-                ptype,
-                activity,
-                delivery,
-                residual_err,
-            }
-        })
-        .collect();
-    ExtSco { rows }
-}
-
-/// One row of the calibration ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AblationRow {
-    /// Whether the page-response FHS carried the spec 2/3 FEC.
-    pub fhs_fec: bool,
-    /// Whether the page scan ran continuously (vs the R1 window).
-    pub continuous_scan: bool,
-    /// Page failure probability per BER label (2048-slot timeout).
-    pub page_failure: Vec<(String, f64)>,
-}
-
-/// Result of the calibration ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExtAblation {
-    /// One row per knob combination.
-    pub rows: Vec<AblationRow>,
-}
-
-impl ExtAblation {
-    /// Renders the knob × BER failure matrix.
-    pub fn table(&self) -> Table {
-        let mut headers = vec!["page FHS FEC".to_string(), "page scan".to_string()];
-        if let Some(first) = self.rows.first() {
-            for (label, _) in &first.page_failure {
-                headers.push(format!("failure @{label}"));
-            }
-        }
-        let mut t = Table::with_headers(headers);
-        for r in &self.rows {
-            let mut cells = vec![
-                if r.fhs_fec { "2/3 FEC" } else { "raw" }.to_string(),
-                if r.continuous_scan {
-                    "continuous"
-                } else {
-                    "R1 window"
-                }
-                .to_string(),
-            ];
-            for (_, f) in &r.page_failure {
-                cells.push(format!("{:.0}%", f * 100.0));
-            }
-            t.row(cells);
-        }
-        t
-    }
+        .table(t),
+    )
 }
 
 /// **Ablation** — why the calibration of `paper_config()` is what it is:
 /// page-failure probability under the four combinations of the two
-/// fragility levers. Only "raw FHS + R1 window" reproduces the paper's
-/// Fig. 8 (failure racing to ~100% at BER 1/30 while staying moderate at
-/// 1/100); every other combination leaves paging too robust.
-pub fn ext_calibration_ablation(opts: &ExpOptions) -> ExtAblation {
+/// fragility levers (page-response FHS with or without the spec 2/3
+/// FEC, R1 scan window or continuous page scan). Only "raw FHS + R1
+/// window" reproduces the paper's Fig. 8 (failure racing to ~100% at
+/// BER 1/30 while staying moderate at 1/100); every other combination
+/// leaves paging too robust.
+fn ext_calibration_ablation(opts: &ExpOptions) -> Result<ExpReport, String> {
     let bers: [(&str, f64); 3] = [("1/100", 0.01), ("1/50", 0.02), ("1/30", 1.0 / 30.0)];
     let combos = [(true, true), (true, false), (false, true), (false, false)];
     let mut points = Vec::new();
@@ -951,43 +826,41 @@ pub fn ext_calibration_ablation(opts: &ExpOptions) -> ExtAblation {
             ));
         }
     }
-    let result = Campaign::sweep(points).options(opts).run();
-    let rows = combos
-        .iter()
-        .map(|&(fhs_fec, continuous)| {
-            let page_failure = bers
-                .iter()
-                .map(|(label, _)| {
-                    let point = result
-                        .point(&format!("{fhs_fec}/{continuous}@{label}"))
-                        .expect("swept point");
-                    (label.to_string(), 1.0 - point.completion_rate())
-                })
-                .collect();
-            AblationRow {
-                fhs_fec,
-                continuous_scan: continuous,
-                page_failure,
+    let result = Campaign::sweep(points)
+        .options(opts)
+        .runs(opts.runs.min(60))
+        .run();
+    let mut headers = vec!["page FHS FEC".to_string(), "page scan".to_string()];
+    headers.extend(bers.iter().map(|(label, _)| format!("failure @{label}")));
+    let mut t = Table::with_headers(headers);
+    for ((fhs_fec, continuous), row) in combos.iter().zip(result.points.chunks(bers.len())) {
+        let mut cells = vec![
+            if *fhs_fec { "2/3 FEC" } else { "raw" }.to_string(),
+            if *continuous {
+                "continuous"
+            } else {
+                "R1 window"
             }
-        })
-        .collect();
-    ExtAblation { rows }
-}
-
-/// Result of the inquiry-distribution experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InquiryDistribution {
-    /// Completion-time histogram over [0, 6144) slots.
-    pub histogram: btsim_stats::Histogram,
-    /// Sample summary.
-    pub summary: Summary,
+            .to_string(),
+        ];
+        cells.extend(
+            row.iter()
+                .map(|p| format!("{:.0}%", (1.0 - p.completion_rate()) * 100.0)),
+        );
+        t.row(cells);
+    }
+    Ok(ExpReport::new(
+        "Ablation — page failure probability (2048-slot timeout) per knob combination",
+    )
+    .note("(the paper's Fig. 8 needs ~100% at 1/30 with moderate failure at 1/100)")
+    .table(t))
 }
 
 /// **Ext-E** — the *distribution* behind Fig. 6's mean: inquiry duration
 /// is strongly structured by the train mechanism (an early mass when the
 /// scanner's channel sits in the active train, a late mass one train
 /// switch later) convolved with the uniform response backoff.
-pub fn ext_inquiry_distribution(opts: &ExpOptions) -> InquiryDistribution {
+fn ext_inquiry_distribution(opts: &ExpOptions) -> Result<ExpReport, String> {
     let result = Campaign::new(InquiryScenario::new(InquiryConfig {
         sim: opts.sim(paper_config()),
         ..InquiryConfig::default()
@@ -1001,49 +874,12 @@ pub fn ext_inquiry_distribution(opts: &ExpOptions) -> InquiryDistribution {
         histogram.add(out.slots as f64);
         summary.add(out.slots as f64);
     }
-    InquiryDistribution { histogram, summary }
-}
-
-/// One row of the WLAN-coexistence experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WlanRow {
-    /// Fraction of time the 22-channel WLAN band is busy.
-    pub wlan_duty: f64,
-    /// ACL goodput in kbit/s (DM1 bulk transfer).
-    pub goodput_kbps: f64,
-    /// Goodput with v1.2 adaptive frequency hopping avoiding the band.
-    pub goodput_afh_kbps: f64,
-    /// Page success probability (2048-slot timeout; paging cannot use
-    /// AFH — the devices share no channel map yet).
-    pub page_success: f64,
-}
-
-/// Result of the WLAN-coexistence experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExtWlan {
-    /// One row per WLAN duty point.
-    pub rows: Vec<WlanRow>,
-}
-
-impl ExtWlan {
-    /// Renders the duty sweep.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new([
-            "WLAN duty",
-            "goodput kbit/s",
-            "goodput w/ AFH",
-            "page success",
-        ]);
-        for r in &self.rows {
-            t.row([
-                format!("{:.0}%", r.wlan_duty * 100.0),
-                format!("{:.1}", r.goodput_kbps),
-                format!("{:.1}", r.goodput_afh_kbps),
-                format!("{:.0}%", r.page_success * 100.0),
-            ]);
-        }
-        t
-    }
+    Ok(
+        ExpReport::new("Ext-E — inquiry completion-time distribution (BER 0)")
+            .note(summary.to_string())
+            .text(histogram.to_string())
+            .note("slots per bin: 256; the paper reports only the mean (1556)"),
+    )
 }
 
 /// **Ext-F** — coexistence with an 802.11 network (the interference the
@@ -1052,8 +888,9 @@ impl ExtWlan {
 /// Frequency hopping caps the damage at the band fraction (22/79 ≈ 28% of
 /// packets exposed), which ARQ then recovers at reduced throughput;
 /// v1.2 adaptive frequency hopping (a `ChannelMap` excluding the band)
-/// restores nearly the clean-channel goodput.
-pub fn ext_wlan_coexistence(opts: &ExpOptions) -> ExtWlan {
+/// restores nearly the clean-channel goodput. Paging cannot use AFH —
+/// the devices share no channel map yet.
+fn ext_wlan_coexistence(opts: &ExpOptions) -> Result<ExpReport, String> {
     let duties = [0.0, 0.25, 0.5, 0.75, 1.0];
     let wlan_cfg = |wlan_duty: f64| {
         let mut cfg = opts.sim(paper_config());
@@ -1079,7 +916,7 @@ pub fn ext_wlan_coexistence(opts: &ExpOptions) -> ExtWlan {
         }
     }
     let goodput = Campaign::sweep(goodput_points).options(opts).runs(1).run();
-    // Page success under interference.
+    // Page success under interference (2048-slot timeout).
     let pages = Campaign::sweep(duties.iter().map(|&duty| {
         (
             format!("{duty}"),
@@ -1093,98 +930,29 @@ pub fn ext_wlan_coexistence(opts: &ExpOptions) -> ExtWlan {
     .options(opts)
     .runs(opts.runs.clamp(8, 64))
     .run();
-    let rows = duties
+    let mut t = Table::new([
+        "WLAN duty",
+        "goodput kbit/s",
+        "goodput w/ AFH",
+        "page success",
+    ]);
+    for ((duty, arms), page) in duties
         .iter()
-        .map(|&wlan_duty| {
-            let plain = goodput
-                .point(&format!("{wlan_duty}/false"))
-                .expect("swept point");
-            let afh = goodput
-                .point(&format!("{wlan_duty}/true"))
-                .expect("swept point");
-            let page = pages.point(&format!("{wlan_duty}")).expect("swept point");
-            WlanRow {
-                wlan_duty,
-                goodput_kbps: plain.first().kbps,
-                goodput_afh_kbps: afh.first().kbps,
-                page_success: page.completion_rate(),
-            }
-        })
-        .collect();
-    ExtWlan { rows }
-}
-
-/// One row of the AFH adaptation experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AfhAdaptRow {
-    /// Whether the AFH policy ran.
-    pub afh: bool,
-    /// Goodput before adaptation (assessment window), kbit/s.
-    pub kbps_before: f64,
-    /// Goodput after the switch instant (or the same baseline again
-    /// when the policy is off), kbit/s.
-    pub kbps_after: f64,
-    /// Mean goodput recovery factor (after / before).
-    pub recovery: f64,
-    /// Mean slots from policy start to the negotiated switch instant.
-    pub converge_slots: f64,
-    /// Mean fraction of the interferer band blocked by the final map.
-    pub blocked_in_band: f64,
-    /// Mean interferer hits on the piconet during the post window.
-    pub jam_hits_after: f64,
-}
-
-/// Result of the `afh_adapt` experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AfhAdapt {
-    /// One row per policy setting (off, on).
-    pub rows: Vec<AfhAdaptRow>,
-    /// Extended-CoexistenceScenario sweep: `(label, creation success,
-    /// mean creation slots, mean post-formation goodput kbit/s)` for
-    /// piconet-B formation under the same WLAN with AFH off vs a static
-    /// band-excluding map.
-    pub coexist: Vec<(String, f64, f64, f64)>,
-}
-
-impl AfhAdapt {
-    /// Renders the adaptation table.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new([
-            "AFH",
-            "kbit/s before",
-            "kbit/s after",
-            "recovery",
-            "converge TS",
-            "band blocked",
-            "jam hits after",
+        .zip(goodput.points.chunks(2))
+        .zip(&pages.points)
+    {
+        t.row([
+            format!("{:.0}%", duty * 100.0),
+            format!("{:.1}", arms[0].first().kbps),
+            format!("{:.1}", arms[1].first().kbps),
+            format!("{:.0}%", page.completion_rate() * 100.0),
         ]);
-        for r in &self.rows {
-            t.row([
-                if r.afh { "on" } else { "off" }.into(),
-                format!("{:.1}", r.kbps_before),
-                format!("{:.1}", r.kbps_after),
-                format!("{:.2}x", r.recovery),
-                format!("{:.0}", r.converge_slots),
-                format!("{:.0}%", r.blocked_in_band * 100.0),
-                format!("{:.1}", r.jam_hits_after),
-            ]);
-        }
-        t
     }
-
-    /// Renders the coexistence-creation sweep.
-    pub fn coexist_table(&self) -> Table {
-        let mut t = Table::new(["scenario", "B formed", "creation TS", "B goodput kbit/s"]);
-        for (label, success, slots, kbps) in &self.coexist {
-            t.row([
-                label.clone(),
-                format!("{:.0}%", success * 100.0),
-                format!("{slots:.0}"),
-                format!("{kbps:.1}"),
-            ]);
-        }
-        t
-    }
+    Ok(
+        ExpReport::new("Ext-F — Bluetooth next to an 802.11 WLAN (22 of 79 channels occupied)")
+            .note("(hopping caps the exposure at ≈28% of packets; ARQ recovers the rest)")
+            .table(t),
+    )
 }
 
 /// **AFH** — the closed adaptive-frequency-hopping loop against an
@@ -1196,38 +964,52 @@ impl AfhAdapt {
 /// hits; plus the extended `CoexistenceScenario` sweep (piconet
 /// creation under the same WLAN, post-formation goodput with AFH off
 /// vs a static band-excluding map).
-pub fn afh_adapt(opts: &ExpOptions) -> AfhAdapt {
+///
+/// With `--capture` or `--metrics-every` it also runs one representative
+/// AFH-on realisation at the base seed with those toggles applied
+/// ([`ExpOptions::observed_sim`]) and attaches its btsnoop capture and
+/// metrics lines. The campaign behind the tables never sees the toggles,
+/// so they change no reported number.
+fn afh_adapt(opts: &ExpOptions) -> Result<ExpReport, String> {
     let wlan = btsim_channel::Interferer::wlan(40, 0.5);
-    let result = Campaign::sweep([false, true].map(|enabled| {
+    let adapt_cfg = |enabled: bool, sim| AfhAdaptConfig {
+        wlan,
+        afh: AfhConfig {
+            enabled,
+            ..AfhConfig::default()
+        },
+        sim,
+        ..AfhAdaptConfig::default()
+    };
+    let result = Campaign::sweep([("off", false), ("on", true)].map(|(label, enabled)| {
         (
-            if enabled { "afh" } else { "off" }.to_string(),
-            AfhAdaptScenario::new(AfhAdaptConfig {
-                wlan,
-                afh: AfhConfig {
-                    enabled,
-                    ..AfhConfig::default()
-                },
-                sim: opts.sim(paper_config()),
-                ..AfhAdaptConfig::default()
-            }),
+            label.to_string(),
+            AfhAdaptScenario::new(adapt_cfg(enabled, opts.sim(paper_config()))),
         )
     }))
     .options(opts)
     .runs(opts.runs.clamp(2, 16))
     .run();
-    let rows = [false, true]
-        .iter()
-        .zip(&result.points)
-        .map(|(&afh, p)| AfhAdaptRow {
-            afh,
-            kbps_before: p.metric("kbps_before").mean(),
-            kbps_after: p.metric("kbps_after").mean(),
-            recovery: p.metric("recovery").mean(),
-            converge_slots: p.metric("converge_slots").mean(),
-            blocked_in_band: p.metric("blocked_in_band").mean(),
-            jam_hits_after: p.metric("jam_hits_after").mean(),
-        })
-        .collect();
+    let mut adapt = Table::new([
+        "AFH",
+        "kbit/s before",
+        "kbit/s after",
+        "recovery",
+        "converge TS",
+        "band blocked",
+        "jam hits after",
+    ]);
+    for p in &result.points {
+        adapt.row([
+            p.label.clone(),
+            format!("{:.1}", p.metric("kbps_before").mean()),
+            format!("{:.1}", p.metric("kbps_after").mean()),
+            format!("{:.2}x", p.metric("recovery").mean()),
+            format!("{:.0}", p.metric("converge_slots").mean()),
+            format!("{:.0}%", p.metric("blocked_in_band").mean() * 100.0),
+            format!("{:.1}", p.metric("jam_hits_after").mean()),
+        ]);
+    }
     // The extended CoexistenceScenario: piconet B forms next to the
     // same WLAN, then transfers with and without a static AFH map
     // excluding the band (creation itself can never use AFH — the
@@ -1236,14 +1018,14 @@ pub fn afh_adapt(opts: &ExpOptions) -> AfhAdapt {
         btsim_baseband::hop::ChannelMap::try_blocking((0..79u8).filter(|&ch| wlan.covers(ch)))
             .expect("a 22-channel band leaves 57 channels");
     let coexist_points = [("wlan/plain", None), ("wlan/afh", Some(band_map))];
-    let coexist_result = Campaign::sweep(coexist_points.iter().map(|(label, map)| {
+    let coexist_result = Campaign::sweep(coexist_points.map(|(label, afh)| {
         (
             label.to_string(),
             CoexistenceScenario::new(CoexistenceConfig {
                 with_interferer: false,
                 wlan: Some(wlan),
                 goodput_slots: 2_000,
-                afh: map.clone(),
+                afh,
                 sim: opts.sim(paper_config()),
                 ..CoexistenceConfig::default()
             }),
@@ -1252,83 +1034,62 @@ pub fn afh_adapt(opts: &ExpOptions) -> AfhAdapt {
     .options(opts)
     .runs(opts.runs.clamp(2, 8))
     .run();
-    let coexist = coexist_points
-        .iter()
-        .zip(&coexist_result.points)
-        .map(|((label, _), p)| {
-            (
-                label.to_string(),
-                p.completion_rate(),
-                p.metric("slots").mean(),
-                p.metric("goodput_kbps").mean(),
-            )
-        })
-        .collect();
-    AfhAdapt { rows, coexist }
+    let mut coexist = Table::new(["scenario", "B formed", "creation TS", "B goodput kbit/s"]);
+    for p in &coexist_result.points {
+        coexist.row([
+            p.label.clone(),
+            format!("{:.0}%", p.completion_rate() * 100.0),
+            format!("{:.0}", p.metric("slots").mean()),
+            format!("{:.1}", p.metric("goodput_kbps").mean()),
+        ]);
+    }
+    let mut report = ExpReport::new(
+        "AFH — assessment → LMP map exchange → synchronized hop remapping vs wlan(40, 0.5)",
+    )
+    .note(
+        "(v1.2 adaptive frequency hopping: the in-use map switches at a master-announced instant)",
+    )
+    .table(adapt)
+    .note("(extended CoexistenceScenario: piconet B forms under the WLAN, then transfers)")
+    .table(coexist);
+    if opts.capture || opts.metrics_every.is_some() {
+        let scenario = AfhAdaptScenario::new(adapt_cfg(true, opts.observed_sim(paper_config())));
+        let mut sim = scenario.build(opts.base_seed);
+        let _ = scenario.drive(&mut sim);
+        report = report.note(format!(
+            "(representative run at seed {}: {} capture records, {} dropped)",
+            opts.base_seed,
+            sim.capture().len(),
+            sim.capture().dropped()
+        ));
+        if opts.capture {
+            report = report.binary_artifact(
+                "afh_adapt.btsnoop",
+                btsim_trace::btsnoop::serialize_sink(sim.capture()),
+            );
+        }
+        if opts.metrics_every.is_some() {
+            report = report.artifact("afh_adapt.metrics.jsonl", sim.metrics_lines());
+        }
+    }
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
 // Scatternet experiments (the `core::net` subsystem).
 
-/// One row of the inter-piconet collision experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScatCollisionRow {
-    /// Number of saturated piconets sharing the band.
-    pub piconets: usize,
-    /// Measured mean collided-transmission fraction.
-    pub collision_rate: f64,
-    /// 95% confidence half-width of the mean.
-    pub ci95: f64,
-    /// Analytic anchor `1 − (78/79)^(2(n−1))` (see
-    /// [`analytic_collision_rate`]).
-    pub analytic: f64,
-    /// Aggregate delivered goodput across all piconets, kbit/s.
-    pub kbps_total: f64,
-}
-
-/// Result of the `scat_collisions` experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScatCollisions {
-    /// One row per piconet count.
-    pub rows: Vec<ScatCollisionRow>,
-}
-
-impl ScatCollisions {
-    /// Renders the piconet-count sweep.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new([
-            "piconets",
-            "collision rate",
-            "ci95",
-            "analytic",
-            "aggregate kbit/s",
-        ]);
-        for r in &self.rows {
-            t.row([
-                r.piconets.to_string(),
-                format!("{:.2}%", r.collision_rate * 100.0),
-                format!("{:.2}%", r.ci95 * 100.0),
-                format!("{:.2}%", r.analytic * 100.0),
-                format!("{:.0}", r.kbps_total),
-            ]);
-        }
-        t
+/// The swept piconet counts of `scat_collisions` and `scat_speed`:
+/// `--piconets` collapses the sweep to one point.
+fn piconet_counts(opts: &ExpOptions) -> Vec<usize> {
+    match opts.piconets {
+        Some(n) => vec![n.max(1)],
+        None => vec![1, 2, 4, 8],
     }
 }
 
-/// **Scat-A** — inter-piconet collision rate vs piconet count: N
-/// independent, saturated piconets share the 79 channels; the medium
-/// counts every same-slot/same-channel overlap. Hop sequences of
-/// distinct piconets are de-correlated (property-tested in
-/// `crates/baseband`), so the measured rate tracks the analytic
-/// `1 − (78/79)^(2(n−1))` — each packet overlaps ~2 packets of every
-/// other piconet in time, each matching its channel w.p. 1/79.
-pub fn scat_collisions(opts: &ExpOptions) -> ScatCollisions {
-    let counts: Vec<usize> = match opts.piconets {
-        Some(n) => vec![n.max(1)],
-        None => vec![1, 2, 4, 8],
-    };
-    let result = Campaign::sweep(counts.iter().map(|&n| {
+/// The `scat_collisions` campaign: one point per piconet count.
+fn collision_sweep(opts: &ExpOptions) -> CampaignResult<MultiPiconetOutcome> {
+    Campaign::sweep(piconet_counts(opts).into_iter().map(|n| {
         (
             n.to_string(),
             MultiPiconetScenario::new(MultiPiconetConfig {
@@ -1340,97 +1101,62 @@ pub fn scat_collisions(opts: &ExpOptions) -> ScatCollisions {
         )
     }))
     .options(opts)
-    .run();
-    let rows = counts
-        .iter()
-        .zip(&result.points)
-        .map(|(&n, p)| {
-            let rate = p.metric("collision_rate");
-            ScatCollisionRow {
-                piconets: n,
-                collision_rate: rate.mean(),
-                ci95: rate.ci95(),
-                analytic: analytic_collision_rate(n),
-                kbps_total: p.metric("kbps_total").mean(),
-            }
-        })
-        .collect();
-    ScatCollisions { rows }
+    .run()
 }
 
-/// One row of the bridge duty-cycle experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScatBridgeRow {
-    /// Fraction of each bridge cycle spent in the first piconet.
-    pub duty: f64,
-    /// Delivered fraction of injected messages.
-    pub delivered: f64,
-    /// Mean end-to-end latency in slots.
-    pub latency_slots: f64,
-    /// 95% confidence half-width of the latency mean.
-    pub latency_ci95: f64,
-    /// Delivered goodput in bit/s.
-    pub goodput_bps: f64,
-}
-
-/// Result of the `scat_bridge` experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScatBridge {
-    /// Piconets in the relayed chain.
-    pub piconets: usize,
-    /// One row per duty point.
-    pub rows: Vec<ScatBridgeRow>,
-}
-
-impl ScatBridge {
-    /// Renders the duty sweep.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new([
-            "bridge duty",
-            "delivered",
-            "latency TS",
-            "ci95",
-            "goodput bit/s",
-        ]);
-        for r in &self.rows {
-            t.row([
-                format!("{:.2}", r.duty),
-                format!("{:.1}%", r.delivered * 100.0),
-                format!("{:.0}", r.latency_slots),
-                format!("{:.0}", r.latency_ci95),
-                format!("{:.0}", r.goodput_bps),
-            ]);
-        }
-        t
-    }
-}
-
-/// **Scat-B** — bridge duty cycle vs end-to-end latency: a chain of
-/// piconets relays framed payload across hold-multiplexed bridges. A
-/// lopsided duty starves one side of every bridge, stretching the
-/// latency tail; balanced duty minimises the mean at a given period.
-///
-/// This experiment has a formation phase, so it honours
-/// [`ExpOptions::snapshot`] and [`ExpOptions::resume`]:
-///
-/// * `--snapshot PATH` forms the first duty point once at the base seed
-///   and writes the post-formation [`crate::SimSnapshot`] wire form to
-///   `PATH`; the campaign then runs exactly as without the flag.
-/// * `--resume PATH` loads and validates the file, restores it and
-///   drives the measurement suffix in place of the first point's
-///   base-seed run. For a snapshot saved by `--snapshot` under the same
-///   configuration this is bit-identical to the straight-through run
-///   (the split invariant), so the report is byte-identical.
-///
-/// Errors (unreadable, malformed or version-mismatched snapshot files,
-/// a device-count mismatch, failed formation) are returned, never
-/// panicked.
-pub fn scat_bridge(opts: &ExpOptions) -> Result<ScatBridge, String> {
-    let piconets = opts.piconets.unwrap_or(3).max(2);
-    let duties: Vec<f64> = match opts.bridge_duty {
-        Some(d) => vec![d],
-        None => vec![0.2, 0.35, 0.5, 0.65, 0.8],
+/// **Scat-A** — inter-piconet collision rate vs piconet count: N
+/// independent, saturated piconets share the 79 channels; the medium
+/// counts every same-slot/same-channel overlap. Hop sequences of
+/// distinct piconets are de-correlated (property-tested in
+/// `crates/baseband`), so the measured rate tracks the analytic
+/// `1 − (78/79)^(2(n−1))` ([`analytic_collision_rate`]) — each packet
+/// overlaps ~2 packets of every other piconet in time, each matching
+/// its channel w.p. 1/79.
+fn scat_collisions(opts: &ExpOptions) -> Result<ExpReport, String> {
+    // Up to 16 saturated devices per run: keep the campaign bounded.
+    let opts = &ExpOptions {
+        runs: opts.runs.min(8),
+        ..opts.clone()
     };
+    let mut t = Table::new([
+        "piconets",
+        "collision rate",
+        "ci95",
+        "analytic",
+        "aggregate kbit/s",
+    ]);
+    for (n, p) in piconet_counts(opts)
+        .into_iter()
+        .zip(&collision_sweep(opts).points)
+    {
+        let rate = p.metric("collision_rate");
+        t.row([
+            n.to_string(),
+            format!("{:.2}%", rate.mean() * 100.0),
+            format!("{:.2}%", rate.ci95() * 100.0),
+            format!("{:.2}%", analytic_collision_rate(n) * 100.0),
+            format!("{:.0}", p.metric("kbps_total").mean()),
+        ]);
+    }
+    Ok(
+        ExpReport::new("Scat-A — inter-piconet collision rate vs piconet count")
+            .note("(N saturated piconets share the 79 channels; analytic: 1 − (78/79)^(2(N−1)))")
+            .note(
+                "(the anchor assumes full-slot air occupancy; DM1 exchanges fill ~60% of each \
+             slot, so the measured rate sits at roughly half the anchor with the same shape)",
+            )
+            .table(t),
+    )
+}
+
+/// The `scat_bridge` campaign over a chain of `piconets`: one point per
+/// bridge duty, with `--snapshot`/`--resume` applied to the first
+/// point's base-seed run (see [`scat_bridge`]).
+fn bridge_sweep(
+    opts: &ExpOptions,
+    piconets: usize,
+    duties: &[f64],
+) -> Result<CampaignResult<ScatternetOutcome>, String> {
     let points: Vec<(String, ScatternetScenario)> = duties
         .iter()
         .map(|&duty| {
@@ -1485,79 +1211,76 @@ pub fn scat_bridge(opts: &ExpOptions) -> Result<ScatBridge, String> {
         let mut sim = snap.restore();
         result.points[0].outcomes[0] = points[0].1.drive_formed(&mut sim);
     }
-    let rows = duties
-        .iter()
-        .zip(&result.points)
-        .map(|(&duty, p)| {
-            let latency = p.metric("latency_slots");
-            ScatBridgeRow {
-                duty,
-                delivered: p.metric("delivered").mean(),
-                latency_slots: latency.mean(),
-                latency_ci95: latency.ci95(),
-                goodput_bps: p.metric("goodput_bps").mean(),
-            }
-        })
-        .collect();
-    Ok(ScatBridge { piconets, rows })
+    Ok(result)
 }
 
-/// One row of the dense-floor density experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseFloorRow {
-    /// Co-located piconets per grid cluster (the density knob).
-    pub piconets_per_point: usize,
-    /// Devices on the floor.
-    pub devices: usize,
-    /// Measured mean collided-transmission fraction, floor-wide.
-    pub collision_rate: f64,
-    /// 95% confidence half-width of the mean.
-    pub ci95: f64,
-    /// Analytic anchor for one cluster
-    /// ([`analytic_collision_rate`] of `piconets_per_point`).
-    pub analytic_cell: f64,
-    /// Aggregate delivered goodput across the floor, kbit/s.
-    pub kbps_total: f64,
-    /// Fraction of runs where every piconet formed.
-    pub completion: f64,
-}
-
-/// Result of the `dense_floor` experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseFloor {
-    /// Grid of clusters the floor was built on.
-    pub grid: (usize, usize),
-    /// One row per density point.
-    pub rows: Vec<DenseFloorRow>,
-    /// The campaign result as deterministic JSON (diffed by CI across
-    /// `--shards` values).
-    pub json: String,
-}
-
-impl DenseFloor {
-    /// Renders the delivered-vs-density series.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new([
-            "piconets/cluster",
-            "devices",
-            "collision rate",
-            "ci95",
-            "analytic (1 cluster)",
-            "aggregate kbit/s",
-            "formed",
+/// **Scat-B** — bridge duty cycle vs end-to-end latency: a chain of
+/// piconets relays framed payload across hold-multiplexed bridges. A
+/// lopsided duty starves one side of every bridge, stretching the
+/// latency tail; balanced duty minimises the mean at a given period.
+///
+/// This experiment has a formation phase, so it honours
+/// [`ExpOptions::snapshot`] and [`ExpOptions::resume`]:
+///
+/// * `--snapshot PATH` forms the first duty point once at the base seed
+///   and writes the post-formation [`crate::SimSnapshot`] wire form to
+///   `PATH`; the campaign then runs exactly as without the flag.
+/// * `--resume PATH` loads and validates the file, restores it and
+///   drives the measurement suffix in place of the first point's
+///   base-seed run. For a snapshot saved by `--snapshot` under the same
+///   configuration this is bit-identical to the straight-through run
+///   (the split invariant), so the report is byte-identical.
+///
+/// Errors (unreadable, malformed or version-mismatched snapshot files,
+/// a device-count mismatch, failed formation) are returned, never
+/// panicked.
+fn scat_bridge(opts: &ExpOptions) -> Result<ExpReport, String> {
+    // Chains are the heaviest workload (8+ devices, 10k slots): cap runs.
+    let opts = &ExpOptions {
+        runs: opts.runs.min(4),
+        ..opts.clone()
+    };
+    let piconets = opts.piconets.unwrap_or(3).max(2);
+    let duties: Vec<f64> = match opts.bridge_duty {
+        Some(d) => vec![d],
+        None => vec![0.2, 0.35, 0.5, 0.65, 0.8],
+    };
+    let mut t = Table::new([
+        "bridge duty",
+        "delivered",
+        "latency TS",
+        "ci95",
+        "goodput bit/s",
+    ]);
+    let result = bridge_sweep(opts, piconets, &duties)?;
+    for (duty, p) in duties.iter().zip(&result.points) {
+        let latency = p.metric("latency_slots");
+        t.row([
+            format!("{duty:.2}"),
+            format!("{:.1}%", p.metric("delivered").mean() * 100.0),
+            format!("{:.0}", latency.mean()),
+            format!("{:.0}", latency.ci95()),
+            format!("{:.0}", p.metric("goodput_bps").mean()),
         ]);
-        for r in &self.rows {
-            t.row([
-                r.piconets_per_point.to_string(),
-                r.devices.to_string(),
-                format!("{:.2}%", r.collision_rate * 100.0),
-                format!("{:.2}%", r.ci95 * 100.0),
-                format!("{:.2}%", r.analytic_cell * 100.0),
-                format!("{:.0}", r.kbps_total),
-                format!("{:.0}%", r.completion * 100.0),
-            ]);
-        }
-        t
+    }
+    let mut report = ExpReport::new(format!(
+        "Scat-B — bridge duty cycle vs end-to-end latency ({piconets}-piconet chain)"
+    ))
+    .note("(a slave of the first piconet streams to a slave of the last via held bridges)");
+    if opts.piconets.is_some_and(|n| n < 2) {
+        report = report
+            .note("(note: --piconets raised to 2 — a bridged chain needs at least two piconets)");
+    }
+    Ok(report.table(t))
+}
+
+/// Rejects a `--cell-size` below the dense floor's interaction radius
+/// before anything runs: the floor keeps its radius and only resizes
+/// its cells.
+fn check_floor_cell_size(opts: &ExpOptions) -> Result<(), String> {
+    match opts.spatial_for(&DenseFloorConfig::default().sim) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(format!("invalid --cell-size value: {e}")),
     }
 }
 
@@ -1567,16 +1290,15 @@ impl DenseFloor {
 /// anchors to the analytic rate *within one cluster* regardless of how
 /// many clusters the floor has, and the disjoint clusters are the
 /// workload [`crate::SimConfig::shards`] parallelises bit-identically
-/// (see `docs/SPATIAL.md`).
-pub fn dense_floor(opts: &ExpOptions) -> DenseFloor {
+/// (see `docs/SPATIAL.md`). The campaign result is attached as
+/// deterministic JSON, which CI diffs across `--shards` values.
+fn dense_floor(opts: &ExpOptions) -> Result<ExpReport, String> {
+    check_floor_cell_size(opts)?;
     let densities: Vec<usize> = match opts.piconets {
         Some(n) => vec![n.max(1)],
         None => vec![1, 2, 3],
     };
     let grid = (3, 3);
-    let mut opts = opts.clone();
-    // Up to 54 devices per run: keep the campaign bounded.
-    opts.runs = opts.runs.min(4);
     let result = Campaign::sweep(densities.iter().map(|&k| {
         let base = DenseFloorConfig {
             grid,
@@ -1591,355 +1313,199 @@ pub fn dense_floor(opts: &ExpOptions) -> DenseFloor {
             }),
         )
     }))
-    .options(&opts)
+    .options(opts)
+    // Up to 54 devices per run: keep the campaign bounded.
+    .runs(opts.runs.min(4))
     .run();
-    let points = grid.0 * grid.1;
-    let rows = densities
-        .iter()
-        .zip(&result.points)
-        .map(|(&k, p)| {
-            let rate = p.metric("collision_rate");
-            DenseFloorRow {
-                piconets_per_point: k,
-                devices: 2 * k * points,
-                collision_rate: rate.mean(),
-                ci95: rate.ci95(),
-                analytic_cell: analytic_collision_rate(k),
-                kbps_total: p.metric("kbps_total").mean(),
-                completion: p.completion_rate(),
-            }
-        })
-        .collect();
-    DenseFloor {
-        grid,
-        rows,
-        json: result.to_json().render(),
-    }
-}
-
-/// One row of the multi-piconet simulation-speed experiment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScatSpeedRow {
-    /// Piconets simulated (2 devices each, saturated).
-    pub piconets: usize,
-    /// Whether every piconet formed (a failed formation skips the
-    /// traffic window, so its timing would be meaningless).
-    pub formed: bool,
-    /// Simulated slots per wall-clock second (0 when not formed).
-    pub slots_per_sec: f64,
-    /// Simulated 1 MHz clock cycles per wall second (the paper's
-    /// Table 1 metric; 625 cycles per slot).
-    pub clock_cycles_per_sec: f64,
-}
-
-/// One row of the slots/sec-vs-shards sharding extension.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardSpeedRow {
-    /// Worker-shard cap the dense floor ran with.
-    pub shards: usize,
-    /// Devices on the floor.
-    pub devices: usize,
-    /// Whether every piconet formed.
-    pub formed: bool,
-    /// Simulated slots per wall-clock second (0 when not formed).
-    pub slots_per_sec: f64,
-}
-
-/// Result of the `scat_speed` experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScatSpeed {
-    /// One row per piconet count.
-    pub rows: Vec<ScatSpeedRow>,
-    /// Sharding extension: the same dense spatial floor at increasing
-    /// worker-shard caps (empty when the host has a single core).
-    pub shard_rows: Vec<ShardSpeedRow>,
-}
-
-impl ScatSpeed {
-    /// Renders the scaling table.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new([
-            "piconets",
-            "devices",
-            "slots / s",
-            "clock cycles / s",
-            "vs paper (747)",
+    let mut t = Table::new([
+        "piconets/cluster",
+        "devices",
+        "collision rate",
+        "ci95",
+        "analytic (1 cluster)",
+        "aggregate kbit/s",
+        "formed",
+    ]);
+    for (&k, p) in densities.iter().zip(&result.points) {
+        let rate = p.metric("collision_rate");
+        t.row([
+            k.to_string(),
+            (2 * k * grid.0 * grid.1).to_string(),
+            format!("{:.2}%", rate.mean() * 100.0),
+            format!("{:.2}%", rate.ci95() * 100.0),
+            format!("{:.2}%", analytic_collision_rate(k) * 100.0),
+            format!("{:.0}", p.metric("kbps_total").mean()),
+            format!("{:.0}%", p.completion_rate() * 100.0),
         ]);
-        for r in &self.rows {
-            if r.formed {
-                t.row([
-                    r.piconets.to_string(),
-                    (2 * r.piconets).to_string(),
-                    format!("{:.0}", r.slots_per_sec),
-                    format!("{:.0}", r.clock_cycles_per_sec),
-                    format!("{:.0}x", r.clock_cycles_per_sec / 747.0),
-                ]);
-            } else {
-                t.row([
-                    r.piconets.to_string(),
-                    (2 * r.piconets).to_string(),
-                    "formation failed".into(),
-                    "-".into(),
-                    "-".into(),
-                ]);
-            }
-        }
-        t
     }
-
-    /// Renders the slots/sec-vs-shards table of the dense-floor run.
-    pub fn shard_table(&self) -> Table {
-        let mut t = Table::new(["shards", "devices", "slots / s", "vs 1 shard"]);
-        let base = self
-            .shard_rows
-            .first()
-            .filter(|r| r.formed && r.slots_per_sec > 0.0)
-            .map(|r| r.slots_per_sec);
-        for r in &self.shard_rows {
-            if r.formed {
-                t.row([
-                    r.shards.to_string(),
-                    r.devices.to_string(),
-                    format!("{:.0}", r.slots_per_sec),
-                    base.map_or("-".into(), |b| format!("{:.2}x", r.slots_per_sec / b)),
-                ]);
-            } else {
-                t.row([
-                    r.shards.to_string(),
-                    r.devices.to_string(),
-                    "formation failed".into(),
-                    "-".into(),
-                ]);
-            }
-        }
-        t
-    }
+    Ok(ExpReport::new(format!(
+        "Spatial — dense-floor collision rate vs density ({}x{} clusters)",
+        grid.0, grid.1
+    ))
+    .note(
+        "(clusters of co-located saturated piconets spaced beyond radio range: the \
+         floor-wide rate anchors to the one-cluster analytic 1 − (78/79)^(2(k−1)))",
+    )
+    .note(
+        "(the anchor assumes full-slot air occupancy; DM1 exchanges fill ~60% of each \
+         slot, so the measured rate sits below the anchor with the same shape)",
+    )
+    .table(t)
+    .artifact("dense_floor.json", result.to_json().render()))
 }
 
 /// **Scat-C** (Table 1 extension) — simulation speed vs piconet count:
 /// wall-clock throughput of saturated multi-piconet workloads, the
-/// scaling baseline future performance PRs measure against. Wall-clock
-/// timing makes this the one scatternet experiment that is not
-/// bit-reproducible. Every row is the median of consecutive 2,000-slot
-/// windows on one formed topology ([`median_unit_secs`]).
-pub fn scat_speed(opts: &ExpOptions) -> ScatSpeed {
-    let counts: Vec<usize> = match opts.piconets {
-        Some(n) => vec![n.max(1)],
-        None => vec![1, 2, 4, 8],
-    };
+/// scaling baseline future performance PRs measure against, plus the
+/// same dense spatial floor (a 4×2 grid of 2-piconet clusters, 32
+/// devices) at increasing worker-shard caps. Wall-clock timing makes
+/// this the one scatternet experiment that is not bit-reproducible.
+/// Every row is the median of consecutive 2,000-slot windows on one
+/// formed topology ([`median_unit_secs`]); a topology that fails to
+/// form reports no speed.
+fn scat_speed(opts: &ExpOptions) -> Result<ExpReport, String> {
+    check_floor_cell_size(opts)?;
     let measure = 2_000u64;
-    let rows = counts
-        .iter()
-        .map(|&n| {
-            // Form the topology outside the timed region so the number
-            // is pure steady-state engine throughput.
-            let mut topo = crate::net::Topology::new();
+    let mut t = Table::new([
+        "piconets",
+        "devices",
+        "slots / s",
+        "clock cycles / s",
+        "vs paper (747)",
+    ]);
+    for n in piconet_counts(opts) {
+        // Form the topology outside the timed region so the number is
+        // pure steady-state engine throughput.
+        let mut topo = Topology::new();
+        for p in 0..n {
+            topo.piconet(&format!("p{p}"), 1);
+        }
+        let Ok((mut sim, map)) =
+            crate::net::build_scatternet(&topo, opts.base_seed, opts.sim(paper_config()))
+        else {
+            t.row([
+                n.to_string(),
+                (2 * n).to_string(),
+                "formation failed".into(),
+                "-".into(),
+                "-".into(),
+            ]);
+            continue;
+        };
+        for p in 0..n {
+            sim.command(topo.master_device(p), LcCommand::SetTpoll(2));
+        }
+        let wall = median_unit_secs(|| {
+            // Every window gets a fresh window's worth of data (17 bytes
+            // per 2 slots, with margin) before its timer starts, so each
+            // one runs saturated.
             for p in 0..n {
-                topo.piconet(&format!("p{p}"), 1);
+                let lt = map
+                    .link(p, topo.slave_device(p, 0))
+                    .expect("formed link")
+                    .lt_addr;
+                sim.command(
+                    topo.master_device(p),
+                    LcCommand::AclData {
+                        lt_addr: lt,
+                        data: vec![0x5A; measure as usize * 9],
+                    },
+                );
             }
-            let Ok((mut sim, map)) =
-                crate::net::build_scatternet(&topo, opts.base_seed, opts.sim(paper_config()))
-            else {
-                return ScatSpeedRow {
-                    piconets: n,
-                    formed: false,
-                    slots_per_sec: 0.0,
-                    clock_cycles_per_sec: 0.0,
-                };
+            let end = sim.now() + SimDuration::from_slots(measure);
+            let started = Instant::now();
+            sim.run_until(end);
+            started.elapsed().as_secs_f64()
+        });
+        let cycles_per_sec = measure as f64 / wall * 625.0;
+        t.row([
+            n.to_string(),
+            (2 * n).to_string(),
+            format!("{:.0}", measure as f64 / wall),
+            format!("{cycles_per_sec:.0}"),
+            format!("{:.0}x", cycles_per_sec / 747.0),
+        ]);
+    }
+    // Sharding extension: slots/s of one saturated dense floor per
+    // worker-shard cap (`None` when the floor failed to form).
+    let (grid, per_point) = ((4, 2), 2);
+    let devices = 2 * per_point * grid.0 * grid.1;
+    let shard_speeds: Vec<(usize, Option<f64>)> = [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|shards| {
+            let base = DenseFloorConfig {
+                grid,
+                piconets_per_point: per_point,
+                measure_slots: measure,
+                ..DenseFloorConfig::default()
             };
-            for p in 0..n {
-                sim.command(topo.master_device(p), LcCommand::SetTpoll(2));
-            }
+            let mut sim_cfg = opts.sim(base.sim.clone());
+            sim_cfg.shards = shards;
+            let scenario = DenseFloorScenario::new(DenseFloorConfig {
+                sim: sim_cfg,
+                ..base
+            });
+            let mut sim = scenario.build(opts.base_seed);
+            let Ok(map) = scenario.prepare(&mut sim) else {
+                return (shards, None);
+            };
+            let mut windows = 0;
             let wall = median_unit_secs(|| {
-                // Every window gets a fresh window's worth of data (17
-                // bytes per 2 slots, with margin) before its timer
-                // starts, so each one runs saturated.
-                for p in 0..n {
-                    let lt = map
-                        .link(p, topo.slave_device(p, 0))
-                        .expect("formed link")
-                        .lt_addr;
-                    sim.command(
-                        topo.master_device(p),
-                        LcCommand::AclData {
-                            lt_addr: lt,
-                            data: vec![0x5A; measure as usize * 9],
-                        },
-                    );
+                // `prepare` queued the first window's data; each later
+                // window gets its own before its timer starts.
+                if windows > 0 {
+                    scenario.saturate(&mut sim, &map);
                 }
+                windows += 1;
                 let end = sim.now() + SimDuration::from_slots(measure);
                 let started = Instant::now();
                 sim.run_until(end);
                 started.elapsed().as_secs_f64()
             });
-            let slots_per_sec = measure as f64 / wall;
-            ScatSpeedRow {
-                piconets: n,
-                formed: true,
-                slots_per_sec,
-                clock_cycles_per_sec: slots_per_sec * 625.0,
-            }
+            (shards, Some(measure as f64 / wall))
         })
         .collect();
-    let shard_rows = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&shards| dense_floor_speed(opts, shards, measure))
-        .collect();
-    ScatSpeed { rows, shard_rows }
-}
-
-/// Times saturated windows of one dense spatial floor (a 4×2 grid of
-/// 2-piconet clusters, 32 devices) at the given worker-shard cap: the
-/// slots/sec-vs-shards row of `scat_speed`, the median of consecutive
-/// `measure`-slot windows ([`median_unit_secs`]).
-pub fn dense_floor_speed(opts: &ExpOptions, shards: usize, measure: u64) -> ShardSpeedRow {
-    let (grid, per_point) = ((4, 2), 2);
-    let base = DenseFloorConfig {
-        grid,
-        piconets_per_point: per_point,
-        measure_slots: measure,
-        ..DenseFloorConfig::default()
-    };
-    let mut sim_cfg = opts.sim(base.sim.clone());
-    sim_cfg.shards = shards;
-    let scenario = DenseFloorScenario::new(DenseFloorConfig {
-        sim: sim_cfg,
-        ..base
-    });
-    let devices = 2 * per_point * grid.0 * grid.1;
-    let mut sim = scenario.build(opts.base_seed);
-    let Ok(map) = scenario.prepare(&mut sim) else {
-        return ShardSpeedRow {
-            shards,
-            devices,
-            formed: false,
-            slots_per_sec: 0.0,
-        };
-    };
-    let mut windows = 0;
-    let wall = median_unit_secs(|| {
-        // `prepare` queued the first window's data; each later window
-        // gets its own before its timer starts.
-        if windows > 0 {
-            scenario.saturate(&mut sim, &map);
-        }
-        windows += 1;
-        let end = sim.now() + SimDuration::from_slots(measure);
-        let started = Instant::now();
-        sim.run_until(end);
-        started.elapsed().as_secs_f64()
-    });
-    ShardSpeedRow {
-        shards,
-        devices,
-        formed: true,
-        slots_per_sec: measure as f64 / wall,
+    let base = shard_speeds[0].1.filter(|&s| s > 0.0);
+    let mut shard_table = Table::new(["shards", "devices", "slots / s", "vs 1 shard"]);
+    for (shards, speed) in shard_speeds {
+        shard_table.row(match speed {
+            Some(s) => [
+                shards.to_string(),
+                devices.to_string(),
+                format!("{s:.0}"),
+                base.map_or("-".into(), |b| format!("{:.2}x", s / b)),
+            ],
+            None => [
+                shards.to_string(),
+                devices.to_string(),
+                "formation failed".into(),
+                "-".into(),
+            ],
+        });
     }
+    Ok(
+        ExpReport::new("Scat-C — multi-piconet simulation speed (Table 1 extension)")
+            .note("(paper: 747 clock cycles per wall second for one 4-device piconet)")
+            .table(t)
+            .note(format!(
+                "(sharding: a {devices}-device dense spatial floor at increasing --shards caps; \
+                 results are bit-identical across rows)"
+            ))
+            .table(shard_table),
+    )
 }
 
 // ---------------------------------------------------------------------------
-// Observability: representative capture runs and the capture forensics
-// scan (`docs/OBSERVABILITY.md`).
-
-/// Output of a representative observability run: the serialized btsnoop
-/// capture and the streamed metrics lines of one scenario realisation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CaptureRun {
-    /// Complete btsnoop file image (header-only when capture was off).
-    pub btsnoop: Vec<u8>,
-    /// Streamed metrics JSON lines (empty when streaming was off).
-    pub metrics: String,
-    /// Records stored by the capture sink.
-    pub records: usize,
-    /// Records dropped at the sink's cap (0 when unbounded).
-    pub dropped: u64,
-}
-
-/// One representative `afh_adapt` realisation at the base seed with the
-/// observability toggles from `opts` applied (packet capture and/or
-/// metrics streaming, [`ExpOptions::observed_sim`]).
-///
-/// The Monte-Carlo campaign behind the experiment's tables never sees
-/// these toggles — this extra run exists purely to produce the
-/// artifacts, so `--capture` changes no reported number.
-pub fn afh_capture_run(opts: &ExpOptions) -> CaptureRun {
-    let scenario = AfhAdaptScenario::new(AfhAdaptConfig {
-        wlan: btsim_channel::Interferer::wlan(40, 0.5),
-        afh: AfhConfig {
-            enabled: true,
-            ..AfhConfig::default()
-        },
-        sim: opts.observed_sim(paper_config()),
-        ..AfhAdaptConfig::default()
-    });
-    let mut sim = scenario.build(opts.base_seed);
-    let _ = scenario.drive(&mut sim);
-    CaptureRun {
-        btsnoop: btsim_trace::btsnoop::serialize_sink(sim.capture()),
-        metrics: sim.metrics_lines().to_string(),
-        records: sim.capture().len(),
-        dropped: sim.capture().dropped(),
-    }
-}
-
-/// One per-channel row of the capture forensics scan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CaptureScanRow {
-    /// RF channel index (0..79).
-    pub channel: u8,
-    /// Packets transmitted on the channel.
-    pub transmissions: u64,
-    /// Of those, packets a co-channel transmission overlapped.
-    pub collided: u64,
-    /// Of those, packets an interferer burst wiped.
-    pub jammed: u64,
-}
-
-/// Result of the `capture_scan` experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CaptureScan {
-    /// The serialized capture the forensics were replayed from.
-    pub btsnoop: Vec<u8>,
-    /// Per-channel verdicts, channels with traffic only, ascending.
-    pub rows: Vec<CaptureScanRow>,
-    /// Air records in the file (both directions).
-    pub air_records: usize,
-    /// LMP PDU records in the file.
-    pub lmp_records: usize,
-}
-
-impl CaptureScan {
-    /// Renders the per-channel forensics table.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(["RF channel", "tx", "collided", "jammed", "jam rate"]);
-        for r in &self.rows {
-            t.row([
-                r.channel.to_string(),
-                r.transmissions.to_string(),
-                r.collided.to_string(),
-                r.jammed.to_string(),
-                format!(
-                    "{:.0}%",
-                    r.jammed as f64 / r.transmissions.max(1) as f64 * 100.0
-                ),
-            ]);
-        }
-        t
-    }
-
-    /// Total jammed transmissions across all channels.
-    pub fn jammed_total(&self) -> u64 {
-        self.rows.iter().map(|r| r.jammed).sum()
-    }
-}
+// Observability: the capture forensics scan (`docs/OBSERVABILITY.md`).
 
 /// **Capture** — records a jam-heavy `AfhAdaptScenario` realisation
 /// (full-duty `wlan(40, 1.0)`, AFH policy off) into a btsnoop capture,
 /// then *replays the serialized file through the in-repo reader* and
-/// reports per-channel transmission/collision/jam forensics from the
-/// parsed records alone. Exercises the whole capture path — sink, taps,
-/// serializer, reader — and is deterministic for a fixed base seed.
-pub fn capture_scan(opts: &ExpOptions) -> CaptureScan {
+/// reports per-channel transmission/collision/jam forensics (channels
+/// with traffic only, ascending) from the parsed records alone.
+/// Exercises the whole capture path — sink, taps, serializer, reader —
+/// and is deterministic for a fixed base seed.
+fn capture_scan(opts: &ExpOptions) -> Result<ExpReport, String> {
     let mut sim_cfg = opts.sim(paper_config());
     sim_cfg.capture = true;
     sim_cfg.metrics_every = opts.metrics_every;
@@ -1959,6 +1525,7 @@ pub fn capture_scan(opts: &ExpOptions) -> CaptureScan {
     let btsnoop = btsim_trace::btsnoop::serialize_sink(sim.capture());
     let parsed =
         btsim_trace::btsnoop::parse(&btsnoop).expect("the reader accepts its own serializer");
+    // Per channel: (transmissions, collided, jammed).
     let mut per = std::collections::BTreeMap::<u8, (u64, u64, u64)>::new();
     let (mut air, mut lmp) = (0usize, 0usize);
     for r in &parsed.records {
@@ -1978,27 +1545,29 @@ pub fn capture_scan(opts: &ExpOptions) -> CaptureScan {
         e.1 += u64::from(r.collided());
         e.2 += u64::from(r.jammed());
     }
-    CaptureScan {
-        btsnoop,
-        rows: per
-            .into_iter()
-            .map(
-                |(channel, (transmissions, collided, jammed))| CaptureScanRow {
-                    channel,
-                    transmissions,
-                    collided,
-                    jammed,
-                },
-            )
-            .collect(),
-        air_records: air,
-        lmp_records: lmp,
+    let mut t = Table::new(["RF channel", "tx", "collided", "jammed", "jam rate"]);
+    for (channel, (tx, collided, jammed)) in per {
+        t.row([
+            channel.to_string(),
+            tx.to_string(),
+            collided.to_string(),
+            jammed.to_string(),
+            format!("{:.0}%", jammed as f64 / tx.max(1) as f64 * 100.0),
+        ]);
     }
-}
-
-/// Helper for binaries: filters logged events of one device.
-pub fn events_of(events: &[LoggedEvent], device: usize) -> Vec<&LoggedEvent> {
-    events.iter().filter(|e| e.device == device).collect()
+    Ok(
+        ExpReport::new(
+            "Capture — per-channel jam/collision forensics replayed from a btsnoop file",
+        )
+        .note(
+            "(jam-heavy setup: full-duty wlan(40, 1.0), AFH off — the interferer band soaks hits)",
+        )
+        .note(format!(
+            "({air} air records and {lmp} LMP records parsed back by the in-repo btsnoop reader)"
+        ))
+        .table(t)
+        .binary_artifact("capture_scan.btsnoop", btsnoop),
+    )
 }
 
 #[cfg(test)]
@@ -2058,17 +1627,22 @@ mod tests {
             piconets: Some(2),
             ..ExpOptions::quick()
         };
-        let f = scat_collisions(&opts);
-        assert_eq!(f.rows.len(), 1, "--piconets collapses the sweep");
-        let r = &f.rows[0];
-        assert_eq!(r.piconets, 2);
-        assert!(r.collision_rate > 0.0, "two piconets must collide");
+        let report = scat_collisions(&opts).unwrap();
+        let rows = report.tables[0].rows();
+        assert_eq!(rows.len(), 1, "--piconets collapses the sweep");
+        assert_eq!(rows[0][0], "2");
+        let result = collision_sweep(&opts);
+        assert_eq!(result.points.len(), 1);
         assert!(
-            (r.analytic - 0.025).abs() < 0.005,
-            "analytic anchor {}",
-            r.analytic
+            result.points[0].metric("collision_rate").mean() > 0.0,
+            "two piconets must collide"
         );
-        assert_eq!(f.table().len(), 1);
+        let analytic = analytic_collision_rate(2);
+        assert!(
+            (analytic - 0.025).abs() < 0.005,
+            "analytic anchor {analytic}"
+        );
+        assert_eq!(rows[0][3], format!("{:.2}%", analytic * 100.0));
     }
 
     #[test]
@@ -2079,15 +1653,25 @@ mod tests {
             bridge_duty: Some(0.5),
             ..ExpOptions::quick()
         };
-        let f = scat_bridge(&opts).unwrap();
-        assert_eq!(f.piconets, 2);
-        assert_eq!(f.rows.len(), 1, "--bridge-duty collapses the sweep");
+        let report = scat_bridge(&opts).unwrap();
         assert!(
-            f.rows[0].delivered > 0.5,
-            "balanced duty delivers: {:?}",
-            f.rows[0]
+            report.title.contains("(2-piconet chain)"),
+            "{}",
+            report.title
         );
-        assert!(f.rows[0].latency_slots > 0.0);
+        assert_eq!(
+            report.tables[0].len(),
+            1,
+            "--bridge-duty collapses the sweep"
+        );
+        let result = bridge_sweep(&opts, 2, &[0.5]).unwrap();
+        let p = &result.points[0];
+        assert!(
+            p.metric("delivered").mean() > 0.5,
+            "balanced duty delivers: {:?}",
+            p.outcomes
+        );
+        assert!(p.metric("latency_slots").mean() > 0.0);
     }
 
     #[test]

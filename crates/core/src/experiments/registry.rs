@@ -4,9 +4,11 @@
 //! A registry entry bundles a stable name, a one-line description and a
 //! runner producing a uniform [`ExpReport`] (title, notes, tables, text
 //! blocks, file artifacts). The `experiments` multiplexer binary in
-//! `btsim-bench` runs any subset by name — adding a new experiment
-//! means adding a scenario, a result struct and one entry here, not a
-//! new binary.
+//! `btsim-bench` runs any subset by name. Adding an experiment means a
+//! scenario, one function `fn(&ExpOptions) -> Result<ExpReport, String>`
+//! that runs its campaign and renders the report, and one line here
+//! naming that function as the runner: no result struct, no wrapper,
+//! no new binary.
 
 use std::fmt;
 
@@ -220,12 +222,12 @@ static REGISTRY: [Experiment; 25] = [
     Experiment {
         name: "ext_coexistence",
         description: "Ext-B — piconet creation next to a busy piconet",
-        runner: |o| Ok(run_ext_coexistence(o)),
+        runner: ext_coexistence,
     },
     Experiment {
         name: "ext_sco",
         description: "Ext-C — SCO voice links: HV1/HV2/HV3 cost and delivery",
-        runner: |o| Ok(run_ext_sco(o)),
+        runner: ext_sco,
     },
     Experiment {
         name: "ext_park",
@@ -235,68 +237,62 @@ static REGISTRY: [Experiment; 25] = [
     Experiment {
         name: "ext_inquiry_distribution",
         description: "Ext-E — distribution of inquiry completion times",
-        runner: |o| Ok(run_ext_inquiry_distribution(o)),
+        runner: ext_inquiry_distribution,
     },
     Experiment {
         name: "ext_wlan",
         description: "Ext-F — coexistence with an 802.11 WLAN, with and without AFH",
-        runner: |o| Ok(run_ext_wlan(o)),
+        runner: ext_wlan_coexistence,
     },
     Experiment {
         name: "afh_adapt",
         description: "AFH — goodput recovery and map convergence against an 802.11 interferer",
-        runner: |o| Ok(run_afh_adapt(o)),
+        runner: afh_adapt,
     },
     Experiment {
         name: "ext_ablation",
         description: "Ablation — why paper_config() uses a raw page FHS and the R1 scan window",
-        runner: |o| Ok(run_ext_ablation(o)),
+        runner: ext_calibration_ablation,
     },
     Experiment {
         name: "scat_collisions",
         description: "Scat-A — inter-piconet collision rate vs piconet count (vs analytic 1/79)",
-        runner: |o| Ok(run_scat_collisions(o)),
+        runner: scat_collisions,
     },
     Experiment {
         name: "scat_bridge",
         description: "Scat-B — bridge duty cycle vs end-to-end relay latency across a chain",
-        runner: run_scat_bridge,
+        runner: scat_bridge,
     },
     Experiment {
         name: "scat_speed",
         description: "Scat-C — multi-piconet simulation speed (Table 1 extension)",
-        runner: |o| {
-            check_floor_cell_size(o)?;
-            Ok(run_scat_speed(o))
-        },
+        runner: scat_speed,
     },
     Experiment {
         name: "dense_floor",
         description: "Spatial — dense-floor collision rate vs density (vs one-cluster analytic)",
-        runner: |o| {
-            check_floor_cell_size(o)?;
-            Ok(run_dense_floor(o))
-        },
+        runner: dense_floor,
     },
     Experiment {
         name: "capture_scan",
         description: "Capture — per-channel jam/collision forensics replayed from a btsnoop file",
-        runner: |o| Ok(run_capture_scan(o)),
+        runner: capture_scan,
     },
     Experiment {
         name: "fault_recovery",
         description: "Fault-R — bridge death: self-healing re-formation vs the no-recovery floor",
-        runner: run_fault_recovery,
+        runner: fault_recovery,
     },
     Experiment {
         name: "fault_churn",
         description: "Fault-C — delivery under seeded device churn with supervised re-paging",
-        runner: run_fault_churn,
+        runner: fault_churn,
     },
     Experiment {
         name: "fault_degrade_heal",
         description: "Fault-D — goodput dip and recovery across a BER degrade/heal window",
-        runner: run_fault_degrade_heal,
+        runner: fault_degrade_heal,
     },
 ];
 
@@ -378,22 +374,6 @@ fn run_ext_throughput(opts: &ExpOptions) -> ExpReport {
         .table(f.table())
 }
 
-fn run_ext_coexistence(opts: &ExpOptions) -> ExpReport {
-    let mut opts = opts.clone();
-    if opts.runs > 40 {
-        opts.runs = 40; // four devices per run: keep the campaign bounded
-    }
-    let f = ext_coexistence(&opts);
-    ExpReport::new("Ext-B — creation of piconet B while piconet A saturates the band")
-        .table(f.table())
-}
-
-fn run_ext_sco(opts: &ExpOptions) -> ExpReport {
-    let f = ext_sco(opts);
-    ExpReport::new("Ext-C — SCO voice links: HV1 (max FEC, every pair) vs HV3 (no FEC, 1-in-3)")
-        .table(f.table())
-}
-
 fn run_ext_park(opts: &ExpOptions) -> ExpReport {
     let f = ext_park_activity(opts);
     ExpReport::new("Ext-D — parked slave RF activity vs beacon interval")
@@ -402,192 +382,6 @@ fn run_ext_park(opts: &ExpOptions) -> ExpReport {
             f.active_activity * 100.0
         ))
         .table(f.table())
-}
-
-fn run_ext_inquiry_distribution(opts: &ExpOptions) -> ExpReport {
-    let f = ext_inquiry_distribution(opts);
-    ExpReport::new("Ext-E — inquiry completion-time distribution (BER 0)")
-        .note(f.summary.to_string())
-        .text(f.histogram.to_string())
-        .note("slots per bin: 256; the paper reports only the mean (1556)")
-}
-
-fn run_ext_wlan(opts: &ExpOptions) -> ExpReport {
-    let f = ext_wlan_coexistence(opts);
-    ExpReport::new("Ext-F — Bluetooth next to an 802.11 WLAN (22 of 79 channels occupied)")
-        .note("(hopping caps the exposure at ≈28% of packets; ARQ recovers the rest)")
-        .table(f.table())
-}
-
-fn run_afh_adapt(opts: &ExpOptions) -> ExpReport {
-    let f = afh_adapt(opts);
-    let mut report = ExpReport::new(
-        "AFH — assessment → LMP map exchange → synchronized hop remapping vs wlan(40, 0.5)",
-    )
-    .note(
-        "(v1.2 adaptive frequency hopping: the in-use map switches at a master-announced instant)",
-    )
-    .table(f.table())
-    .note("(extended CoexistenceScenario: piconet B forms under the WLAN, then transfers)")
-    .table(f.coexist_table());
-    // Observability toggles run one extra representative realisation at
-    // the base seed; the campaign numbers above never see them.
-    if opts.capture || opts.metrics_every.is_some() {
-        let rep = afh_capture_run(opts);
-        report = report.note(format!(
-            "(representative run at seed {}: {} capture records, {} dropped)",
-            opts.base_seed, rep.records, rep.dropped
-        ));
-        if opts.capture {
-            report = report.binary_artifact("afh_adapt.btsnoop", rep.btsnoop);
-        }
-        if opts.metrics_every.is_some() {
-            report = report.artifact("afh_adapt.metrics.jsonl", rep.metrics);
-        }
-    }
-    report
-}
-
-fn run_ext_ablation(opts: &ExpOptions) -> ExpReport {
-    let mut opts = opts.clone();
-    if opts.runs > 60 {
-        opts.runs = 60;
-    }
-    let f = ext_calibration_ablation(&opts);
-    ExpReport::new("Ablation — page failure probability (2048-slot timeout) per knob combination")
-        .note("(the paper's Fig. 8 needs ~100% at 1/30 with moderate failure at 1/100)")
-        .table(f.table())
-}
-
-fn run_scat_collisions(opts: &ExpOptions) -> ExpReport {
-    let mut opts = opts.clone();
-    // Up to 16 saturated devices per run: keep the campaign bounded.
-    opts.runs = opts.runs.min(8);
-    let f = scat_collisions(&opts);
-    ExpReport::new("Scat-A — inter-piconet collision rate vs piconet count")
-        .note("(N saturated piconets share the 79 channels; analytic: 1 − (78/79)^(2(N−1)))")
-        .note(
-            "(the anchor assumes full-slot air occupancy; DM1 exchanges fill ~60% of each \
-             slot, so the measured rate sits at roughly half the anchor with the same shape)",
-        )
-        .table(f.table())
-}
-
-fn run_scat_bridge(opts: &ExpOptions) -> Result<ExpReport, String> {
-    let mut opts = opts.clone();
-    // Chains are the heaviest workload (8+ devices, 10k slots): cap runs.
-    opts.runs = opts.runs.min(4);
-    let f = scat_bridge(&opts)?;
-    let mut report = ExpReport::new(format!(
-        "Scat-B — bridge duty cycle vs end-to-end latency ({}-piconet chain)",
-        f.piconets
-    ))
-    .note("(a slave of the first piconet streams to a slave of the last via held bridges)");
-    if opts.piconets.is_some_and(|n| n < 2) {
-        report = report
-            .note("(note: --piconets raised to 2 — a bridged chain needs at least two piconets)");
-    }
-    Ok(report.table(f.table()))
-}
-
-/// Rejects a `--cell-size` below the dense floor's interaction radius
-/// before anything runs: the floor keeps its radius and only resizes
-/// its cells.
-fn check_floor_cell_size(opts: &ExpOptions) -> Result<(), String> {
-    match opts.spatial_for(&DenseFloorConfig::default().sim) {
-        Ok(_) => Ok(()),
-        Err(e) => Err(format!("invalid --cell-size value: {e}")),
-    }
-}
-
-fn run_scat_speed(opts: &ExpOptions) -> ExpReport {
-    let f = scat_speed(opts);
-    ExpReport::new("Scat-C — multi-piconet simulation speed (Table 1 extension)")
-        .note("(paper: 747 clock cycles per wall second for one 4-device piconet)")
-        .table(f.table())
-        .note(format!(
-            "(sharding: a {}-device dense spatial floor at increasing --shards caps; \
-             results are bit-identical across rows)",
-            f.shard_rows.first().map_or(0, |r| r.devices)
-        ))
-        .table(f.shard_table())
-}
-
-fn run_dense_floor(opts: &ExpOptions) -> ExpReport {
-    let f = dense_floor(opts);
-    ExpReport::new(format!(
-        "Spatial — dense-floor collision rate vs density ({}x{} clusters)",
-        f.grid.0, f.grid.1
-    ))
-    .note(
-        "(clusters of co-located saturated piconets spaced beyond radio range: the \
-         floor-wide rate anchors to the one-cluster analytic 1 − (78/79)^(2(k−1)))",
-    )
-    .note(
-        "(the anchor assumes full-slot air occupancy; DM1 exchanges fill ~60% of each \
-         slot, so the measured rate sits below the anchor with the same shape)",
-    )
-    .table(f.table())
-    .artifact("dense_floor.json", f.json.clone())
-}
-
-fn run_capture_scan(opts: &ExpOptions) -> ExpReport {
-    let f = capture_scan(opts);
-    ExpReport::new("Capture — per-channel jam/collision forensics replayed from a btsnoop file")
-        .note(
-            "(jam-heavy setup: full-duty wlan(40, 1.0), AFH off — the interferer band soaks hits)",
-        )
-        .note(format!(
-            "({} air records and {} LMP records parsed back by the in-repo btsnoop reader)",
-            f.air_records, f.lmp_records
-        ))
-        .table(f.table())
-        .binary_artifact("capture_scan.btsnoop", f.btsnoop)
-}
-
-fn run_fault_recovery(opts: &ExpOptions) -> Result<ExpReport, String> {
-    let mut opts = opts.clone();
-    // Two arms of a bridged chain over a ~27k-slot window: cap runs.
-    opts.runs = opts.runs.min(8);
-    let f = fault_recovery(&opts).map_err(|e| e.to_string())?;
-    Ok(
-        ExpReport::new(
-            "Fault-R — bridge death: self-healing re-formation vs the no-recovery floor",
-        )
-        .note("(the chain's bridge crashes mid-traffic; the on arm re-forms through a slave)")
-        .note(format!(
-            "(analytic no-recovery delivery floor: {:.1}% — the pre-crash share of injections)",
-            f.analytic_floor * 100.0
-        ))
-        .table(f.table())
-        .artifact("fault_recovery.json", f.json),
-    )
-}
-
-fn run_fault_churn(opts: &ExpOptions) -> Result<ExpReport, String> {
-    let mut opts = opts.clone();
-    // Three churn rates over a ~30k-slot window each: cap runs.
-    opts.runs = opts.runs.min(8);
-    let f = fault_churn(&opts).map_err(|e| e.to_string())?;
-    Ok(
-        ExpReport::new("Fault-C — delivery under seeded device churn with supervised re-paging")
-            .note("(slaves crash/revive on a fixed calendar; the supervisor re-pages each revival)")
-            .table(f.table()),
-    )
-}
-
-fn run_fault_degrade_heal(opts: &ExpOptions) -> Result<ExpReport, String> {
-    let mut opts = opts.clone();
-    opts.runs = opts.runs.min(8);
-    let f = fault_degrade_heal(&opts).map_err(|e| e.to_string())?;
-    Ok(
-        ExpReport::new("Fault-D — goodput dip and recovery across a BER degrade/heal window")
-            .note(format!(
-                "(overall delivery {:.1}% — ARQ keeps the link alive through the degradation)",
-                f.delivered * 100.0
-            ))
-            .table(f.table()),
-    )
 }
 
 #[cfg(test)]
