@@ -35,10 +35,11 @@ pub struct BenchOptions {
 
 /// Parses an argument list (without the program name).
 ///
-/// `--quick` swaps in [`ExpOptions::quick`] (it composes with later
-/// `--runs`/`--seed`/`--threads` overrides); malformed or missing values
-/// and unknown `--flags` are errors. Positional arguments are collected
-/// for the caller.
+/// `--quick` sets the reduced run count of [`ExpOptions::quick`] and
+/// nothing else: every other flag keeps its value wherever it appears,
+/// and an explicit `--runs` wins in either order. Malformed or missing
+/// values and unknown `--flags` are errors. Positional arguments are
+/// collected for the caller.
 ///
 /// # Examples
 ///
@@ -49,6 +50,7 @@ pub struct BenchOptions {
 /// ```
 pub fn parse_args(args: &[String]) -> Result<BenchOptions, String> {
     let mut opts = BenchOptions::default();
+    let (mut quick, mut runs) = (false, None);
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
@@ -59,12 +61,13 @@ pub fn parse_args(args: &[String]) -> Result<BenchOptions, String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match arg {
-            "--quick" => opts.exp = ExpOptions::quick(),
+            "--quick" => quick = true,
             "--runs" => {
                 let v = value("--runs")?;
-                opts.exp.runs = v
-                    .parse()
-                    .map_err(|_| format!("invalid --runs value: {v:?} (expected a count)"))?;
+                runs = Some(
+                    v.parse()
+                        .map_err(|_| format!("invalid --runs value: {v:?} (expected a count)"))?,
+                );
             }
             "--seed" => {
                 let v = value("--seed")?;
@@ -189,6 +192,11 @@ pub fn parse_args(args: &[String]) -> Result<BenchOptions, String> {
         }
         i += 1;
     }
+    if let Some(n) = runs {
+        opts.exp.runs = n;
+    } else if quick {
+        opts.exp.runs = ExpOptions::quick().runs;
+    }
     Ok(opts)
 }
 
@@ -291,6 +299,41 @@ mod tests {
         assert_eq!(opts.exp.runs, 3);
         assert_eq!(opts.exp.base_seed, 9);
         assert_eq!(opts.exp.threads, ExpOptions::quick().threads);
+        // Flags before `--quick` survive it, and `--runs` wins either way.
+        let opts = parse_args(&argv(&[
+            "--runs",
+            "3",
+            "--seed",
+            "9",
+            "--threads",
+            "2",
+            "--engine",
+            "event",
+            "--fidelity",
+            "stat",
+            "--shards",
+            "4",
+            "--cell-size",
+            "12.5",
+            "--piconets",
+            "2",
+            "--faults",
+            "crash@100:dev=99",
+            "--quick",
+        ]))
+        .unwrap();
+        assert_eq!(opts.exp.runs, 3);
+        assert_eq!(opts.exp.base_seed, 9);
+        assert_eq!(opts.exp.threads, 2);
+        assert_eq!(opts.exp.engine, btsim_core::Engine::EventDriven);
+        assert_eq!(opts.exp.fidelity, btsim_core::Fidelity::Stat);
+        assert_eq!(opts.exp.shards, Some(4));
+        assert_eq!(opts.exp.cell_size, Some(12.5));
+        assert_eq!(opts.exp.piconets, Some(2));
+        assert!(opts.exp.faults.is_some(), "--quick dropped the fault plan");
+        let opts = parse_args(&argv(&["--seed", "9", "--quick"])).unwrap();
+        assert_eq!(opts.exp.runs, ExpOptions::quick().runs);
+        assert_eq!(opts.exp.base_seed, 9);
     }
 
     #[test]
