@@ -833,25 +833,31 @@ impl Simulator {
     /// logs, kept sorted by `(at, device)`. Each device's own stream
     /// stays in chronological log order. With one world there is
     /// nothing to merge: its own logs are the public ones.
+    ///
+    /// All worlds' suffixes are merged in one pass: equal keys can only
+    /// come from one device, hence one world, so sorting the
+    /// concatenation once orders it exactly as merging world by world
+    /// would, without re-merging the window once per world.
     fn merge_logs(&mut self) {
         if self.worlds.len() == 1 {
             return;
         }
+        let (mut lc, mut lm) = (Vec::new(), Vec::new());
         for (w, world) in self.worlds.iter().enumerate() {
             let (lc_done, lm_done) = self.merged[w];
             let g = &self.globals[w];
-            let lc = world.events[lc_done..].iter().map(|e| LoggedEvent {
+            lc.extend(world.events[lc_done..].iter().map(|e| LoggedEvent {
                 device: g[e.device],
                 ..e.clone()
-            });
-            merge_sorted(&mut self.events, lc.collect(), |e| (e.at, e.device));
-            let lm = world.lm_events[lm_done..].iter().map(|e| LoggedLmEvent {
+            }));
+            lm.extend(world.lm_events[lm_done..].iter().map(|e| LoggedLmEvent {
                 device: g[e.device],
                 ..e.clone()
-            });
-            merge_sorted(&mut self.lm_events, lm.collect(), |e| (e.at, e.device));
+            }));
             self.merged[w] = (world.events.len(), world.lm_events.len());
         }
+        merge_sorted(&mut self.events, lc, |e| (e.at, e.device));
+        merge_sorted(&mut self.lm_events, lm, |e| (e.at, e.device));
     }
 }
 
