@@ -74,7 +74,9 @@ pub enum Role {
 ///
 /// Defaults are spec-v1.2-faithful where the spec fixes a value;
 /// calibration knobs reproducing the paper's behavioural model are
-/// documented field by field (see EXPERIMENTS.md for the derivation).
+/// documented field by field (the derivation is the knob list of
+/// `btsim_core::scenario::paper_config`; the `ext_ablation` experiment
+/// shows why the page-phase knobs are needed).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LcConfig {
     /// Sync-word correlator threshold (matches out of 64).
@@ -117,7 +119,8 @@ pub struct LcConfig {
     /// Drift-proportional widening of the sniff anchor window, in ppm of
     /// the sniff interval. The spec's crystal tolerance is ±20 ppm; the
     /// paper's behavioural sniff cost is reproduced with a much larger
-    /// effective value (see EXPERIMENTS.md, Fig. 11 calibration).
+    /// effective value, calibrated against Fig. 11's ≈30-slot break-even
+    /// (the `fig11_sniff_activity` experiment).
     pub sniff_drift_ppm: u64,
     /// Class-of-device advertised in FHS packets.
     pub class_of_device: u32,

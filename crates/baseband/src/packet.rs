@@ -356,7 +356,9 @@ pub struct LinkKeys {
     /// Sync-word correlator threshold.
     pub sync_threshold: u8,
     /// Whether FHS payloads carry 2/3 FEC (spec: yes; the paper's
-    /// behavioural model is reproduced with `false` — see EXPERIMENTS.md).
+    /// behavioural model is reproduced with `false` — see the knob list
+    /// of `btsim_core::scenario::paper_config` and the `ext_ablation`
+    /// experiment).
     pub fhs_fec: bool,
 }
 

@@ -1,6 +1,7 @@
 //! Calibration harness for Figs. 6-8: prints the measured series so the
 //! behavioural knobs of `paper_config()` can be tuned against the
-//! paper's anchors (see EXPERIMENTS.md).
+//! paper's anchors (see `paper_config()`'s knob list and the
+//! `ext_ablation` experiment).
 
 use btsim_core::experiments::*;
 

@@ -1,6 +1,6 @@
 //! Calibration harness for Figs. 10-12: prints the measured series so the
 //! behavioural knobs of `paper_config()` can be tuned against the
-//! paper's anchors (see EXPERIMENTS.md).
+//! paper's anchors (see `paper_config()`'s knob list).
 
 use btsim_core::experiments::*;
 

@@ -130,7 +130,9 @@ pub trait Scenario {
 }
 
 /// The calibrated configuration reproducing the paper's behavioural
-/// model (see EXPERIMENTS.md for the derivation of each knob):
+/// model. Each knob and the paper anchor it is calibrated against (the
+/// `ext_ablation` experiment shows why the two page-phase knobs are
+/// needed):
 ///
 /// * page-response FHS without payload FEC plus the spec's R1 page-scan
 ///   windowing (11.25 ms window / 1.28 s interval) — the fragile elements
