@@ -137,7 +137,7 @@ impl LinkController {
     /// instability — hops inside a fast-forward window would straddle
     /// the remap. One whose instant has already passed is a settled
     /// map: `settle_afh` only folds it in on the next command (the
-    /// tick path must not mutate state), but [`resolve_afh`] already
+    /// tick path must not mutate state), but `resolve_afh` already
     /// serves the new map for every slot from the instant on, so the
     /// link may promote again.
     pub fn stat_master_stable(&self, slot: u64) -> bool {

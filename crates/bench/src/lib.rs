@@ -106,7 +106,7 @@ pub fn parse_args(args: &[String]) -> Result<BenchOptions, String> {
             "--engine" => {
                 let v = value("--engine")?;
                 opts.exp.engine = btsim_core::Engine::from_name(&v).ok_or_else(|| {
-                    format!("invalid --engine value: {v:?} (expected lockstep or event)")
+                    format!("invalid --engine value: {v:?} (expected event or lockstep)")
                 })?;
             }
             "--fidelity" => {
@@ -209,7 +209,7 @@ pub fn parse_cli() -> BenchOptions {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: [--quick] [--runs N] [--seed S] [--threads T] [--piconets N] \
-                 [--bridge-duty F] [--engine lockstep|event] [--fidelity bit|stat|auto] \
+                 [--bridge-duty F] [--engine event|lockstep] [--fidelity bit|stat|auto] \
                  [--cell-size M] [--shards N] [--capture PATH] [--metrics-every N] \
                  [--snapshot PATH] [--resume PATH] [--faults SPEC] [--json PATH] [NAME…]"
             );
@@ -308,7 +308,7 @@ mod tests {
             "--threads",
             "2",
             "--engine",
-            "event",
+            "lockstep",
             "--fidelity",
             "stat",
             "--shards",
@@ -325,7 +325,7 @@ mod tests {
         assert_eq!(opts.exp.runs, 3);
         assert_eq!(opts.exp.base_seed, 9);
         assert_eq!(opts.exp.threads, 2);
-        assert_eq!(opts.exp.engine, btsim_core::Engine::EventDriven);
+        assert_eq!(opts.exp.engine, btsim_core::Engine::Lockstep);
         assert_eq!(opts.exp.fidelity, btsim_core::Fidelity::Stat);
         assert_eq!(opts.exp.shards, Some(4));
         assert_eq!(opts.exp.cell_size, Some(12.5));
@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn engine_flag_parses_strictly() {
         use btsim_core::Engine;
-        assert_eq!(parse_args(&[]).unwrap().exp.engine, Engine::Lockstep);
+        assert_eq!(parse_args(&[]).unwrap().exp.engine, Engine::EventDriven);
         let opts = parse_args(&argv(&["--engine", "event"])).unwrap();
         assert_eq!(opts.exp.engine, Engine::EventDriven);
         let opts = parse_args(&argv(&["--engine", "lockstep"])).unwrap();

@@ -30,14 +30,15 @@
 //! | `revive`    | `dev`                                 | device accepts commands again (standby)   |
 //! | `mute`      | `dev`                                 | radio silent: no TX, hears nothing        |
 //! | `unmute`    | `dev`                                 | radio restored                            |
-//! | `degrade`   | `dev`, `ber`, [`ramp`]                | extra TX BER, linear ramp over `ramp` slots |
+//! | `degrade`   | `dev`, `ber`, `[ramp]`                | extra TX BER, linear ramp over `ramp` slots |
 //! | `heal`      | `dev`                                 | degrade cleared                           |
 //! | `drift`     | `dev`, `ticks`                        | native clock jumps by `ticks` half-slots  |
-//! | `noise_on`  | `lo`, `width`, [`duty`]               | interferer over channels `lo..lo+width`   |
+//! | `noise_on`  | `lo`, `width`, `[duty]`               | interferer over channels `lo..lo+width`   |
 //! | `noise_off` | `lo`, `width`                         | removes that interferer                   |
 //!
-//! The parser is strict: unknown kinds or keys, duplicate or missing
-//! keys, malformed numbers and out-of-range values are all errors.
+//! Bracketed keys are optional. The parser is strict: unknown kinds or
+//! keys, duplicate or missing keys, malformed numbers and out-of-range
+//! values are all errors.
 
 use btsim_kernel::{snap_enum, snap_struct, SimDuration, SimRng};
 

@@ -21,12 +21,12 @@
 //!
 //! Two [`Engine`]s drive the ticks. [`Engine::Lockstep`] is the paper's
 //! scheme — every device is polled every half slot — and serves as the
-//! behavioural oracle. [`Engine::EventDriven`] fast-forwards the clock
-//! across guaranteed-no-op gaps using each controller's
-//! [`LinkController::next_wakeup`] hint plus the link manager's pending
-//! mode-change slots; `docs/ENGINE.md` describes the wakeup-hint
-//! contract and the differential harness that gates both engines to
-//! bit-identical behaviour.
+//! behavioural oracle. [`Engine::EventDriven`], the default,
+//! fast-forwards the clock across guaranteed-no-op gaps using each
+//! controller's [`LinkController::next_wakeup`] hint plus the link
+//! manager's pending mode-change slots; `docs/ENGINE.md` describes the
+//! wakeup-hint contract and the differential harness that gates both
+//! engines to bit-identical behaviour.
 
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsSnapshot;
@@ -81,14 +81,14 @@ pub struct LoggedLmEvent {
 pub enum Engine {
     /// Tick every device every half slot, as the paper's SystemC model
     /// does. Simple, and the behavioural oracle for the fast engine.
-    #[default]
     Lockstep,
     /// Fast-forward the clock to the earliest wakeup across all devices
     /// ([`LinkController::next_wakeup`] + pending LMP mode changes),
     /// skipping ticks that are provably no-ops. Bit-identical to
     /// lockstep (enforced by `tests/engine_equivalence.rs`), and much
     /// faster whenever devices idle in hold/sniff/park or an R1 page
-    /// scan.
+    /// scan. The default.
+    #[default]
     EventDriven,
 }
 
@@ -1439,6 +1439,121 @@ mod tests {
             event * 20 < lockstep,
             "hold window should collapse: lockstep {lockstep} vs event {event} steps"
         );
+    }
+
+    /// Runs `sim` for `slots` slots, one at a time, calling `before_slot`
+    /// with the slot's index first. After each slot it asserts that the
+    /// medium retains no more transmissions than started within some
+    /// window of two retention periods plus one gc period ending at or
+    /// before now (with a few slots' slack for sampling, dispatch
+    /// granularity and multi-slot packets). Returns the largest such
+    /// window count: it depends only on the traffic, so it is the same
+    /// under both engines.
+    fn assert_retention_bounded(
+        sim: &mut Simulator,
+        slots: u64,
+        mut before_slot: impl FnMut(&mut Simulator, u64),
+    ) -> u64 {
+        use world::{GC_PERIOD, MEDIUM_RETENTION};
+        let window = (MEDIUM_RETENTION + MEDIUM_RETENTION + GC_PERIOD).slots() as usize + 8;
+        let mut started = vec![sim.tx_stats().transmissions];
+        let mut bound = 0;
+        for i in 0..slots {
+            before_slot(sim, i);
+            sim.run_until(sim.now() + SimDuration::SLOT);
+            let total = sim.tx_stats().transmissions;
+            bound = bound.max(total - started[started.len().saturating_sub(window)]);
+            started.push(total);
+            let live = sim.worlds[0].medium.live_count() as u64;
+            assert!(
+                live <= bound,
+                "{live} transmissions retained at {:?}, bound {bound}",
+                sim.now()
+            );
+        }
+        bound
+    }
+
+    #[test]
+    fn medium_retention_is_bounded_by_simulated_time() {
+        let pair = |engine: Engine, ber: f64, seed: u64| {
+            let mut cfg = crate::scenario::paper_config();
+            cfg.engine = engine;
+            cfg.channel.ber = ber;
+            let mut b = SimBuilder::new(seed, cfg);
+            let m = b.add_device("master");
+            let s = b.add_device("slave1");
+            (b.build(), m, s)
+        };
+        // A long inquiry at high BER that never completes: most IDs land
+        // where nobody listens, stay undelivered and get the 2× grace
+        // window.
+        let inquiry = |engine: Engine| {
+            let (mut sim, m, s) = pair(engine, 1.0 / 30.0, 41);
+            sim.command(s, LcCommand::InquiryScan);
+            sim.command(
+                m,
+                LcCommand::Inquiry {
+                    num_responses: 2,
+                    timeout_slots: 0,
+                },
+            );
+            let bound = assert_retention_bounded(&mut sim, 12_000, |_, _| {});
+            let total = sim.tx_stats().transmissions;
+            assert!(
+                total > 20 * bound,
+                "collector idle: {total} transmissions, bound {bound}"
+            );
+            bound
+        };
+        assert_eq!(inquiry(Engine::Lockstep), inquiry(Engine::EventDriven));
+
+        // A pair that pages, connects and then sits in hold, idle for
+        // 2,000 slots at a time.
+        let held = |engine: Engine| {
+            let (mut sim, m, s) = pair(engine, 0.0, 43);
+            let (mut connected, mut next_hold, mut holds) = (None, 0, 0);
+            let bound = assert_retention_bounded(&mut sim, 6_600, |sim, i| {
+                if i == 0 {
+                    let offset = sim
+                        .lc(m)
+                        .clkn(SimTime::ZERO)
+                        .offset_to(sim.lc(s).clkn(SimTime::ZERO));
+                    let target = sim.lc(s).addr();
+                    sim.command(s, LcCommand::PageScan);
+                    sim.command(
+                        m,
+                        LcCommand::Page {
+                            target,
+                            clke_offset: offset,
+                            timeout_slots: 0,
+                        },
+                    );
+                }
+                let Some(&(lt_addr, _)) = sim.lc(m).connected_slaves().first() else {
+                    return;
+                };
+                let since = *connected.get_or_insert(i);
+                if holds < 3 && i >= since + 4 && i >= next_hold {
+                    for dev in [m, s] {
+                        sim.command(
+                            dev,
+                            LcCommand::Hold {
+                                lt_addr,
+                                hold_slots: 2_000,
+                            },
+                        );
+                    }
+                    next_hold = i + 2_100;
+                    holds += 1;
+                }
+            });
+            let total = sim.tx_stats().transmissions;
+            assert_eq!(holds, 3);
+            assert!(total < 2_000, "pair not idle: {total} transmissions");
+            bound
+        };
+        assert_eq!(held(Engine::Lockstep), held(Engine::EventDriven));
     }
 
     #[test]

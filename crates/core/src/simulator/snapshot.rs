@@ -24,7 +24,7 @@ use index::Indexes;
 const MAGIC: u32 = u32::from_le_bytes(*b"BTSN");
 
 /// Highest wire-format version this build reads and the one it writes.
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 snap_enum! {
     Engine {
@@ -73,7 +73,7 @@ impl Snap for World {
             events,
             lm_events,
             next_window_id,
-            steps_since_gc,
+            gc_at,
             engine,
             fidelity,
             error_model,
@@ -104,7 +104,7 @@ impl Snap for World {
         events.snap(w);
         lm_events.snap(w);
         next_window_id.snap(w);
-        steps_since_gc.snap(w);
+        gc_at.snap(w);
         engine.snap(w);
         fidelity.snap(w);
         error_model.snap(w);
@@ -136,7 +136,7 @@ impl Snap for World {
             events: Snap::unsnap(r)?,
             lm_events: Snap::unsnap(r)?,
             next_window_id: Snap::unsnap(r)?,
-            steps_since_gc: Snap::unsnap(r)?,
+            gc_at: Snap::unsnap(r)?,
             engine: Snap::unsnap(r)?,
             fidelity: Snap::unsnap(r)?,
             error_model: Snap::unsnap(r)?,

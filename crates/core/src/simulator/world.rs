@@ -31,7 +31,12 @@ use btsim_power::{DeviceReport, PowerMonitor};
 const RX_UNCERTAINTY: SimDuration = SimDuration::from_us(10);
 
 /// How long the medium retains finished transmissions for delivery.
-const MEDIUM_RETENTION: SimDuration = SimDuration::from_us(50_000);
+pub(super) const MEDIUM_RETENTION: SimDuration = SimDuration::from_us(50_000);
+
+/// Simulated time between medium collections (8 slots). A cadence in
+/// simulated time keeps the retained set the same whatever the engine,
+/// shard count or dispatch rate.
+pub(super) const GC_PERIOD: SimDuration = SimDuration::from_us(5_000);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct ActiveWindow {
@@ -149,7 +154,8 @@ pub(super) struct World {
     /// Link-manager events, in dispatch order.
     pub(super) lm_events: Vec<LoggedLmEvent>,
     pub(super) next_window_id: u64,
-    pub(super) steps_since_gc: u32,
+    /// The first dispatch at or after this instant collects the medium.
+    pub(super) gc_at: SimTime,
     pub(super) engine: Engine,
     /// Effective PHY fidelity tier ([`Fidelity::Bit`] whenever tracing
     /// is on, regardless of the configured tier).
@@ -294,7 +300,7 @@ impl World {
             events: Vec::new(),
             lm_events: Vec::new(),
             next_window_id: 0,
-            steps_since_gc: 0,
+            gc_at: SimTime::ZERO + GC_PERIOD,
             engine: cfg.engine,
             // Waveform tracing needs the bit-level RF signal edges and
             // packet capture needs the bit images, so either pins the
@@ -384,9 +390,8 @@ impl World {
             return;
         };
         self.steps_total += 1;
-        self.steps_since_gc += 1;
-        if self.steps_since_gc >= 8192 {
-            self.steps_since_gc = 0;
+        if t >= self.gc_at {
+            self.gc_at = t + GC_PERIOD;
             self.medium.gc(t, MEDIUM_RETENTION);
         }
         // Streaming metrics: one comparison per dispatched event when

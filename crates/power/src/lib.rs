@@ -22,7 +22,7 @@ use btsim_kernel::{SimDuration, SimTime};
 /// Radio power draw in milliwatts per state.
 ///
 /// Defaults model a class-2 (2.5 mW output) Bluetooth radio of the
-/// paper's era (≈ the 0.18 µm CMOS radio of the paper's reference [2]).
+/// paper's era (≈ the 0.18 µm CMOS radio of the paper's reference \[2\]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerProfile {
     /// Transmitter chain active.

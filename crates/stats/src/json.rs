@@ -44,6 +44,10 @@ impl fmt::Display for JsonParseError {
 impl std::error::Error for JsonParseError {}
 
 impl JsonValue {
+    /// How deeply [`JsonValue::parse`] lets arrays and objects nest.
+    /// Every report this workspace writes stays under 10 levels.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Renders to compact JSON text.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -55,11 +59,13 @@ impl JsonValue {
     /// exponent that fit a `u64` parse as [`JsonValue::UInt`] (exact
     /// round-trip for seeds); everything else numeric becomes
     /// [`JsonValue::Num`]. Trailing non-whitespace is an error — a
-    /// report must be one complete document.
+    /// report must be one complete document. So is nesting arrays and
+    /// objects deeper than [`JsonValue::MAX_DEPTH`]: the parser recurses
+    /// once per level, and the bound keeps hostile input off the stack.
     pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, Self::MAX_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonParseError {
@@ -152,8 +158,16 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonParseError
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+/// Parses one value; `depth` is how many more arrays or objects may
+/// open inside it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == 0 {
+        return Err(err(
+            *pos,
+            format!("nesting deeper than {} levels", JsonValue::MAX_DEPTH),
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => expect(bytes, pos, "null").map(|()| JsonValue::Null),
@@ -169,7 +183,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErro
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -197,7 +211,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErro
                     return Err(err(*pos, "expected ':' after object key"));
                 }
                 *pos += 1;
-                fields.push((key, parse_value(bytes, pos)?));
+                fields.push((key, parse_value(bytes, pos, depth - 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -428,6 +442,17 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(JsonValue::parse(&nested(JsonValue::MAX_DEPTH)).is_ok());
+        let e = JsonValue::parse(&nested(JsonValue::MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.at, JsonValue::MAX_DEPTH);
+        let deep_obj =
+            "{\"a\":".repeat(JsonValue::MAX_DEPTH) + "{}" + &"}".repeat(JsonValue::MAX_DEPTH);
+        assert!(JsonValue::parse(&deep_obj).is_err());
     }
 
     #[test]

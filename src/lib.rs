@@ -111,9 +111,9 @@
 //! ```
 //!
 //! Two interchangeable engines drive every simulation (see
-//! `docs/ENGINE.md`): the paper's lockstep half-slot loop (the default
-//! and behavioural oracle) and an event-driven fast-forward engine that
-//! skips provably idle ticks — bit-identical by construction (the
+//! `docs/ENGINE.md`): the paper's lockstep half-slot loop (the
+//! behavioural oracle) and the default event-driven fast-forward engine
+//! that skips provably idle ticks — bit-identical by construction (the
 //! differential harness in `tests/engine_equivalence.rs` enforces it)
 //! and far faster on hold/sniff/park-heavy workloads:
 //!
@@ -121,8 +121,9 @@
 //! use btsim::core::{Engine, SimConfig};
 //!
 //! let mut cfg = SimConfig::default();
-//! cfg.engine = Engine::EventDriven; // or `--engine event` on any binary
-//! assert_eq!(cfg.engine.name(), "event");
+//! assert_eq!(cfg.engine, Engine::EventDriven);
+//! cfg.engine = Engine::Lockstep; // or `--engine lockstep` on any binary
+//! assert_eq!(cfg.engine.name(), "lockstep");
 //! ```
 //!
 //! Saturated traffic — where the event engine has nothing to skip — runs

@@ -159,3 +159,14 @@ proptest! {
         let _ = JsonValue::parse(&String::from_utf8_lossy(&bytes));
     }
 }
+
+/// A million nested arrays must be refused with a typed error at the
+/// depth bound, not recursed into until the stack overflows.
+#[test]
+fn deeply_nested_json_is_refused_without_overflowing() {
+    let open = "[".repeat(1_000_000);
+    let e = JsonValue::parse(&open).unwrap_err();
+    assert_eq!(e.at, JsonValue::MAX_DEPTH);
+    let closed = open + &"]".repeat(1_000_000);
+    assert!(JsonValue::parse(&closed).is_err());
+}

@@ -1,4 +1,4 @@
-//! Pins the snapshot wire bytes (format version 3) across builds.
+//! Pins the snapshot wire bytes (format version 4) across builds.
 //!
 //! `tests/snapshot_equivalence.rs` proves a roundtrip is lossless
 //! within one build, but a codec that swapped two same-width fields on
@@ -219,199 +219,199 @@ fn compute() -> Vec<Pin> {
     out
 }
 
-/// `(name, byte length, FNV-1a-64)` of each snapshot, format version 3.
+/// `(name, byte length, FNV-1a-64)` of each snapshot, format version 4.
 const PINNED: &[(&str, usize, u64)] = &[
-    ("lockstep-bit/acl_mid_transfer", 42729, 0x24817bf1355f6ac6),
-    ("lockstep-bit/sco_then_sniff", 74830, 0x0e230559fd9741d0),
-    ("lockstep-bit/hold", 45788, 0x6ef2600a280cda4a),
-    ("lockstep-bit/park", 65843, 0x8a5fdb906a5afe80),
-    ("lockstep-bit/set_afh_at_pending", 7041, 0x01c1a228fa8a6e7f),
+    ("lockstep-bit/acl_mid_transfer", 28837, 0x06bed88fc6b94d9f),
+    ("lockstep-bit/sco_then_sniff", 37106, 0x3d9a485bbf4b3cc7),
+    ("lockstep-bit/hold", 45288, 0x2b5f5443aa690f6f),
+    ("lockstep-bit/park", 65639, 0xbccff2df9c800b69),
+    ("lockstep-bit/set_afh_at_pending", 7045, 0xb09ebfb9e4eefa02),
     (
         "lockstep-bit/inquiry_page_scan_traced",
-        125666,
-        0xd8ffd57c244a1012,
+        97798,
+        0x28cc1744d8dfad97,
     ),
-    ("lockstep-bit/scatternet_formed", 18448, 0xc22506a59e13da8d),
+    ("lockstep-bit/scatternet_formed", 17780, 0xc57ac3fc558beaf9),
     (
         "lockstep-bit/scatternet_faulted_1500",
-        16448,
-        0xa8e482350fb5d39f,
+        14580,
+        0x29f52c4ee0fb8175,
     ),
     (
         "lockstep-bit/dense_floor_2x2_shards1",
-        31224,
-        0x5bee1bab4d9b43b8,
+        28004,
+        0xdd155bbdf3342d12,
     ),
     (
         "lockstep-bit/dense_floor_2x2_shards4",
-        45590,
-        0xd34be5732b1b1965,
+        38446,
+        0x1c99b47d5a779c30,
     ),
-    ("lockstep-stat/acl_mid_transfer", 39075, 0x8d58d16582113a94),
-    ("lockstep-stat/sco_then_sniff", 71194, 0x1a718aff8d49850f),
-    ("lockstep-stat/hold", 102424, 0x0f0a82fb02989c4c),
-    ("lockstep-stat/park", 65723, 0xd7d559bf61561d01),
-    ("lockstep-stat/set_afh_at_pending", 7041, 0x86780ed157b27e09),
+    ("lockstep-stat/acl_mid_transfer", 25099, 0x1d8115494aa0070d),
+    ("lockstep-stat/sco_then_sniff", 37058, 0xb65a9b31fa963ff9),
+    ("lockstep-stat/hold", 45324, 0x8c92fa47dccbad3c),
+    ("lockstep-stat/park", 65675, 0x259912bc0a54d21d),
+    ("lockstep-stat/set_afh_at_pending", 7045, 0xb2bbc40a764d62f0),
     (
         "lockstep-stat/inquiry_page_scan_traced",
-        125666,
-        0xd8ffd57c244a1012,
+        97798,
+        0x28cc1744d8dfad97,
     ),
-    ("lockstep-stat/scatternet_formed", 18448, 0xb9e5b1217e9d9478),
+    ("lockstep-stat/scatternet_formed", 17780, 0xee1578c627a78e54),
     (
         "lockstep-stat/scatternet_faulted_1500",
-        16448,
-        0x271d0c2def7a9436,
+        14580,
+        0x3d29028079d62f7c,
     ),
     (
         "lockstep-stat/dense_floor_2x2_shards1",
-        31224,
-        0x95f3f2b12d1bb4cd,
+        28004,
+        0x448367b9cc20a5af,
     ),
     (
         "lockstep-stat/dense_floor_2x2_shards4",
-        45590,
-        0x38bb93abf3c39851,
+        38446,
+        0xb85c5cd576f28a10,
     ),
-    ("lockstep-auto/acl_mid_transfer", 39075, 0x820bd3342a8a111f),
-    ("lockstep-auto/sco_then_sniff", 71194, 0x12ec7c856d2e88d0),
-    ("lockstep-auto/hold", 102424, 0x35587531f5457ccf),
-    ("lockstep-auto/park", 65723, 0xfe0918fc6a07786e),
-    ("lockstep-auto/set_afh_at_pending", 7041, 0x71e8747923f34dfe),
+    ("lockstep-auto/acl_mid_transfer", 25099, 0xaa8b6c8207e18d7e),
+    ("lockstep-auto/sco_then_sniff", 37058, 0x285c1030354659e6),
+    ("lockstep-auto/hold", 45324, 0x6f276d238867487f),
+    ("lockstep-auto/park", 65675, 0x5912405ee6a4e8ca),
+    ("lockstep-auto/set_afh_at_pending", 7045, 0x6273714f0b96264f),
     (
         "lockstep-auto/inquiry_page_scan_traced",
-        125666,
-        0xd8ffd57c244a1012,
+        97798,
+        0x28cc1744d8dfad97,
     ),
-    ("lockstep-auto/scatternet_formed", 18448, 0xa383a38beda950bf),
+    ("lockstep-auto/scatternet_formed", 17780, 0xb9776bca6233d8eb),
     (
         "lockstep-auto/scatternet_faulted_1500",
-        16448,
-        0xf8fbabf7d82bd201,
+        14580,
+        0x6d4cb0ae1680b1b3,
     ),
     (
         "lockstep-auto/dense_floor_2x2_shards1",
-        31224,
-        0xf834db254455997e,
+        28004,
+        0xc0b7e43c6a45b66c,
     ),
     (
         "lockstep-auto/dense_floor_2x2_shards4",
-        45590,
-        0xa949cafae82a4ce1,
+        38446,
+        0xddd982cee07f5688,
     ),
     (
         "eventdriven-bit/acl_mid_transfer",
-        42720,
-        0x52173719636edab7,
+        28744,
+        0x0e76152f762c72d2,
     ),
-    ("eventdriven-bit/sco_then_sniff", 74846, 0x792b17f436644535),
-    ("eventdriven-bit/hold", 106051, 0x06921c3f35b0de8d),
-    ("eventdriven-bit/park", 79587, 0x2f582d591edcf2fc),
+    ("eventdriven-bit/sco_then_sniff", 37206, 0x1faa6d3cfbb7ab72),
+    ("eventdriven-bit/hold", 45111, 0xa279a86f21ef174d),
+    ("eventdriven-bit/park", 65655, 0x6ed9777a9585c4b4),
     (
         "eventdriven-bit/set_afh_at_pending",
-        7032,
-        0x55620dfd335cd964,
+        7036,
+        0x81fbc6550474a0f5,
     ),
     (
         "eventdriven-bit/inquiry_page_scan_traced",
-        125665,
-        0x532cedc0d43f2787,
+        97797,
+        0x73850acf1fb8b9c2,
     ),
     (
         "eventdriven-bit/scatternet_formed",
-        18337,
-        0x815f8eacc6baaf67,
+        17669,
+        0x4691890c10c7919f,
     ),
     (
         "eventdriven-bit/scatternet_faulted_1500",
-        14830,
-        0xf3859a0160397fe5,
+        14470,
+        0x931eba326c8fe78e,
     ),
     (
         "eventdriven-bit/dense_floor_2x2_shards1",
-        34913,
-        0xa4e52d9c5af3eec3,
+        27757,
+        0xc35edcadb4ff3b01,
     ),
     (
         "eventdriven-bit/dense_floor_2x2_shards4",
-        45418,
-        0x9c5ab7e1f1095808,
+        38274,
+        0xbf86bc0450af73d8,
     ),
     (
         "eventdriven-stat/acl_mid_transfer",
-        39066,
-        0x7407ffecd510d431,
+        25090,
+        0x989e322563a5bf08,
     ),
-    ("eventdriven-stat/sco_then_sniff", 71210, 0x16acbee473fa3dd6),
-    ("eventdriven-stat/hold", 102415, 0x777ba3cba0671a1f),
-    ("eventdriven-stat/park", 76255, 0x1706b54f0be3db69),
+    ("eventdriven-stat/sco_then_sniff", 37242, 0xb3a06a3c90deae2b),
+    ("eventdriven-stat/hold", 45147, 0xf5d3b5faa7ea0bc1),
+    ("eventdriven-stat/park", 65691, 0x1fdb403d4d662869),
     (
         "eventdriven-stat/set_afh_at_pending",
-        7032,
-        0x5afa07ad8fd999ba,
+        7036,
+        0xc407ef5d76b57b27,
     ),
     (
         "eventdriven-stat/inquiry_page_scan_traced",
-        125665,
-        0x532cedc0d43f2787,
+        97797,
+        0x73850acf1fb8b9c2,
     ),
     (
         "eventdriven-stat/scatternet_formed",
-        18337,
-        0x152f883e418c5d26,
+        17669,
+        0xcaa216b5d1b6781e,
     ),
     (
         "eventdriven-stat/scatternet_faulted_1500",
-        14830,
-        0xf15187992ce5f3e4,
+        14470,
+        0x566793197ebe45ff,
     ),
     (
         "eventdriven-stat/dense_floor_2x2_shards1",
-        34913,
-        0xead2fd5d94dba346,
+        27757,
+        0x626bfb3391271d4c,
     ),
     (
         "eventdriven-stat/dense_floor_2x2_shards4",
-        45418,
-        0xcd28692fb6db7648,
+        38274,
+        0xe35227ce393f5350,
     ),
     (
         "eventdriven-auto/acl_mid_transfer",
-        39066,
-        0x9427faf4f4ecf416,
+        25090,
+        0x4f07b187c9e7aecf,
     ),
-    ("eventdriven-auto/sco_then_sniff", 71210, 0x048a9b3286ccccad),
-    ("eventdriven-auto/hold", 102415, 0xff68847c5f1cd358),
-    ("eventdriven-auto/park", 76255, 0x51216ffb4a3c82be),
+    ("eventdriven-auto/sco_then_sniff", 37242, 0x1ee41ac5e392ced0),
+    ("eventdriven-auto/hold", 45147, 0x1126e5bfc28da37e),
+    ("eventdriven-auto/park", 65691, 0x59f5fae98bbecfbe),
     (
         "eventdriven-auto/set_afh_at_pending",
-        7032,
-        0xb92f53af63ab3eb1,
+        7036,
+        0xaba72186422b0cac,
     ),
     (
         "eventdriven-auto/inquiry_page_scan_traced",
-        125665,
-        0x532cedc0d43f2787,
+        97797,
+        0x73850acf1fb8b9c2,
     ),
     (
         "eventdriven-auto/scatternet_formed",
-        18337,
-        0xb52077be38373e91,
+        17669,
+        0xbc9c6b01a54e18e9,
     ),
     (
         "eventdriven-auto/scatternet_faulted_1500",
-        14830,
-        0xefe57f8311acf87f,
+        14470,
+        0x02ce47dda0e4bd64,
     ),
     (
         "eventdriven-auto/dense_floor_2x2_shards1",
-        34913,
-        0x1cfc19aa56d64395,
+        27757,
+        0xec034a11c9d9aadf,
     ),
     (
         "eventdriven-auto/dense_floor_2x2_shards4",
-        45418,
-        0x3dc8591aea1b2344,
+        38274,
+        0x1d76a8d5c01dedd0,
     ),
 ];
 
