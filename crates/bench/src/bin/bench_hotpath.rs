@@ -36,12 +36,13 @@ use btsim_baseband::packet::{self, Header, LinkKeys, Payload};
 use btsim_baseband::{BdAddr, ClkVal, LcCommand, LcEvent, Llid, PacketType, SniffParams};
 use btsim_channel::{ChannelConfig, Medium};
 use btsim_coding::{crc, fec, syncword, BitVec, Whitener};
+use btsim_core::experiments::{fig6_inquiry_vs_ber, fig7_page_vs_ber, PAPER_BERS};
 use btsim_core::net::{
     register_devices, DenseFloorConfig, DenseFloorScenario, ScatternetConfig, ScatternetScenario,
     Topology,
 };
 use btsim_core::scenario::{connect_pair, paper_config, Scenario};
-use btsim_core::{Engine, FaultPlan, Fidelity, SimBuilder, Simulator};
+use btsim_core::{Engine, ExpOptions, FaultPlan, Fidelity, SimBuilder, Simulator};
 use btsim_kernel::{Calendar, SimDuration, SimRng, SimTime, Snap, SnapWriter};
 use btsim_stats::JsonValue;
 
@@ -1070,6 +1071,60 @@ fn formation_section(timer: &Timer, fails: &mut Vec<String>) -> JsonValue {
     fields
 }
 
+/// Runs per point of one creation campaign, as in perfbench's
+/// `creation` unit.
+const CAMPAIGN_RUNS: usize = 10;
+
+/// The campaign section: one iteration is the Figs. 6-7 creation sweep
+/// (inquiry and page at BER 0 and the paper's eight BERs,
+/// [`CAMPAIGN_RUNS`] runs per point) on 1 vs 2 campaign workers. The
+/// high-BER points cost up to ~80× the clean ones, so the speedup shows
+/// whether both workers stay busy through the sweep's expensive tail.
+/// Both sides run the same seeds, so their results (every point's
+/// mean, CI95 and completion rate) must be equal.
+/// The speedup is reported, not gated: it depends on the host's free
+/// cores.
+fn campaign_section(timer: &Timer, fails: &mut Vec<String>) -> JsonValue {
+    let sweep = |threads| {
+        let opts = ExpOptions {
+            runs: CAMPAIGN_RUNS,
+            threads,
+            ..ExpOptions::default()
+        };
+        (fig6_inquiry_vs_ber(&opts), fig7_page_vs_ber(&opts))
+    };
+    // Each side's results from its last sweep.
+    let (mut one, mut two) = (None, None);
+    let ns = timer.paired(&mut [
+        &mut each(|| one = Some(sweep(1))),
+        &mut each(|| two = Some(sweep(2))),
+    ]);
+    let runs = (2 * (PAPER_BERS.len() + 1) * CAMPAIGN_RUNS) as u64;
+    let (rate1, rate2) = (rate(&ns[0], runs), rate(&ns[1], runs));
+    header("campaign (Figs. 6-7 sweep)", "runs/s");
+    let exact = one.is_some() && one == two;
+    let fields = obj(vec![
+        ("runs", JsonValue::from(runs)),
+        (
+            "workers1_runs_per_sec",
+            figure("workers1_runs_per_sec", &rate1),
+        ),
+        (
+            "workers2_runs_per_sec",
+            figure("workers2_runs_per_sec", &rate2),
+        ),
+        (
+            "campaign_speedup_2v1",
+            figure("campaign_speedup_2v1", &ratio(&rate2, &rate1)),
+        ),
+        ("results_equal", JsonValue::Bool(exact)),
+    ]);
+    if !exact {
+        fails.push("the creation sweep's results differ between 1 and 2 workers".into());
+    }
+    fields
+}
+
 /// The harness's command line.
 #[derive(Debug)]
 struct Args {
@@ -1142,6 +1197,7 @@ fn main() -> ExitCode {
         ("saturated", saturated_section(&timer, &mut fails)),
         ("sharding", sharding_section(&timer, &mut fails)),
         ("formation", formation_section(&timer, &mut fails)),
+        ("campaign", campaign_section(&timer, &mut fails)),
     ]);
     btsim_bench::write_artifact(&args.json, &format!("{}\n", doc.render()));
     if !fails.is_empty() {

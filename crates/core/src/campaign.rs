@@ -9,6 +9,12 @@
 //! are flattened into one [`btsim_stats::run_campaign`] batch, so every
 //! point of a sweep runs in parallel and the result is bit-reproducible
 //! for a fixed base seed regardless of the thread count.
+//!
+//! Jobs are flattened `point × runs` in point order, and a sweep's cost
+//! is seldom even across its points (a BER sweep's high-BER runs take
+//! up to ~80× longer than its clean ones). The workers therefore claim
+//! jobs one at a time rather than taking fixed shares, so none idles
+//! while another still holds the expensive tail.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

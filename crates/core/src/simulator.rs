@@ -177,7 +177,8 @@ pub struct SimConfig {
     /// ([`ChannelConfig::spatial`]) and `shards >= 2`, the device set
     /// is decomposed into connected components of the in-range graph;
     /// each component gets its own timeline (world), and `run_until`
-    /// advances them on up to `shards` scoped worker threads. Results
+    /// advances them on up to `shards` workers (the calling thread and
+    /// scoped threads, each claiming the next world). Results
     /// are bit-identical to the unsharded (`shards == 1`) run
     /// regardless of the worker count. Without a spatial model — or
     /// when tracing, packet capture or metrics streaming pin the run to
@@ -692,31 +693,13 @@ impl Simulator {
     /// simulation time short (the event-driven engine leaves such gaps;
     /// lockstep reaches the same instant by ticking through them).
     ///
-    /// Worlds never interact, so they advance independently: dealt
-    /// round-robin to up to [`SimConfig::shards`] scoped worker threads,
-    /// or in place when there is one worker or one world. The worker
-    /// count never changes results, only wall-clock time.
+    /// Worlds never interact, so they advance independently on up to
+    /// [`SimConfig::shards`] workers, each claiming the next world not yet
+    /// advanced ([`btsim_stats::for_each_claimed`], the campaign runner's
+    /// scheduler), or in place when there is one worker or one world. The
+    /// worker count never changes results, only wall-clock time.
     pub fn run_until(&mut self, until: SimTime) {
-        let workers = self.workers.min(self.worlds.len());
-        if workers == 1 {
-            for w in &mut self.worlds {
-                w.run_until(until);
-            }
-        } else {
-            let mut groups: Vec<Vec<&mut World>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, w) in self.worlds.iter_mut().enumerate() {
-                groups[i % workers].push(w);
-            }
-            std::thread::scope(|scope| {
-                for group in groups {
-                    scope.spawn(move || {
-                        for w in group {
-                            w.run_until(until);
-                        }
-                    });
-                }
-            });
-        }
+        btsim_stats::for_each_claimed(&mut self.worlds, self.workers, |_, w| w.run_until(until));
         self.merge_logs();
     }
 

@@ -3,7 +3,7 @@
 //! The bit-level pipeline encodes, whitens, FEC-protects and correlates
 //! every packet even when the link is clean and settled, yet on such a
 //! link the *outcome* of a reception is statistically determined by the
-//! channel BER alone. This crate derives, at startup, closed-form
+//! channel BER alone. This crate derives closed-form
 //! per-section failure probabilities from the same table-driven codecs
 //! in `btsim-coding` that the bit pipeline uses:
 //!
@@ -17,11 +17,12 @@
 //!   any decoded bit is wrong: `1 - (1-p3)^18` (the ~2^-8 chance of a
 //!   coincidental HEC match on a corrupt header is neglected);
 //! - **payload (CRC) failure** — for FEC 2/3 payloads the per-block data
-//!   survival is computed *exactly* by enumerating all 2^15 error
-//!   patterns through the real `(15,10)` decoder and counting, per
-//!   pattern weight, the patterns whose decoded data prefix is intact
-//!   (this includes miscorrections that happen to leave the data bits
-//!   unchanged, and partial final blocks); uncoded payloads fail when
+//!   survival is computed *exactly* from a checked-in table that counts,
+//!   per pattern weight, the error patterns whose decoded data prefix
+//!   is intact (this includes miscorrections that happen to leave the
+//!   data bits unchanged, and partial final blocks); a unit test
+//!   rebuilds the table by running all 2^15 error patterns through the
+//!   real `(15,10)` decoder and pins it. Uncoded payloads fail when
 //!   any framed bit flips, `1 - (1-p)^framed` (the 2^-16 undetected-CRC
 //!   probability is neglected). Whitening is a bijection on bit
 //!   positions and does not change any of these probabilities.
@@ -34,10 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::OnceLock;
-
-use btsim_coding::fec::fec23_decode;
-use btsim_coding::BitVec;
 use btsim_kernel::SimRng;
 
 /// Simulation fidelity tier selection.
@@ -130,35 +127,27 @@ const SYNC_BITS: u32 = 64;
 /// Number of header bits protected by FEC 1/3 and checked by the HEC.
 const HEADER_BITS: i32 = 18;
 
-/// `N_OK[k][w]`: number of 15-bit error patterns of weight `w` whose
-/// decoded data leaves the first `k` data bits intact, for the real
-/// (15,10) decoder. Built once per process by exhaustive enumeration
-/// through [`fec23_decode`]; the code is linear, so decoding the error
-/// pattern against the all-zero codeword is fully general.
-fn fec23_ok_table() -> &'static [[f64; 16]; 11] {
-    static TABLE: OnceLock<[[f64; 16]; 11]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [[0.0f64; 16]; 11];
-        let mut bits = BitVec::new();
-        let mut decoded = BitVec::new();
-        for pattern in 0u32..(1 << 15) {
-            bits.clear();
-            bits.push_bits_lsb(pattern as u64, 15);
-            decoded.clear();
-            fec23_decode(&bits, 0..15, &mut decoded);
-            let w = pattern.count_ones() as usize;
-            table[0][w] += 1.0; // k = 0: vacuously intact
-            let mut intact = true;
-            for (k, row) in table.iter_mut().enumerate().skip(1) {
-                intact = intact && decoded.get(k - 1) != Some(true);
-                if intact {
-                    row[w] += 1.0;
-                }
-            }
-        }
-        table
-    })
-}
+/// `FEC23_OK[k][w]`: number of 15-bit error patterns of weight `w`
+/// whose decoded data leaves the first `k` data bits intact, for the
+/// real (15,10) decoder. The code is linear, so decoding each error
+/// pattern against the all-zero codeword is fully general; the counts
+/// come from running all 2^15 patterns through
+/// [`fec23_decode`](btsim_coding::fec::fec23_decode), and the unit
+/// test `fec23_ok_counts_match_the_decoder` pins them to it.
+#[rustfmt::skip]
+const FEC23_OK: [[u16; 16]; 11] = [
+    [1, 15, 105, 455, 1365, 3003, 5005, 6435, 6435, 5005, 3003, 1365, 455, 105, 15, 1],
+    [1, 15, 91, 336, 1001, 1967, 3003, 3368, 3003, 2093, 1001, 392, 91, 21, 1, 0],
+    [1, 15, 78, 242, 715, 1253, 1716, 1676, 1287, 809, 286, 98, 13, 3, 0, 0],
+    [1, 15, 66, 169, 495, 774, 924, 786, 495, 283, 66, 21, 1, 0, 0, 0],
+    [1, 15, 55, 113, 330, 462, 462, 346, 165, 83, 11, 5, 0, 0, 0, 0],
+    [1, 15, 45, 73, 210, 263, 210, 139, 45, 22, 1, 0, 0, 0, 0, 0],
+    [1, 15, 36, 46, 126, 142, 84, 46, 9, 7, 0, 0, 0, 0, 0, 0],
+    [1, 15, 28, 24, 70, 71, 28, 18, 1, 0, 0, 0, 0, 0, 0, 0],
+    [1, 15, 21, 11, 35, 29, 7, 9, 0, 0, 0, 0, 0, 0, 0, 0],
+    [1, 15, 15, 6, 15, 11, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [1, 15, 10, 1, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+];
 
 /// Closed-form per-section error probabilities for one channel BER.
 ///
@@ -187,13 +176,13 @@ impl ErrorModel {
         // its 3 copies flipped.
         let p3 = ber * ber * ber + 3.0 * ber * ber * (1.0 - ber);
         let p_header_fail = 1.0 - (1.0 - p3).powi(HEADER_BITS);
-        let table = fec23_ok_table();
         let mut q_block = [1.0f64; 11];
         if ber > 0.0 {
-            for k in 0..=10 {
+            for (k, row) in FEC23_OK.iter().enumerate() {
                 let mut q = 0.0;
-                for (w, count) in table[k].iter().enumerate() {
-                    if *count > 0.0 {
+                for (w, &count) in row.iter().enumerate() {
+                    if count > 0 {
+                        let count = f64::from(count);
                         q += count * ber.powi(w as i32) * (1.0 - ber).powi(15 - w as i32);
                     }
                 }
@@ -340,8 +329,9 @@ fn binomial_tail_gt(n: u32, k: i32, p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btsim_coding::fec::{fec13_decode, fec13_encode_into, fec23_encode_into};
+    use btsim_coding::fec::{fec13_decode, fec13_encode_into, fec23_decode, fec23_encode_into};
     use btsim_coding::syncword::{access_code, correlate, DEFAULT_SYNC_THRESHOLD};
+    use btsim_coding::BitVec;
 
     fn flip_bits(bits: &BitVec, ber: f64, rng: &mut SimRng) -> BitVec {
         BitVec::from_fn(bits.len(), |i| bits.get(i).unwrap() ^ rng.chance(ber))
@@ -355,6 +345,32 @@ mod tests {
         assert_eq!(Fidelity::from_name("fast"), None);
         assert_eq!(Fidelity::from_name(""), None);
         assert_eq!(Fidelity::from_name("Bit"), None);
+    }
+
+    /// Pins [`FEC23_OK`] to the decoder: every 15-bit error pattern is
+    /// decoded against the all-zero codeword and counted, per weight, for
+    /// each data prefix it leaves intact.
+    #[test]
+    fn fec23_ok_counts_match_the_decoder() {
+        let mut table = [[0u16; 16]; 11];
+        let mut bits = BitVec::new();
+        let mut decoded = BitVec::new();
+        for pattern in 0u32..(1 << 15) {
+            bits.clear();
+            bits.push_bits_lsb(pattern as u64, 15);
+            decoded.clear();
+            fec23_decode(&bits, 0..15, &mut decoded);
+            let w = pattern.count_ones() as usize;
+            table[0][w] += 1; // k = 0: vacuously intact
+            let mut intact = true;
+            for (k, row) in table.iter_mut().enumerate().skip(1) {
+                intact = intact && decoded.get(k - 1) != Some(true);
+                if intact {
+                    row[w] += 1;
+                }
+            }
+        }
+        assert_eq!(table, FEC23_OK);
     }
 
     #[test]

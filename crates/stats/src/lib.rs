@@ -2,7 +2,8 @@
 //!
 //! Statistics for Monte-Carlo simulation campaigns: streaming summaries
 //! ([`Summary`]), histograms ([`Histogram`]), a deterministic parallel
-//! campaign runner ([`run_campaign`]), the [`Record`] trait describing
+//! campaign runner ([`run_campaign`], over the job-claiming
+//! [`for_each_claimed`]), the [`Record`] trait describing
 //! structured per-run outcomes, and table/CSV/JSON formatting
 //! ([`Table`], [`JsonValue`]) used by the experiment binaries.
 
@@ -19,6 +20,6 @@ mod table;
 pub use histogram::Histogram;
 pub use json::{JsonParseError, JsonValue};
 pub use record::{format_metric, Record};
-pub use runner::run_campaign;
+pub use runner::{for_each_claimed, run_campaign};
 pub use summary::Summary;
 pub use table::Table;
