@@ -225,16 +225,39 @@ const BUTTERFLIES: [(u8, (u8, u8)); 14] = [
 
 /// Applies the PERM5 butterfly network to the 5-bit value `z` under the
 /// 14-bit control word `p`.
-fn perm5(z: u8, p: u16) -> u8 {
+const fn perm5(z: u8, p: u16) -> u8 {
     let mut z = z & 0x1F;
     // Branch-free: the control bits are clock-derived and effectively
     // random, so conditional exchanges would mispredict half the time
     // on the per-slot hot path.
-    for (ctl, (i, j)) in BUTTERFLIES {
+    let mut k = 0;
+    while k < BUTTERFLIES.len() {
+        let (ctl, (i, j)) = BUTTERFLIES[k];
         let swap = ((p >> ctl) as u8) & ((z >> i) ^ (z >> j)) & 1;
         z ^= (swap << i) | (swap << j);
+        k += 1;
     }
     z
+}
+
+/// Maps the hop box's output index onto the interlaced bank: even
+/// channels ascending, then odd channels.
+const fn interlace(k: u32) -> u8 {
+    if k < 40 {
+        (2 * k) as u8
+    } else {
+        (2 * (k - 40) + 1) as u8
+    }
+}
+
+/// The train and scan hop for address words `w` at X input `x` (Y1 = 0
+/// and F = 0: no clock bits beyond X reach the hop box).
+const fn train_hop(w: &ConnWords, x: u8) -> u8 {
+    let z1 = (x as u32 + w.a) & 0x1F;
+    let z2 = z1 ^ w.b;
+    // Control word: P0-4 = C (Y1 = 0), P5-13 = D.
+    let p = (w.c as u16) | ((w.d as u16) << 5);
+    interlace((perm5(z2 as u8, p) as u32 + w.e) % CHANNELS as u32)
 }
 
 /// The X input of the train sequences (page/inquiry):
@@ -267,34 +290,73 @@ fn train_x(clk: ClkVal, kofs: u8) -> u8 {
 /// assert!(ch < hop::CHANNELS);
 /// ```
 pub fn hop_channel(seq: HopSequence, clk: ClkVal, addr28: u32) -> u8 {
-    if matches!(seq, HopSequence::Connection) {
-        return conn_channel_words(&ConnWords::new(addr28), clk);
-    }
     let words = ConnWords::new(addr28);
-    let (a, b, c, d, e) = (words.a, words.b, words.c, words.d, words.e);
-    let f = 0u32;
+    match train_input(seq, clk) {
+        Some(x) => train_hop(&words, x),
+        None => conn_channel_words(&words, clk),
+    }
+}
 
-    let x = match seq {
+/// The X input of a train or scan sequence at `clk`; `None` for the
+/// connection sequence, whose hop depends on more clock bits than X.
+fn train_input(seq: HopSequence, clk: ClkVal) -> Option<u8> {
+    match seq {
         // Y1 = 0 for the train sequences: the Y1 = 1 receive variant of
         // the spec selects the dedicated response frequencies, which this
         // model replaces by reusing the triggering packet's channel
         // (DESIGN.md §1), so only the transmit variant is ever computed.
-        HopSequence::Page { kofs } | HopSequence::Inquiry { kofs } => train_x(clk, kofs),
-        HopSequence::PageScan | HopSequence::InquiryScan => clk.bits(16, 12) as u8,
-        HopSequence::Connection => unreachable!("handled above"),
-    };
+        HopSequence::Page { kofs } | HopSequence::Inquiry { kofs } => Some(train_x(clk, kofs)),
+        HopSequence::PageScan | HopSequence::InquiryScan => Some(clk.bits(16, 12) as u8),
+        HopSequence::Connection => None,
+    }
+}
 
-    let z1 = (x as u32 + a) & 0x1F;
-    let z2 = z1 ^ b;
-    // Control word: P0-4 = C (Y1 = 0), P5-13 = D.
-    let p = (c as u16) | ((d as u16) << 5);
-    let permuted = perm5(z2 as u8, p);
-    let k = (permuted as u32 + e + f) % CHANNELS as u32;
-    // Interlaced bank: even channels ascending, then odd channels.
-    if k < 40 {
-        (2 * k) as u8
-    } else {
-        (2 * (k - 40) + 1) as u8
+/// The 32 channels the page, inquiry and scan sequences can select for
+/// one address, indexed by the hop box's 5-bit X input.
+///
+/// For a fixed address those sequences vary with the clock only through
+/// X, so a controller builds the table once per address and every train
+/// or scan hop is a lookup, equal to [`hop_channel`].
+///
+/// # Examples
+///
+/// ```
+/// use btsim_baseband::{hop, BdAddr, ClkVal};
+///
+/// let addr = BdAddr::new(0, 0x47, 0x2A96EF);
+/// let table = hop::TrainTable::new(addr.hop_input());
+/// let seq = hop::HopSequence::Page { kofs: hop::KOFFSET_A };
+/// let clk = ClkVal::new(0x1234);
+/// assert_eq!(table.channel(seq, clk), hop::hop_channel(seq, clk, addr.hop_input()));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrainTable {
+    channels: [u8; 32],
+}
+
+impl TrainTable {
+    /// Builds the table for a 28-bit hop address input (see
+    /// [`crate::BdAddr::hop_input`]).
+    pub const fn new(addr28: u32) -> Self {
+        let words = ConnWords::new(addr28);
+        let mut channels = [0; 32];
+        let mut x = 0;
+        while x < 32 {
+            channels[x] = train_hop(&words, x as u8);
+            x += 1;
+        }
+        Self { channels }
+    }
+
+    /// The hop of a page, inquiry or scan sequence at `clk`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`HopSequence::Connection`], whose hop depends on more
+    /// clock bits than X.
+    pub fn channel(&self, seq: HopSequence, clk: ClkVal) -> u8 {
+        let x = train_input(seq, clk).expect("connection hops do not come from a train table");
+        self.channels[x as usize]
     }
 }
 
@@ -313,29 +375,26 @@ pub struct ConnWords {
 impl ConnWords {
     /// Derives the control words from a 28-bit hop address input
     /// (see [`crate::BdAddr::hop_input`]).
-    pub fn new(addr28: u32) -> Self {
-        let a_bits = |hi: u32, lo: u32| (addr28 >> lo) & ((1 << (hi - lo + 1)) - 1);
-        let c = {
-            // a8, a6, a4, a2, a0 packed as C4..C0.
-            let mut v = 0u32;
-            for (k, bit) in [8u32, 6, 4, 2, 0].iter().enumerate() {
-                v |= ((addr28 >> bit) & 1) << (4 - k);
+    pub const fn new(addr28: u32) -> Self {
+        const fn a_bits(addr28: u32, hi: u32, lo: u32) -> u32 {
+            (addr28 >> lo) & ((1 << (hi - lo + 1)) - 1)
+        }
+        // The odd bits a13..a1 packed as E6..E0 and the even bits
+        // a8..a0 as C4..C0, most significant first.
+        let (mut c, mut e) = (0u32, 0u32);
+        let mut k = 0;
+        while k < 7 {
+            e |= ((addr28 >> (13 - 2 * k)) & 1) << (6 - k);
+            if k < 5 {
+                c |= ((addr28 >> (8 - 2 * k)) & 1) << (4 - k);
             }
-            v
-        };
-        let e = {
-            // a13, a11, a9, a7, a5, a3, a1 packed as E6..E0.
-            let mut v = 0u32;
-            for (k, bit) in [13u32, 11, 9, 7, 5, 3, 1].iter().enumerate() {
-                v |= ((addr28 >> bit) & 1) << (6 - k);
-            }
-            v
-        };
+            k += 1;
+        }
         Self {
-            a: a_bits(27, 23),
-            b: a_bits(22, 19),
+            a: a_bits(addr28, 27, 23),
+            b: a_bits(addr28, 22, 19),
             c,
-            d: a_bits(18, 10),
+            d: a_bits(addr28, 18, 10),
             e,
         }
     }
@@ -357,13 +416,7 @@ pub fn conn_channel_words(w: &ConnWords, clk: ClkVal) -> u8 {
     let c_y = if y1 == 1 { c ^ 0x1F } else { c };
     let p = (c_y as u16) | ((d as u16) << 5);
     let permuted = perm5(z2 as u8, p);
-    let k = (permuted as u32 + w.e + f + 32 * y1) % CHANNELS as u32;
-    // Interlaced bank: even channels ascending, then odd channels.
-    if k < 40 {
-        (2 * k) as u8
-    } else {
-        (2 * (k - 40) + 1) as u8
-    }
+    interlace((permuted as u32 + w.e + f + 32 * y1) % CHANNELS as u32)
 }
 
 /// Connection-state hop with AFH remapping applied.
@@ -409,6 +462,84 @@ mod tests {
             let ch = hop_channel(HopSequence::Connection, ClkVal::new(t * 3 + 1), addr);
             assert!(ch < CHANNELS);
         }
+    }
+
+    /// The train/scan hop written out as the spec's box diagram, apart
+    /// from the shared kernel: address bits straight from `addr28`, the
+    /// butterflies in order, the bank interlace by hand.
+    fn train_hop_reference(addr28: u32, x: u32) -> u8 {
+        let bits = |hi: u32, lo: u32| (addr28 >> lo) & ((1 << (hi - lo + 1)) - 1);
+        let pick = |positions: &[u32]| {
+            positions
+                .iter()
+                .fold(0u32, |v, &b| (v << 1) | ((addr28 >> b) & 1))
+        };
+        let (a, b, d) = (bits(27, 23), bits(22, 19), bits(18, 10));
+        let c = pick(&[8, 6, 4, 2, 0]);
+        let e = pick(&[13, 11, 9, 7, 5, 3, 1]);
+        let p = c | (d << 5);
+        let mut z = (((x + a) & 0x1F) ^ b) as u8;
+        for (ctl, (i, j)) in BUTTERFLIES {
+            if (p >> ctl) & 1 == 1 && ((z >> i) ^ (z >> j)) & 1 == 1 {
+                z ^= (1 << i) | (1 << j);
+            }
+        }
+        let k = (z as u32 + e) % CHANNELS as u32;
+        if k < 40 {
+            (2 * k) as u8
+        } else {
+            (2 * (k - 40) + 1) as u8
+        }
+    }
+
+    #[test]
+    fn train_tables_equal_hop_channel_for_every_x() {
+        // Clock values covering every X of every train and scan
+        // sequence: CLK16-12 and the fast bits CLK4-2,0 swept jointly.
+        let clks: Vec<ClkVal> = (0..32u32)
+            .flat_map(|hi| (0..16u32).map(move |lo| (hi << 12) | ((lo >> 1) << 2) | (lo & 1)))
+            .map(ClkVal::new)
+            .collect();
+        let seqs = [
+            HopSequence::Page { kofs: KOFFSET_A },
+            HopSequence::Page { kofs: KOFFSET_B },
+            HopSequence::Inquiry { kofs: KOFFSET_A },
+            HopSequence::Inquiry { kofs: KOFFSET_B },
+            HopSequence::PageScan,
+            HopSequence::InquiryScan,
+        ];
+        let mut addrs = vec![GIAC28, 0, 0x0FFF_FFFF];
+        let mut x = 0x2545_F491u32;
+        for _ in 0..64 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            addrs.push(x & 0x0FFF_FFFF);
+        }
+        for addr in addrs {
+            let table = TrainTable::new(addr);
+            for (x, &ch) in table.channels.iter().enumerate() {
+                assert_eq!(ch, train_hop_reference(addr, x as u32), "{addr:#x} X={x}");
+            }
+            for seq in seqs {
+                let mut xs = std::collections::HashSet::new();
+                for &clk in &clks {
+                    xs.insert(train_input(seq, clk));
+                    assert_eq!(
+                        table.channel(seq, clk),
+                        hop_channel(seq, clk, addr),
+                        "{addr:#x} {seq:?} {clk:?}"
+                    );
+                }
+                assert_eq!(xs.len(), 32, "{seq:?}: the sweep reaches every X");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "connection hops")]
+    fn train_tables_refuse_the_connection_sequence() {
+        TrainTable::new(GIAC28).channel(HopSequence::Connection, ClkVal::new(0));
     }
 
     #[test]

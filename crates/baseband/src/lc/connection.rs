@@ -16,7 +16,7 @@ use crate::address::BdAddr;
 use crate::buffer::TxBuffer;
 use crate::clock::ClkVal;
 use crate::hop::{self, ChannelMap, HopSequence};
-use crate::packet::{self, Header, LinkKeys, Llid, PacketType, Payload};
+use crate::packet::{self, AirPacket, Header, LinkKeys, Llid, PacketType, Payload};
 
 use super::{LcAction, LcEvent, LifePhase, LinkController, ProcState};
 
@@ -678,14 +678,14 @@ impl LinkController {
                 arqn: slave.link.take_arqn(),
                 seqn: slave.link.seqn_out,
             };
-            let bits = self.codec.encode(&keys, &header, &Payload::Sco(frame));
+            let packet = AirPacket::new(keys, header, &Payload::Sco(frame));
             let resp_at = now + SimDuration::SLOT;
             m.busy_until = resp_at + SimDuration::SLOT;
             m.awaiting = Some((m.slaves[idx].lt_addr, resp_at + SimDuration::SLOT));
             out.push(LcAction::Tx {
                 at: now,
                 rf_channel: ch,
-                bits,
+                packet,
             });
             let resp_clk = clk.offset_by(2);
             let resp_ch = conn_channel(resp_clk, own.hop_input(), afh.for_slot(now_slot + 1));
@@ -747,12 +747,12 @@ impl LinkController {
                     arqn: false,
                     seqn: false,
                 };
-                let bits = self.codec.encode(&keys, &header, &Payload::None);
+                let packet = AirPacket::new(keys, header, &Payload::None);
                 m.busy_until = now + SimDuration::SLOT;
                 out.push(LcAction::Tx {
                     at: now,
                     rf_channel: ch,
-                    bits,
+                    packet,
                 });
             }
             return;
@@ -804,7 +804,7 @@ impl LinkController {
             }
         }
         let lt = slave.lt_addr;
-        let bits = self.codec.encode(&keys, &header, &payload);
+        let packet = AirPacket::new(keys, header, &payload);
         if let Payload::Acl { data, .. } = payload {
             slave.link.restore_outgoing(data);
         }
@@ -814,7 +814,7 @@ impl LinkController {
         out.push(LcAction::Tx {
             at: now,
             rf_channel: ch,
-            bits,
+            packet,
         });
         // Listen for the response at the following slave-to-master slot.
         let resp_clk = clk.offset_by(2 * n_slots as u32);
@@ -848,7 +848,7 @@ impl LinkController {
         let Ok(packet::Decoded::Packet {
             header,
             mut payload,
-        }) = self.codec.decode(rx.bits, rx.collision_mask, &keys)
+        }) = rx.decode(&mut self.codec, &keys)
         else {
             return false;
         };
@@ -1063,7 +1063,7 @@ impl LinkController {
         let Ok(packet::Decoded::Packet {
             header,
             mut payload,
-        }) = self.codec.decode(rx.bits, rx.collision_mask, &keys)
+        }) = rx.decode(&mut self.codec, &keys)
         else {
             return false;
         };
@@ -1142,9 +1142,7 @@ impl LinkController {
                     arqn: s.link.take_arqn(),
                     seqn: s.link.seqn_out,
                 };
-                let bits = self
-                    .codec
-                    .encode(&resp_keys, &resp_header, &Payload::Sco(frame));
+                let packet = AirPacket::new(resp_keys, resp_header, &Payload::Sco(frame));
                 s.busy_until = resp_at + SimDuration::SLOT;
                 let ch = conn_channel(
                     resp_clk,
@@ -1156,7 +1154,7 @@ impl LinkController {
                     LcAction::Tx {
                         at: resp_at,
                         rf_channel: ch,
-                        bits,
+                        packet,
                     },
                 );
             }
@@ -1211,7 +1209,7 @@ impl LinkController {
                     ),
                 };
             let master = s.master;
-            let bits = self.codec.encode(&resp_keys, &resp_header, &resp_payload);
+            let packet = AirPacket::new(resp_keys, resp_header, &resp_payload);
             if let Payload::Acl { data, .. } = resp_payload {
                 s.link.restore_outgoing(data);
             }
@@ -1222,7 +1220,7 @@ impl LinkController {
                 LcAction::Tx {
                     at: resp_at,
                     rf_channel: ch,
-                    bits,
+                    packet,
                 },
             );
         }

@@ -16,13 +16,16 @@ use btsim_coding::syncword;
 use btsim_kernel::{SimDuration, SimTime};
 
 use crate::address::BdAddr;
-use crate::hop::{self, HopSequence};
-use crate::packet::{self, FhsPayload, Header, PacketType, Payload};
+use crate::hop::{HopSequence, TrainTable};
+use crate::packet::{self, AirPacket, FhsPayload, Header, PacketType, Payload};
 
 use super::{tx_action, LcAction, LcEvent, LifePhase, LinkController, ProcState};
 
 /// GIAC address input to the hop selection box (UAP nibble = DCI = 0).
 pub(crate) const GIAC_HOP_INPUT: u32 = syncword::GIAC_LAP;
+
+/// The inquiry and inquiry-scan hops of every controller, built once.
+pub(crate) const GIAC_TRAIN: TrainTable = TrainTable::new(GIAC_HOP_INPUT);
 
 /// Inquirer context.
 #[derive(Debug, Clone)]
@@ -92,7 +95,7 @@ impl LinkController {
     }
 
     fn inquiry_scan_channel(&self, now: SimTime) -> u8 {
-        hop::hop_channel(HopSequence::InquiryScan, self.clkn(now), GIAC_HOP_INPUT)
+        GIAC_TRAIN.channel(HopSequence::InquiryScan, self.clkn(now))
     }
 
     pub(crate) fn tick_inquiry(&mut self, now: SimTime, out: &mut Vec<LcAction>) {
@@ -112,8 +115,8 @@ impl LinkController {
             return; // Listening windows were scheduled from the TX halves.
         }
         let kofs = self.train_kofs(now);
-        let ch = hop::hop_channel(HopSequence::Inquiry { kofs }, clkn, GIAC_HOP_INPUT);
-        out.push(tx_action(now, ch, self.codec.encode_id(syncword::GIAC_LAP)));
+        let ch = GIAC_TRAIN.channel(HopSequence::Inquiry { kofs }, clkn);
+        out.push(tx_action(now, ch, AirPacket::id(syncword::GIAC_LAP)));
         // Listen for the response 625 µs after this ID, for half a slot
         // (an FHS that starts there is received to completion).
         out.push(LcAction::RxWindow {
@@ -133,7 +136,7 @@ impl LinkController {
         let Ok(packet::Decoded::Packet {
             header,
             payload: Payload::Fhs(fhs),
-        }) = self.codec.decode(rx.bits, rx.collision_mask, &keys)
+        }) = rx.decode(&mut self.codec, &keys)
         else {
             return;
         };
@@ -198,7 +201,7 @@ impl LinkController {
         out: &mut Vec<LcAction>,
     ) {
         let keys = self.giac_keys();
-        let Ok(packet::Decoded::Id) = self.codec.decode(rx.bits, rx.collision_mask, &keys) else {
+        let Ok(packet::Decoded::Id) = rx.decode(&mut self.codec, &keys) else {
             return;
         };
         let first_backoff = self
@@ -244,8 +247,8 @@ impl LinkController {
             arqn: false,
             seqn: false,
         };
-        let bits = packet::encode(&keys, &header, &Payload::Fhs(fhs));
+        let fhs = AirPacket::new(keys, header, &Payload::Fhs(fhs));
         out.push(LcAction::RxOff);
-        out.push(tx_action(fhs_at, rx.rf_channel, bits));
+        out.push(tx_action(fhs_at, rx.rf_channel, fhs));
     }
 }

@@ -31,7 +31,7 @@ use btsim_kernel::{SimDuration, SimRng, SimTime};
 use crate::address::{BdAddr, DCI_UAP};
 use crate::clock::{ClkVal, Clock};
 use crate::hop;
-use crate::packet::{self, LinkKeys, PacketType};
+use crate::packet::{self, AirPacket, Codec, DecodeError, Decoded, LinkKeys, PacketType};
 
 pub(crate) use connection::{MasterCtx, SlaveCtx};
 pub(crate) use inquiry::{InquiryCtx, InquiryScanCtx};
@@ -403,14 +403,15 @@ pub enum LcEvent {
 /// Actions the link controller asks the simulator to perform.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LcAction {
-    /// Transmit `bits` on `rf_channel` starting at `at`.
+    /// Transmit `packet` on `rf_channel` starting at `at`.
     Tx {
         /// Start of transmission (≥ now).
         at: SimTime,
         /// RF hop channel.
         rf_channel: u8,
-        /// Exact air image.
-        bits: BitVec,
+        /// The packet; its air image is built only if a reception needs
+        /// the bits.
+        packet: AirPacket,
     },
     /// Open a receive window (replaces any previous/pending window).
     RxWindow {
@@ -427,13 +428,15 @@ pub enum LcAction {
     Event(LcEvent),
 }
 
-/// A demodulated packet delivery from the channel. It borrows the bit
-/// image and mask, so a simulator can hand every listener of a
-/// transmission one receive buffer that it reuses across deliveries.
+/// A packet delivery from the channel. It borrows the sender's packet,
+/// the noise flips and the collision mask, so a simulator hands every
+/// listener of a transmission the same delivery without copying.
 #[derive(Debug, Clone, Copy)]
 pub struct RxDelivery<'a> {
-    /// The (noisy) bit image.
-    pub bits: &'a BitVec,
+    /// The packet the sender put on the air.
+    pub packet: &'a AirPacket,
+    /// Positions of the bits noise inverted, ascending.
+    pub flips: &'a [u32],
     /// Collision mask from the channel resolver, if any.
     pub collision_mask: Option<&'a BitVec>,
     /// RF channel it arrived on.
@@ -442,6 +445,18 @@ pub struct RxDelivery<'a> {
     pub start: SimTime,
     /// Air time of the last bit.
     pub end: SimTime,
+}
+
+impl RxDelivery<'_> {
+    /// Decodes this delivery under the receiver's `keys` (see
+    /// [`Codec::decode_reception`]).
+    ///
+    /// # Errors
+    ///
+    /// The first decode stage that failed.
+    pub fn decode(&self, codec: &mut Codec, keys: &LinkKeys) -> Result<Decoded, DecodeError> {
+        codec.decode_reception(self.packet, self.flips, self.collision_mask, keys)
+    }
 }
 
 /// Procedure state of the controller (paper Fig. 4).
@@ -509,9 +524,13 @@ pub struct LinkController {
     /// teardown — detach, supervision timeout or power-off. Frames
     /// stranded mid-fragmentation are counted by their unsent bytes.
     pub(crate) dropped_tx_bytes: u64,
-    /// Per-link packet encoder: cached access-code images + scratch
-    /// buffer, so steady-state traffic builds air images allocation-lean.
+    /// Packet codec for receptions that need their bits rebuilt: cached
+    /// access-code images + scratch buffers, and the tally of what the
+    /// receptions cost.
     pub(crate) codec: packet::Codec,
+    /// This device's page-scan hops, by X (derived from `addr`), built
+    /// when page scan first starts: most controllers never scan.
+    pub(crate) own_train: Option<hop::TrainTable>,
 }
 
 impl LinkController {
@@ -538,6 +557,7 @@ impl LinkController {
             stat_promoted: false,
             dropped_tx_bytes: 0,
             codec: packet::Codec::new(),
+            own_train: None,
         }
     }
 
@@ -661,6 +681,12 @@ impl LinkController {
             ProcState::PageScan(_) => self.tick_page_scan(now, out),
             ProcState::Connection => self.tick_connection(now, out),
         }
+    }
+
+    /// Air images built and shortcut receptions since the last call
+    /// (see [`packet::Codec::decode_reception`]), resetting the counts.
+    pub fn take_rx_tally(&mut self) -> packet::RxTally {
+        self.codec.take_tally()
     }
 
     /// Packet delivery from the channel; appends the resulting actions
@@ -958,11 +984,11 @@ pub(crate) fn resolve_afh<'a>(
     }
 }
 
-/// Convenience: a transmit action for a packet built from keys.
-pub(crate) fn tx_action(at: SimTime, rf_channel: u8, bits: BitVec) -> LcAction {
+/// Convenience: a transmit action.
+pub(crate) fn tx_action(at: SimTime, rf_channel: u8, packet: AirPacket) -> LcAction {
     LcAction::Tx {
         at,
         rf_channel,
-        bits,
+        packet,
     }
 }

@@ -17,8 +17,8 @@
 use btsim_kernel::{SimDuration, SimTime};
 
 use crate::address::BdAddr;
-use crate::hop::{self, HopSequence};
-use crate::packet::{self, FhsPayload, Header, PacketType, Payload};
+use crate::hop::{HopSequence, TrainTable};
+use crate::packet::{self, AirPacket, FhsPayload, Header, PacketType, Payload};
 
 use super::connection::{LinkMode, LinkState, MasterCtx, SlaveCtx, SlaveSlot};
 use super::{tx_action, LcAction, LcEvent, LifePhase, LinkController, ProcState};
@@ -27,6 +27,8 @@ use super::{tx_action, LcAction, LcEvent, LifePhase, LinkController, ProcState};
 #[derive(Debug, Clone)]
 pub(crate) struct PageCtx {
     pub target: BdAddr,
+    /// The target's page hops, by X (derived from `target`).
+    pub train: TrainTable,
     /// CLKE = own CLKN + this offset (estimate of the target's CLKN).
     pub clke_offset: u32,
     pub timeout_slots: u32,
@@ -81,6 +83,7 @@ impl LinkController {
         self.mark_proc_start(now);
         self.state = ProcState::Page(PageCtx {
             target,
+            train: TrainTable::new(target.hop_input()),
             clke_offset,
             timeout_slots,
             sub: PageSub::Paging,
@@ -89,6 +92,9 @@ impl LinkController {
     }
 
     pub(crate) fn start_page_scan(&mut self, now: SimTime, out: &mut Vec<LcAction>) {
+        let addr = self.addr;
+        self.own_train
+            .get_or_insert_with(|| TrainTable::new(addr.hop_input()));
         self.mark_proc_start(now);
         self.state = ProcState::PageScan(PageScanCtx {
             sub: PageScanSub::Scanning,
@@ -109,7 +115,15 @@ impl LinkController {
     }
 
     fn page_scan_channel(&self, now: SimTime) -> u8 {
-        hop::hop_channel(HopSequence::PageScan, self.clkn(now), self.addr.hop_input())
+        self.page_scan_train()
+            .channel(HopSequence::PageScan, self.clkn(now))
+    }
+
+    /// This device's page-scan hop table; page scan builds it on entry.
+    pub(crate) fn page_scan_train(&self) -> &TrainTable {
+        self.own_train
+            .as_ref()
+            .expect("page scan builds the table when it starts")
     }
 
     /// Whether the page-scan window is open at `now` (always, when
@@ -134,7 +148,7 @@ impl LinkController {
     }
 
     /// Builds the page-response FHS of this (future) master.
-    fn page_fhs_bits(&self, target: BdAddr, lt_addr: u8, at: SimTime) -> btsim_coding::BitVec {
+    fn page_fhs(&self, target: BdAddr, lt_addr: u8, at: SimTime) -> AirPacket {
         let keys = self.dac_keys(target);
         let fhs = FhsPayload {
             addr: self.addr,
@@ -152,7 +166,7 @@ impl LinkController {
             arqn: false,
             seqn: false,
         };
-        packet::encode(&keys, &header, &Payload::Fhs(fhs))
+        AirPacket::new(keys, header, &Payload::Fhs(fhs))
     }
 
     pub(crate) fn tick_page(&mut self, now: SimTime, out: &mut Vec<LcAction>) {
@@ -200,11 +214,11 @@ impl LinkController {
                 self.settle_state(out);
             }
             Todo::SendId => {
-                let (target, clke_offset) = {
+                let (target, train, clke_offset) = {
                     let ProcState::Page(ctx) = &self.state else {
                         return;
                     };
-                    (ctx.target, ctx.clke_offset)
+                    (ctx.target, ctx.train, ctx.clke_offset)
                 };
                 // Timing follows the pager's own clock (its slot grid will
                 // become the piconet grid); only the hop phase uses CLKE.
@@ -213,8 +227,8 @@ impl LinkController {
                 }
                 let clke = self.clkn(now).offset_by(clke_offset);
                 let kofs = self.train_kofs(now);
-                let ch = hop::hop_channel(HopSequence::Page { kofs }, clke, target.hop_input());
-                out.push(tx_action(now, ch, self.codec.encode_id(target.lap())));
+                let ch = train.channel(HopSequence::Page { kofs }, clke);
+                out.push(tx_action(now, ch, AirPacket::id(target.lap())));
                 out.push(LcAction::RxWindow {
                     from: now + SimDuration::SLOT,
                     until: Some(now + SimDuration::SLOT + SimDuration::HALF_SLOT),
@@ -229,8 +243,8 @@ impl LinkController {
                     ctx.target
                 };
                 let lt_addr = self.next_lt_addr();
-                let bits = self.page_fhs_bits(target, lt_addr, at);
-                out.push(tx_action(at, channel, bits));
+                let fhs = self.page_fhs(target, lt_addr, at);
+                out.push(tx_action(at, channel, fhs));
                 out.push(LcAction::RxWindow {
                     from: at + SimDuration::SLOT,
                     until: Some(at + SimDuration::SLOT + SimDuration::HALF_SLOT),
@@ -252,7 +266,7 @@ impl LinkController {
             };
             (ctx.target, self.dac_keys(ctx.target))
         };
-        let Ok(packet::Decoded::Id) = self.codec.decode(rx.bits, rx.collision_mask, &keys) else {
+        let Ok(packet::Decoded::Id) = rx.decode(&mut self.codec, &keys) else {
             return;
         };
         let pageresp = SimDuration::from_slots(self.cfg.page_resp_timeout_slots as u64);
@@ -341,7 +355,7 @@ impl LinkController {
         out: &mut Vec<LcAction>,
     ) {
         let keys = self.dac_keys(self.addr);
-        let Ok(decoded) = self.codec.decode(rx.bits, rx.collision_mask, &keys) else {
+        let Ok(decoded) = rx.decode(&mut self.codec, &keys) else {
             return;
         };
         let pageresp = SimDuration::from_slots(self.cfg.page_resp_timeout_slots as u64);
@@ -384,11 +398,7 @@ impl LinkController {
             Todo::Nothing => {}
             Todo::Respond => {
                 let resp_at = rx.start + SimDuration::SLOT;
-                out.push(tx_action(
-                    resp_at,
-                    rx.rf_channel,
-                    self.codec.encode_id(own_lap),
-                ));
+                out.push(tx_action(resp_at, rx.rf_channel, AirPacket::id(own_lap)));
                 // Keep listening on the exchange channel for the FHS.
                 out.push(LcAction::RxWindow {
                     from: resp_at + SimDuration::from_bits(68),
@@ -399,7 +409,7 @@ impl LinkController {
             Todo::Join { fhs, channel } => {
                 // FHS received: acknowledge with ID, join the piconet.
                 let ack_at = rx.start + SimDuration::SLOT;
-                out.push(tx_action(ack_at, channel, self.codec.encode_id(own_lap)));
+                out.push(tx_action(ack_at, channel, AirPacket::id(own_lap)));
                 out.push(LcAction::RxOff);
                 let clk_offset = own_at_fhs_start.offset_to(fhs.clock());
                 // Re-joining the same piconet replaces the old link; a

@@ -2,7 +2,8 @@
 //!
 //! Everything a [`LinkController`] holds — procedure contexts, per-link
 //! ARQ state, AFH maps and the RNG position — roundtrips through the
-//! kernel's snapshot codec. The packet [`Codec`](packet::Codec) is the
+//! kernel's snapshot codec, and so do the keys, header and payload of
+//! the [`AirPacket`](packet::AirPacket) a transmission in flight carries. The packet [`Codec`](packet::Codec) is the
 //! one deliberate exception: it is a pure memoization of access-code
 //! images, so restore rebuilds it empty and the caches refill
 //! identically on demand (cache state never influences behaviour).
@@ -16,8 +17,8 @@ use btsim_kernel::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, Snapsho
 
 use crate::address::BdAddr;
 use crate::clock::{ClkVal, Clock, CLK_WRAP};
-use crate::hop::{ChannelMap, CHANNELS, CHANNEL_MAP_BYTES};
-use crate::packet::{self, Llid, PacketType};
+use crate::hop::{ChannelMap, TrainTable, CHANNELS, CHANNEL_MAP_BYTES};
+use crate::packet::{self, FhsPayload, Header, LinkKeys, Llid, PacketType, Payload};
 
 use super::connection::{
     LinkMode, LinkState, MasterCtx, ScoParams, SlaveCtx, SlaveSlot, SniffParams,
@@ -106,6 +107,23 @@ snap_enum! {
         1 => Start,
         2 => Lmp,
     } else "unknown LLID tag"
+}
+
+snap_struct! { LinkKeys { lap, uap, whiten, sync_threshold, fhs_fec } }
+
+snap_struct! { Header { lt_addr, ptype, flow, arqn, seqn } }
+
+snap_struct! {
+    FhsPayload { addr, class_of_device, lt_addr, clk27_2, page_scan_mode, sr, sp }
+}
+
+snap_enum! {
+    Payload {
+        0 => None,
+        1 => Fhs(fhs),
+        2 => Acl { llid, flow, data },
+        3 => Sco(data),
+    } else "unknown payload tag"
 }
 
 snap_enum! {
@@ -283,7 +301,10 @@ snap_enum! {
     } else "unknown page substate tag"
 }
 
-snap_struct! { PageCtx { target, clke_offset, timeout_slots, sub } }
+snap_struct! {
+    PageCtx { target, clke_offset, timeout_slots, sub }
+    skip { train = TrainTable::new(BdAddr::hop_input(target)) }
+}
 
 snap_enum! {
     PageScanSub {
@@ -306,7 +327,9 @@ snap_enum! {
 }
 
 // The codec is a pure access-code memoization: rebuilt empty on
-// restore, refilled on demand with bit-identical images.
+// restore, refilled on demand with bit-identical images. The page-scan
+// hop table is derived from the address; a controller restored in page
+// scan needs it at once, any other builds it when page scan starts.
 snap_struct! {
     LinkController {
         cfg,
@@ -327,7 +350,11 @@ snap_struct! {
         stat_promoted,
         dropped_tx_bytes,
     }
-    skip { codec = packet::Codec::new() }
+    skip {
+        codec = packet::Codec::new(),
+        own_train = matches!(state, ProcState::PageScan(_))
+            .then(|| TrainTable::new(BdAddr::hop_input(addr))),
+    }
 }
 
 #[cfg(test)]
@@ -459,6 +486,7 @@ mod tests {
             }),
             ProcState::Page(PageCtx {
                 target: BdAddr::new(9, 9, 9),
+                train: TrainTable::new(BdAddr::new(9, 9, 9).hop_input()),
                 clke_offset: 77,
                 timeout_slots: 4096,
                 sub: PageSub::MasterResponse {

@@ -30,12 +30,12 @@
 use btsim_kernel::{SimDuration, SimTime};
 
 use crate::clock::ClkVal;
-use crate::hop::{self, HopSequence};
+use crate::hop::HopSequence;
 
 use super::connection::{
     sco_at_anchor, sniff_at_anchor, sniff_in_window, supervision_deadline, LinkMode, SlaveCtx,
 };
-use super::inquiry::GIAC_HOP_INPUT;
+use super::inquiry::GIAC_TRAIN;
 use super::page::{PageScanSub, PageSub};
 use super::{InquiryCtx, InquiryScanCtx, LinkController, PageCtx, PageScanCtx, ProcState};
 
@@ -117,10 +117,9 @@ impl LinkController {
         }
         // The scan channel follows CLKN₁₆₋₁₂: it can only change when the
         // raw clock crosses a multiple of 2¹².
-        let ch = hop::hop_channel(
+        let ch = GIAC_TRAIN.channel(
             HopSequence::InquiryScan,
             self.clock.clkn_at(SimTime::from_ns(k0 * HALF_NS)),
-            GIAC_HOP_INPUT,
         );
         if ctx.cur_channel != Some(ch) {
             return Some(k0);
@@ -151,11 +150,9 @@ impl LinkController {
             }
             PageScanSub::Scanning => {
                 let at_k0 = SimTime::from_ns(k0 * HALF_NS);
-                let ch = hop::hop_channel(
-                    HopSequence::PageScan,
-                    self.clock.clkn_at(at_k0),
-                    self.addr.hop_input(),
-                );
+                let ch = self
+                    .page_scan_train()
+                    .channel(HopSequence::PageScan, self.clock.clkn_at(at_k0));
                 let open = self.scan_window_open_at_tick(k0);
                 // Mismatch between the held window/channel and the tick's
                 // view means the very next tick acts.

@@ -8,7 +8,9 @@
 //!   clock arithmetic (the paper's `CLOCK` module);
 //! * [`hop`] — the §2.6 frequency hop selection box (`HOP_FREQ`);
 //! * [`packet`] — every packet format of the v1.2 standard with exact
-//!   air images (`TRANSMITTER` / `RECEIVER`);
+//!   air images (`TRANSMITTER` / `RECEIVER`), and [`AirPacket`], the
+//!   packet a transmission carries, whose bits are built only when a
+//!   reception needs them;
 //! * [`TxBuffer`] / [`RxAssembler`] — link buffering (`BUFFER_TX/RX`);
 //! * [`LinkController`] — the link-controller state machine
 //!   (`STATE MACHINE`): inquiry, page, their scan/response substates and
@@ -37,4 +39,4 @@ pub use lc::{
     LinkController, LinkMode, Role, RxDelivery, ScoParams, SniffParams, StatPairReport,
     StatRespReport, StatSide,
 };
-pub use packet::{Llid, PacketType};
+pub use packet::{AirPacket, Llid, PacketType};

@@ -1,11 +1,18 @@
 //! Baseband packet formats: the paper's `TRANSMITTER` (composer) and
 //! `RECEIVER` modules.
 //!
-//! Every packet is built as its exact over-the-air bit image:
+//! A transmission carries an [`AirPacket`]: the sender's keys, header and
+//! payload, or only the LAP of an ID packet. Its exact over-the-air bit
+//! image is
 //!
 //! ```text
 //! [access code 68/72] [header 54 = (10 info + 8 HEC) × FEC 1/3] [payload]
 //! ```
+//!
+//! and [`Codec`] builds it only when a reception needs the bits: a
+//! reception that drew no noise, has no collision mask and is heard under
+//! the sender's own keys takes the sender's packet as its decode result
+//! (see [`Codec::decode_reception`]).
 //!
 //! The payload chain is `payload header + data + CRC-16 → whitening →
 //! FEC` with the whitening LFSR running continuously from the packet
@@ -15,7 +22,8 @@
 
 use std::ops::Range;
 
-use btsim_coding::{crc, fec, hec, syncword, BitVec, Whitener};
+use btsim_coding::{crc, fec, hec, syncword, AirImage, BitVec, Whitener};
+use btsim_kernel::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 use crate::address::BdAddr;
 use crate::clock::ClkVal;
@@ -255,6 +263,9 @@ impl Header {
     }
 }
 
+/// Bytes of a packed FHS payload (144 bits).
+pub const FHS_BYTES: usize = 18;
+
 /// The FHS payload: identity and clock of the sender (144 bits + CRC).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FhsPayload {
@@ -277,20 +288,41 @@ pub struct FhsPayload {
 impl FhsPayload {
     /// Packs the 144 information bits.
     pub fn pack(&self) -> BitVec {
-        let mut b = BitVec::with_capacity(144);
-        b.push_bits_lsb(syncword::parity_bits(self.addr.sync_word()), 34);
-        b.push_bits_lsb(self.addr.lap() as u64, 24);
-        b.push_bits_lsb(0, 2); // undefined
-        b.push_bits_lsb(self.sr as u64 & 0b11, 2);
-        b.push_bits_lsb(self.sp as u64 & 0b11, 2);
-        b.push_bits_lsb(self.addr.uap() as u64, 8);
-        b.push_bits_lsb(self.addr.nap() as u64, 16);
-        b.push_bits_lsb(self.class_of_device as u64 & 0xFF_FFFF, 24);
-        b.push_bits_lsb(self.lt_addr as u64 & 0b111, 3);
-        b.push_bits_lsb(self.clk27_2 as u64 & 0x03FF_FFFF, 26);
-        b.push_bits_lsb(self.page_scan_mode as u64 & 0b111, 3);
-        debug_assert_eq!(b.len(), 144);
-        b
+        BitVec::from_bytes_lsb(&self.pack_bytes())
+    }
+
+    /// The 144 information bits as 18 bytes, LSB first: the fields in
+    /// transmission order, each masked to its width.
+    pub fn pack_bytes(&self) -> [u8; FHS_BYTES] {
+        let fields: [(u64, usize); 11] = [
+            (syncword::parity_bits(self.addr.sync_word()), 34),
+            (self.addr.lap() as u64, 24),
+            (0, 2), // undefined
+            (self.sr as u64, 2),
+            (self.sp as u64, 2),
+            (self.addr.uap() as u64, 8),
+            (self.addr.nap() as u64, 16),
+            (self.class_of_device as u64, 24),
+            (self.lt_addr as u64, 3),
+            (self.clk27_2 as u64, 26),
+            (self.page_scan_mode as u64, 3),
+        ];
+        let mut words = [0u128; 2];
+        let mut at = 0;
+        for (value, width) in fields {
+            let v = u128::from(value & ((1 << width) - 1));
+            let (word, shift) = (at / 128, at % 128);
+            words[word] |= v << shift;
+            if shift + width > 128 {
+                words[word + 1] |= v >> (128 - shift);
+            }
+            at += width;
+        }
+        debug_assert_eq!(at, 144);
+        let mut out = [0; FHS_BYTES];
+        out[..16].copy_from_slice(&words[0].to_le_bytes());
+        out[16..].copy_from_slice(&words[1].to_le_bytes()[..FHS_BYTES - 16]);
+        out
     }
 
     /// Unpacks 144 information bits.
@@ -380,16 +412,78 @@ pub fn encode_id(lap: u32) -> BitVec {
     syncword::access_code(lap, false)
 }
 
+/// A payload as the encoder reads it: borrowed bytes, with an FHS
+/// already packed into its 144 information bits.
+#[derive(Debug, Clone, Copy)]
+enum Body<'a> {
+    None,
+    Fhs(&'a [u8]),
+    Acl {
+        llid: Llid,
+        flow: bool,
+        data: &'a [u8],
+    },
+    Sco(&'a [u8]),
+}
+
+impl<'a> Body<'a> {
+    /// `payload` as the encoder reads it, an FHS packed into `packed`.
+    fn of(payload: &'a Payload, packed: &'a mut [u8; FHS_BYTES]) -> Self {
+        match payload {
+            Payload::None => Body::None,
+            Payload::Fhs(fhs) => {
+                *packed = fhs.pack_bytes();
+                let packed: &'a [u8; FHS_BYTES] = packed;
+                Body::Fhs(packed)
+            }
+            Payload::Acl { llid, flow, data } => Body::Acl {
+                llid: *llid,
+                flow: *flow,
+                data,
+            },
+            Payload::Sco(data) => Body::Sco(data),
+        }
+    }
+
+    /// Why this body cannot ride a packet of type `ptype`, if it cannot.
+    fn check(&self, ptype: PacketType) -> Result<(), &'static str> {
+        let voice = matches!(
+            ptype,
+            PacketType::Hv1 | PacketType::Hv2 | PacketType::Hv3 | PacketType::Dv
+        );
+        match self {
+            _ if ptype == PacketType::Id => Err("ID packets have no header"),
+            Body::None if matches!(ptype, PacketType::Null | PacketType::Poll) => Ok(()),
+            Body::None => Err("payload required for this packet type"),
+            Body::Fhs(bits) if ptype == PacketType::Fhs && bits.len() == FHS_BYTES => Ok(()),
+            Body::Acl { data, .. } if ptype.is_acl_data() => {
+                if data.len() <= ptype.max_user_bytes() {
+                    Ok(())
+                } else {
+                    Err("payload exceeds the packet type's capacity")
+                }
+            }
+            Body::Sco(data) if voice => {
+                if data.len() == ptype.max_user_bytes() {
+                    Ok(())
+                } else {
+                    Err("SCO payloads are fixed-size")
+                }
+            }
+            _ => Err("payload does not match the packet type"),
+        }
+    }
+}
+
 /// Per-link codec state: memoized access-code images (the 72-bit
 /// access code is invariant per LAP, but costs a BCH encode to build)
-/// plus a scratch body buffer reused across calls, so a saturated ACL
-/// slot allocates only the returned air image, and a reception only the
-/// payload bytes it decodes.
+/// plus scratch buffers reused across calls, so building or decoding a
+/// packet allocates only the payload bytes a reception returns.
 ///
 /// [`LinkController`](crate::LinkController) owns one and routes every
-/// packet build and every reception through it; the free [`encode`] and
-/// [`decode`] functions wrap a fresh `Codec` for one-off callers and are
-/// bit-for-bit identical.
+/// reception through it; the free [`encode`] and [`decode`] functions
+/// wrap a fresh `Codec` for one-off callers and are bit-for-bit
+/// identical.
 #[derive(Debug, Clone, Default)]
 pub struct Codec {
     /// Cached access codes keyed by `(lap, with_trailer)`. A device
@@ -399,6 +493,21 @@ pub struct Codec {
     /// Reused body buffer: the payload header + data + CRC being
     /// encoded, or the FEC-decoded, de-whitened body being received.
     scratch: BitVec,
+    /// Reused air image that a disturbed reception is rebuilt into.
+    air: BitVec,
+    /// Work counts of [`Codec::decode_reception`] since the last
+    /// [`Codec::take_tally`].
+    tally: RxTally,
+}
+
+/// What [`Codec::decode_reception`] did: how many receptions it decoded
+/// from a rebuilt air image and how many took the sender's packet.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RxTally {
+    /// Air images built and decoded bit by bit.
+    pub images_built: u64,
+    /// Receptions that took the sender's packet without codec work.
+    pub shortcuts: u64,
 }
 
 impl Codec {
@@ -424,11 +533,6 @@ impl Codec {
         &self.codes[pos].2
     }
 
-    /// Builds the air image of an ID packet for `lap` from the cache.
-    pub fn encode_id(&mut self, lap: u32) -> BitVec {
-        self.access_code(lap, false).clone()
-    }
-
     /// Builds the full air image of a packet with a header.
     ///
     /// # Panics
@@ -437,6 +541,25 @@ impl Codec {
     /// variant or oversized data) — these are programming errors of the
     /// caller.
     pub fn encode(&mut self, keys: &LinkKeys, header: &Header, payload: &Payload) -> BitVec {
+        let mut packed = [0; FHS_BYTES];
+        let mut air = BitVec::new();
+        self.encode_body(keys, header, Body::of(payload, &mut packed), &mut air);
+        air
+    }
+
+    /// Builds the air image of `packet` into `out`, replacing what it
+    /// held: the same bits [`Codec::encode`] gives for its fields.
+    pub fn build(&mut self, packet: &AirPacket, out: &mut BitVec) {
+        match packet.body() {
+            None => out.clone_from(self.access_code(packet.keys.lap, false)),
+            Some(body) => self.encode_body(&packet.keys, &packet.header, body, out),
+        }
+    }
+
+    fn encode_body(&mut self, keys: &LinkKeys, header: &Header, body: Body<'_>, out: &mut BitVec) {
+        if let Err(what) = body.check(header.ptype) {
+            panic!("{what}: {:?}", header.ptype);
+        }
         let mut whitener = Whitener::from_clk(keys.whiten);
 
         // Header: 10 info + HEC, whitened, then FEC 1/3 — all three
@@ -447,48 +570,24 @@ impl Codec {
         let header_white = header_bits ^ whitener.next_bits(18);
 
         // Body staging (scratch buffer, before whitening and FEC).
-        let body_bits = match payload {
-            Payload::None => {
-                assert!(
-                    matches!(header.ptype, PacketType::Null | PacketType::Poll),
-                    "payload required for {:?}",
-                    header.ptype
-                );
-                let mut air = BitVec::with_capacity(72 + HEADER_AIR_BITS);
-                air.extend_bits(self.access_code(keys.lap, true));
-                air.push_bits_lsb(fec::trip_bits(header_white, 18), HEADER_AIR_BITS as u32);
-                return air;
-            }
-            Payload::Fhs(fhs) => {
-                assert_eq!(header.ptype, PacketType::Fhs);
-                self.scratch.clear();
-                self.scratch.extend_bits(&fhs.pack());
+        self.scratch.clear();
+        match body {
+            Body::None => {}
+            Body::Fhs(bits) => {
+                self.scratch.push_bytes_lsb(bits);
                 crc::append_crc(keys.uap, &mut self.scratch);
-                self.scratch.len()
             }
-            Payload::Acl { llid, flow, data } => {
-                assert!(
-                    header.ptype.is_acl_data(),
-                    "not an ACL type: {:?}",
-                    header.ptype
-                );
-                assert!(
-                    data.len() <= header.ptype.max_user_bytes(),
-                    "payload of {} bytes exceeds {:?} capacity",
-                    data.len(),
-                    header.ptype
-                );
-                self.scratch.clear();
+            Body::Acl { llid, flow, data } => {
                 match header.ptype.payload_header_bytes() {
                     1 => {
                         let h = (llid.code() as u64)
-                            | ((*flow as u64) << 2)
+                            | ((flow as u64) << 2)
                             | ((data.len() as u64 & 0x1F) << 3);
                         self.scratch.push_bits_lsb(h, 8);
                     }
                     2 => {
                         let h = (llid.code() as u64)
-                            | ((*flow as u64) << 2)
+                            | ((flow as u64) << 2)
                             | ((data.len() as u64 & 0x1FF) << 3);
                         self.scratch.push_bits_lsb(h, 16);
                     }
@@ -498,19 +597,10 @@ impl Codec {
                 if header.ptype.has_crc() {
                     crc::append_crc(keys.uap, &mut self.scratch);
                 }
-                self.scratch.len()
             }
-            Payload::Sco(data) => {
-                assert_eq!(
-                    data.len(),
-                    header.ptype.max_user_bytes(),
-                    "SCO payloads are fixed-size"
-                );
-                self.scratch.clear();
-                self.scratch.push_bytes_lsb(data);
-                self.scratch.len()
-            }
-        };
+            Body::Sco(data) => self.scratch.push_bytes_lsb(data),
+        }
+        let body_bits = self.scratch.len();
 
         // Whitening continues the header's stream over the body, XORed
         // in place in 64-bit words.
@@ -527,17 +617,17 @@ impl Codec {
         } else {
             body_bits
         };
-        let mut air = BitVec::with_capacity(72 + HEADER_AIR_BITS + coded_bits);
-        air.extend_bits(self.access_code(keys.lap, true));
-        air.push_bits_lsb(fec::trip_bits(header_white, 18), HEADER_AIR_BITS as u32);
+        out.clear();
+        out.reserve(72 + HEADER_AIR_BITS + coded_bits);
+        out.extend_bits(self.access_code(keys.lap, true));
+        out.push_bits_lsb(fec::trip_bits(header_white, 18), HEADER_AIR_BITS as u32);
         if header.ptype == PacketType::Hv1 {
-            fec::fec13_encode_into(&self.scratch, &mut air);
+            fec::fec13_encode_into(&self.scratch, out);
         } else if fec23 {
-            fec::fec23_encode_into(&self.scratch, &mut air);
+            fec::fec23_encode_into(&self.scratch, out);
         } else {
-            air.extend_bits(&self.scratch);
+            out.extend_bits(&self.scratch);
         }
-        air
     }
 }
 
@@ -552,6 +642,234 @@ impl Codec {
 /// oversized data) — these are programming errors of the caller.
 pub fn encode(keys: &LinkKeys, header: &Header, payload: &Payload) -> BitVec {
     Codec::new().encode(keys, header, payload)
+}
+
+/// A packet as a transmission carries it: the sender's keys, header and
+/// payload (or only the LAP of an ID packet), with its air image left
+/// unbuilt.
+///
+/// Building one checks the payload against the packet type, as encoding
+/// always has, so a bad packet fails where it is made and not at the
+/// first reception that needs its bits. The header's LT_ADDR is kept to
+/// its three air bits. An FHS payload is kept packed, so a reception
+/// decodes exactly the fields the bits carry.
+///
+/// # Examples
+///
+/// ```
+/// use btsim_baseband::packet::{self, AirPacket, Codec, Header, LinkKeys, Llid, PacketType, Payload};
+/// use btsim_coding::{AirImage, BitVec};
+///
+/// let keys = LinkKeys::control(0x2C7F91, 0x47, 54, true);
+/// let header = Header { lt_addr: 1, ptype: PacketType::Dm1, flow: true, arqn: false, seqn: true };
+/// let payload = Payload::Acl { llid: Llid::Start, flow: true, data: vec![7; 9] };
+/// let air = AirPacket::new(keys, header, &payload);
+/// let mut bits = BitVec::new();
+/// Codec::new().build(&air, &mut bits);
+/// assert_eq!(bits, packet::encode(&keys, &header, &payload));
+/// assert_eq!(air.air_bits(), bits.len());
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct AirPacket {
+    /// The sender's keys; only `lap` is meaningful for an ID packet.
+    keys: LinkKeys,
+    /// The header; `ptype` is [`PacketType::Id`] for an ID packet.
+    header: Header,
+    /// The ACL payload header's LLID and flow bit.
+    acl: Option<(Llid, bool)>,
+    /// ACL or SCO user bytes, or the packed FHS; `None` without payload.
+    bytes: Option<Box<[u8]>>,
+}
+
+// Kept to 32 bytes (the user bytes boxed, an FHS packed into them), so
+// a calendar entry that carries one stays small.
+const _: () = assert!(std::mem::size_of::<AirPacket>() <= 32);
+
+impl AirPacket {
+    /// An ID packet (access code only) for `lap`.
+    pub fn id(lap: u32) -> Self {
+        AirPacket {
+            keys: LinkKeys {
+                lap,
+                uap: 0,
+                whiten: 0,
+                sync_threshold: 0,
+                fhs_fec: false,
+            },
+            header: Header {
+                lt_addr: 0,
+                ptype: PacketType::Id,
+                flow: false,
+                arqn: false,
+                seqn: false,
+            },
+            acl: None,
+            bytes: None,
+        }
+    }
+
+    /// A packet with a header, or why its payload cannot ride it.
+    ///
+    /// # Errors
+    ///
+    /// A static description when the payload does not match the packet
+    /// type (wrong variant, oversized ACL data, SCO data of the wrong
+    /// size), and for [`PacketType::Id`] (see [`AirPacket::id`]) and
+    /// [`PacketType::Dv`], whose combined payload the model does not
+    /// build.
+    pub fn try_new(
+        keys: LinkKeys,
+        header: Header,
+        payload: &Payload,
+    ) -> Result<Self, &'static str> {
+        if header.ptype == PacketType::Dv {
+            return Err("DV packets are not built: the model has no DV payload format");
+        }
+        let mut packed = [0; FHS_BYTES];
+        let body = Body::of(payload, &mut packed);
+        body.check(header.ptype)?;
+        let (acl, bytes) = match body {
+            Body::None => (None, None),
+            Body::Acl { llid, flow, data } => (Some((llid, flow)), Some(data)),
+            Body::Fhs(data) | Body::Sco(data) => (None, Some(data)),
+        };
+        Ok(AirPacket {
+            keys,
+            header: Header {
+                lt_addr: header.lt_addr & 0b111,
+                ..header
+            },
+            acl,
+            bytes: bytes.map(Box::from),
+        })
+    }
+
+    /// A packet with a header.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`AirPacket::try_new`] returns an error — a
+    /// programming error of the caller, as for [`Codec::encode`].
+    pub fn new(keys: LinkKeys, header: Header, payload: &Payload) -> Self {
+        Self::try_new(keys, header, payload).unwrap_or_else(|what| panic!("{what}: {header:?}"))
+    }
+
+    /// The payload, rebuilt as [`Payload`] (`Payload::None` for an ID
+    /// packet).
+    pub fn payload(&self) -> Payload {
+        match self.body() {
+            None | Some(Body::None) => Payload::None,
+            Some(Body::Fhs(bits)) => Payload::Fhs(
+                FhsPayload::unpack(&BitVec::from_bytes_lsb(bits)).expect("144 packed bits"),
+            ),
+            Some(Body::Acl { llid, flow, data }) => Payload::Acl {
+                llid,
+                flow,
+                data: data.to_vec(),
+            },
+            Some(Body::Sco(data)) => Payload::Sco(data.to_vec()),
+        }
+    }
+
+    /// The decode result of a clean reception under the sender's keys.
+    fn decoded(&self) -> Decoded {
+        match self.header.ptype {
+            PacketType::Id => Decoded::Id,
+            _ => Decoded::Packet {
+                header: self.header,
+                payload: self.payload(),
+            },
+        }
+    }
+
+    /// Whether a reception with no flips and no collision mask, heard
+    /// under `keys`, decodes to exactly this packet: the keys are the
+    /// sender's (for an ID packet, the LAP is) and a perfect sync word
+    /// reaches the correlator threshold.
+    fn heard_as(&self, keys: &LinkKeys) -> bool {
+        let same = match self.header.ptype {
+            PacketType::Id => keys.lap == self.keys.lap,
+            _ => *keys == self.keys,
+        };
+        same && keys.sync_threshold <= 64
+    }
+
+    /// The payload as the encoder reads it; `None` for an ID packet.
+    /// The type decides the variant, as [`Body::check`] made sure at
+    /// construction.
+    fn body(&self) -> Option<Body<'_>> {
+        let bytes = self.bytes.as_deref().unwrap_or_default();
+        Some(match self.header.ptype {
+            PacketType::Id => return None,
+            PacketType::Null | PacketType::Poll => Body::None,
+            PacketType::Fhs => Body::Fhs(bytes),
+            t if t.is_acl_data() => {
+                let (llid, flow) = self.acl.expect("ACL packets keep their payload header");
+                Body::Acl {
+                    llid,
+                    flow,
+                    data: bytes,
+                }
+            }
+            _ => Body::Sco(bytes),
+        })
+    }
+}
+
+/// An ID packet is written as its LAP alone; any other packet as its
+/// keys, header and payload, which decoding checks against each other
+/// exactly as [`AirPacket::try_new`] does.
+impl Snap for AirPacket {
+    fn snap(&self, w: &mut SnapWriter) {
+        let AirPacket {
+            keys,
+            header,
+            acl: _,
+            bytes: _,
+        } = self;
+        match header.ptype {
+            PacketType::Id => {
+                w.put_u8(0);
+                keys.lap.snap(w);
+            }
+            _ => {
+                w.put_u8(1);
+                keys.snap(w);
+                header.snap(w);
+                self.payload().snap(w);
+            }
+        }
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        match r.take_u8()? {
+            0 => Ok(AirPacket::id(r.take_u32()?)),
+            1 => {
+                let keys = LinkKeys::unsnap(r)?;
+                let header = Header::unsnap(r)?;
+                let payload = Payload::unsnap(r)?;
+                AirPacket::try_new(keys, header, &payload).map_err(|what| r.malformed(what))
+            }
+            _ => Err(r.malformed("unknown air packet tag")),
+        }
+    }
+}
+
+impl AirImage for AirPacket {
+    fn air_bits(&self) -> usize {
+        let user_bytes = self.bytes.as_ref().map_or(0, |b| b.len());
+        air_bits(self.header.ptype, user_bytes, self.keys.fhs_fec)
+    }
+
+    /// Builds through a codec kept per thread, so the access codes of
+    /// images built outside a link controller (capture records) stay
+    /// cached.
+    fn write_bits(&self, out: &mut BitVec) {
+        thread_local! {
+            static CODEC: std::cell::RefCell<Codec> = std::cell::RefCell::new(Codec::new());
+        }
+        CODEC.with_borrow_mut(|codec| codec.build(self, out));
+    }
 }
 
 /// Why a reception failed to decode.
@@ -773,6 +1091,68 @@ impl Codec {
     }
 }
 
+impl Codec {
+    /// Decodes a reception of `packet` under the receiver's `keys`, with
+    /// `flips` the bit positions noise inverted and `mask` the collision
+    /// mask.
+    ///
+    /// A reception with no flips and no mask, heard under the sender's
+    /// own keys, takes the sender's packet as its result without any
+    /// codec work. Any other reception — noisy, collided, or heard under
+    /// other keys — builds the air image through the encoder, inverts the
+    /// flipped bits and runs [`Codec::decode`], so both paths return what
+    /// decoding the bits returns. Debug builds run the full decode beside
+    /// every shortcut and assert that the two agree.
+    ///
+    /// # Errors
+    ///
+    /// As [`Codec::decode`].
+    pub fn decode_reception(
+        &mut self,
+        packet: &AirPacket,
+        flips: &[u32],
+        mask: Option<&BitVec>,
+        keys: &LinkKeys,
+    ) -> Result<Decoded, DecodeError> {
+        if flips.is_empty() && mask.is_none() && packet.heard_as(keys) {
+            self.tally.shortcuts += 1;
+            let decoded = packet.decoded();
+            debug_assert_eq!(
+                self.decode_built(packet, flips, mask, keys).as_ref(),
+                Ok(&decoded),
+                "the shortcut disagrees with decoding the bits"
+            );
+            return Ok(decoded);
+        }
+        self.tally.images_built += 1;
+        self.decode_built(packet, flips, mask, keys)
+    }
+
+    /// Builds `packet`'s air image, inverts `flips` and decodes it.
+    fn decode_built(
+        &mut self,
+        packet: &AirPacket,
+        flips: &[u32],
+        mask: Option<&BitVec>,
+        keys: &LinkKeys,
+    ) -> Result<Decoded, DecodeError> {
+        let mut air = std::mem::take(&mut self.air);
+        self.build(packet, &mut air);
+        for &f in flips {
+            air.toggle(f as usize);
+        }
+        let decoded = self.decode(&air, mask, keys);
+        self.air = air;
+        decoded
+    }
+
+    /// The work counts of [`Codec::decode_reception`] since the last
+    /// call, resetting them.
+    pub fn take_tally(&mut self) -> RxTally {
+        std::mem::take(&mut self.tally)
+    }
+}
+
 /// Decodes a received bit image against the link keys.
 ///
 /// One-off form of [`Codec::decode`] (no scratch reuse); hot paths
@@ -900,6 +1280,40 @@ mod tests {
             page_scan_mode: 1,
             sr: 2,
             sp: 1,
+        }
+    }
+
+    #[test]
+    fn fhs_packing_follows_the_field_layout() {
+        // The spec's field order pushed bit by bit, against the packed
+        // words, for field values wider than their fields too.
+        let reference = |f: &FhsPayload| {
+            let mut b = BitVec::new();
+            b.push_bits_lsb(syncword::parity_bits(f.addr.sync_word()), 34);
+            b.push_bits_lsb(f.addr.lap() as u64, 24);
+            b.push_bits_lsb(0, 2);
+            b.push_bits_lsb(f.sr as u64 & 0b11, 2);
+            b.push_bits_lsb(f.sp as u64 & 0b11, 2);
+            b.push_bits_lsb(f.addr.uap() as u64, 8);
+            b.push_bits_lsb(f.addr.nap() as u64, 16);
+            b.push_bits_lsb(f.class_of_device as u64 & 0xFF_FFFF, 24);
+            b.push_bits_lsb(f.lt_addr as u64 & 0b111, 3);
+            b.push_bits_lsb(f.clk27_2 as u64 & 0x03FF_FFFF, 26);
+            b.push_bits_lsb(f.page_scan_mode as u64 & 0b111, 3);
+            b
+        };
+        let wide = FhsPayload {
+            addr: BdAddr::new(0xFFFF, 0xFF, 0xFF_FFFF),
+            class_of_device: u32::MAX,
+            lt_addr: u8::MAX,
+            clk27_2: u32::MAX,
+            page_scan_mode: u8::MAX,
+            sr: u8::MAX,
+            sp: u8::MAX,
+        };
+        for f in [fhs_payload(), wide] {
+            assert_eq!(f.pack(), reference(&f));
+            assert_eq!(f.pack().len(), 144);
         }
     }
 
@@ -1065,7 +1479,9 @@ mod tests {
                 header.ptype
             );
         }
-        assert_eq!(codec.encode_id(keys().lap), encode_id(keys().lap));
+        let mut id = BitVec::new();
+        codec.build(&AirPacket::id(keys().lap), &mut id);
+        assert_eq!(id, encode_id(keys().lap));
     }
 
     #[test]
@@ -1192,6 +1608,204 @@ mod tests {
         ] {
             assert!(outcomes.contains(seen), "no case decoded to {seen}");
         }
+    }
+
+    /// Every packet type, with the payloads an `AirPacket` of it can
+    /// carry: ACL data of several lengths up to capacity.
+    fn every_type_payloads() -> Vec<(PacketType, Payload)> {
+        let mut out = Vec::new();
+        for t in [
+            PacketType::Null,
+            PacketType::Poll,
+            PacketType::Fhs,
+            PacketType::Dm1,
+            PacketType::Dh1,
+            PacketType::Dm3,
+            PacketType::Dh3,
+            PacketType::Dm5,
+            PacketType::Dh5,
+            PacketType::Aux1,
+            PacketType::Hv1,
+            PacketType::Hv2,
+            PacketType::Hv3,
+        ] {
+            let max = t.max_user_bytes();
+            match t {
+                PacketType::Null | PacketType::Poll => out.push((t, Payload::None)),
+                PacketType::Fhs => out.push((t, Payload::Fhs(fhs_payload()))),
+                PacketType::Hv1 | PacketType::Hv2 | PacketType::Hv3 => {
+                    out.push((t, Payload::Sco((0..max as u8).collect())))
+                }
+                _ => {
+                    for len in [0, 1, max / 2, max.saturating_sub(1), max] {
+                        out.push((
+                            t,
+                            Payload::Acl {
+                                llid: Llid::Continuation,
+                                flow: len.is_multiple_of(2),
+                                data: (0..len).map(|i| (i * 13) as u8).collect(),
+                            },
+                        ));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn air_bits_equals_the_built_length_for_every_type() {
+        // A transmission's air time now comes from `air_bits`, not from
+        // the length of an encoded image, so the two must agree for
+        // every packet a transmission can carry.
+        let mut codec = Codec::new();
+        let mut built = BitVec::new();
+        let id = AirPacket::id(keys().lap);
+        codec.build(&id, &mut built);
+        assert_eq!(built, encode_id(keys().lap));
+        assert_eq!(id.air_bits(), built.len());
+        assert_eq!(air_bits(PacketType::Id, 0, true), built.len());
+        for fhs_fec in [true, false] {
+            let k = LinkKeys { fhs_fec, ..keys() };
+            for (t, payload) in every_type_payloads() {
+                let packet = AirPacket::new(k, header(t), &payload);
+                codec.build(&packet, &mut built);
+                assert_eq!(built, encode(&k, &header(t), &payload), "{t:?}");
+                let user = match &payload {
+                    Payload::Acl { data, .. } | Payload::Sco(data) => data.len(),
+                    _ => 0,
+                };
+                assert_eq!(built.len(), air_bits(t, user, fhs_fec), "{t:?}/{user}");
+                assert_eq!(packet.air_bits(), built.len(), "{t:?}/{user}");
+                assert_eq!(packet.payload(), payload, "{t:?}");
+            }
+        }
+        // DV has no payload format in the model: it is never built, so
+        // `air_bits` (which sizes a real DV packet) has no image to match.
+        let dv = AirPacket::try_new(keys(), header(PacketType::Dv), &Payload::Sco(vec![0; 9]));
+        assert!(dv.is_err());
+    }
+
+    #[test]
+    fn air_packets_check_the_payload_where_they_are_built() {
+        let acl = |n: usize| Payload::Acl {
+            llid: Llid::Start,
+            flow: false,
+            data: vec![0; n],
+        };
+        let refused = [
+            (PacketType::Id, Payload::None),
+            (PacketType::Dv, Payload::Sco(vec![0; 9])),
+            (PacketType::Null, acl(1)),
+            (PacketType::Poll, Payload::Sco(Vec::new())),
+            (PacketType::Fhs, Payload::None),
+            (PacketType::Fhs, Payload::Sco(vec![0; FHS_BYTES])),
+            (PacketType::Dm1, acl(18)),
+            (PacketType::Dm1, Payload::Fhs(fhs_payload())),
+            (PacketType::Hv1, acl(10)),
+            (PacketType::Hv2, Payload::Sco(vec![0; 19])),
+        ];
+        for (t, payload) in refused {
+            assert!(
+                AirPacket::try_new(keys(), header(t), &payload).is_err(),
+                "{t:?} with {payload:?}"
+            );
+        }
+        // The header keeps only its three LT_ADDR air bits, as decoding
+        // returns them.
+        let mut h = header(PacketType::Poll);
+        h.lt_addr = 0xFD;
+        let packet = AirPacket::new(keys(), h, &Payload::None);
+        assert_eq!(packet.header.lt_addr, 0b101);
+        let mut built = BitVec::new();
+        Codec::new().build(&packet, &mut built);
+        assert_eq!(
+            decode(&built, None, &keys()),
+            Ok(Decoded::Packet {
+                header: packet.header,
+                payload: Payload::None
+            })
+        );
+    }
+
+    #[test]
+    fn air_packets_roundtrip_and_bad_ones_are_refused() {
+        let roundtrip = |p: &AirPacket| {
+            let mut w = SnapWriter::new();
+            p.snap(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = SnapReader::new(&bytes);
+            let back = AirPacket::unsnap(&mut r);
+            r.finish().map(|()| back)
+        };
+        let mut packets = vec![AirPacket::id(keys().lap)];
+        for (t, payload) in every_type_payloads() {
+            packets.push(AirPacket::new(keys(), header(t), &payload));
+        }
+        for p in &packets {
+            assert_eq!(roundtrip(p).unwrap().unwrap(), *p);
+        }
+        // A payload that does not fit its type decodes to a typed error.
+        let mut w = SnapWriter::new();
+        w.put_u8(1);
+        keys().snap(&mut w);
+        header(PacketType::Dm1).snap(&mut w);
+        Payload::Sco(vec![0; 10]).snap(&mut w);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            AirPacket::unsnap(&mut SnapReader::new(&bytes)),
+            Err(SnapshotError::Malformed { .. })
+        ));
+        assert!(AirPacket::unsnap(&mut SnapReader::new(&[2])).is_err());
+    }
+
+    #[test]
+    fn receptions_shortcut_only_when_undisturbed_under_the_senders_keys() {
+        let mut codec = Codec::new();
+        let packet = AirPacket::new(
+            keys(),
+            header(PacketType::Dm1),
+            &Payload::Acl {
+                llid: Llid::Start,
+                flow: true,
+                data: vec![9; 17],
+            },
+        );
+        let mut built = BitVec::new();
+        codec.build(&packet, &mut built);
+        let len = built.len();
+        let mut other = keys();
+        other.whiten ^= 1;
+        let mut strict = keys();
+        strict.sync_threshold = 65;
+        let mut mask = BitVec::zeros(len);
+        mask.fill_range(len - 3, len);
+        let cases: [(&[u32], Option<&BitVec>, LinkKeys, u64); 5] = [
+            (&[], None, keys(), 1),
+            (&[200], None, keys(), 0),
+            (&[], Some(&mask), keys(), 0),
+            (&[], None, other, 0),
+            (&[], None, strict, 0),
+        ];
+        for (flips, mask, k, shortcut) in cases {
+            let got = codec.decode_reception(&packet, flips, mask, &k);
+            let mut bits = built.clone();
+            for &f in flips {
+                bits.toggle(f as usize);
+            }
+            assert_eq!(got, decode(&bits, mask, &k));
+            let tally = codec.take_tally();
+            assert_eq!(tally.shortcuts, shortcut);
+            assert_eq!(tally.images_built, 1 - shortcut);
+        }
+        assert_eq!(codec.take_tally(), RxTally::default());
+        // An ID packet shortcuts on its LAP alone.
+        let id = AirPacket::id(keys().lap);
+        assert_eq!(
+            codec.decode_reception(&id, &[], None, &other),
+            Ok(Decoded::Id)
+        );
+        assert_eq!(codec.take_tally().shortcuts, 1);
     }
 
     #[test]

@@ -4,17 +4,25 @@
 //! validates the sans-IO contract the simulator builds on.
 
 use btsim_baseband::{
-    BdAddr, ClkVal, Clock, LcAction, LcCommand, LcConfig, LcEvent, LinkController, RxDelivery,
+    AirPacket, BdAddr, ClkVal, Clock, LcAction, LcCommand, LcConfig, LcEvent, LinkController,
+    RxDelivery,
 };
+use btsim_coding::AirImage;
 use btsim_kernel::{SimDuration, SimTime};
 
 /// A scheduled transmission in flight between the two controllers.
 #[derive(Debug, Clone)]
-struct AirPacket {
+struct InFlight {
     from: usize,
     at: SimTime,
     rf_channel: u8,
-    bits: btsim_coding::BitVec,
+    packet: AirPacket,
+}
+
+impl InFlight {
+    fn end(&self) -> SimTime {
+        self.at + SimDuration::from_bits(self.packet.air_bits())
+    }
 }
 
 /// Open receive window of one controller.
@@ -30,7 +38,7 @@ struct Harness {
     lcs: Vec<LinkController>,
     windows: Vec<Option<Window>>,
     pending_windows: Vec<Vec<Window>>,
-    air: Vec<AirPacket>,
+    air: Vec<InFlight>,
     events: Vec<(SimTime, usize, LcEvent)>,
     now: SimTime,
 }
@@ -68,12 +76,12 @@ impl Harness {
                 LcAction::Tx {
                     at,
                     rf_channel,
-                    bits,
-                } => self.air.push(AirPacket {
+                    packet,
+                } => self.air.push(InFlight {
                     from: dev,
                     at,
                     rf_channel,
-                    bits,
+                    packet,
                 }),
                 LcAction::RxWindow {
                     from,
@@ -116,10 +124,9 @@ impl Harness {
         }
         // Deliver transmissions ending within this half slot.
         let horizon = self.now + SimDuration::HALF_SLOT;
-        let mut due: Vec<AirPacket> = Vec::new();
+        let mut due: Vec<InFlight> = Vec::new();
         self.air.retain(|p| {
-            let end = p.at + SimDuration::from_bits(p.bits.len());
-            if end <= horizon {
+            if p.end() <= horizon {
                 due.push(p.clone());
                 false
             } else {
@@ -128,7 +135,7 @@ impl Harness {
         });
         due.sort_by_key(|p| p.at);
         for p in due {
-            let end = p.at + SimDuration::from_bits(p.bits.len());
+            let end = p.end();
             for dev in 0..self.lcs.len() {
                 if dev == p.from {
                     continue;
@@ -137,7 +144,8 @@ impl Harness {
                 let open = w.from <= p.at && w.until.is_none_or(|u| u >= p.at);
                 if open && w.rf_channel == p.rf_channel {
                     let rx = RxDelivery {
-                        bits: &p.bits,
+                        packet: &p.packet,
+                        flips: &[],
                         collision_mask: None,
                         rf_channel: p.rf_channel,
                         start: p.at,

@@ -17,6 +17,126 @@ fn arb_keys() -> impl Strategy<Value = packet::LinkKeys> {
     })
 }
 
+/// Every packet type a transmission can carry, ID first.
+const AIR_TYPES: [PacketType; 14] = [
+    PacketType::Id,
+    PacketType::Null,
+    PacketType::Poll,
+    PacketType::Fhs,
+    PacketType::Dm1,
+    PacketType::Dh1,
+    PacketType::Dm3,
+    PacketType::Dh3,
+    PacketType::Dm5,
+    PacketType::Dh5,
+    PacketType::Aux1,
+    PacketType::Hv1,
+    PacketType::Hv2,
+    PacketType::Hv3,
+];
+
+/// The payload a packet of type `t` carries, cut from random material.
+/// FHS fields are left unmasked, so they also check that a reception
+/// returns the fields as the air bits carry them.
+fn payload_for(t: PacketType, mut data: Vec<u8>, fhs: (u64, u32, u32)) -> packet::Payload {
+    match t {
+        PacketType::Id | PacketType::Null | PacketType::Poll => packet::Payload::None,
+        PacketType::Fhs => packet::Payload::Fhs(packet::FhsPayload {
+            addr: BdAddr::from_raw(fhs.0),
+            class_of_device: fhs.1,
+            lt_addr: (fhs.2 >> 24) as u8,
+            clk27_2: fhs.2,
+            page_scan_mode: fhs.1 as u8,
+            sr: (fhs.1 >> 8) as u8,
+            sp: (fhs.1 >> 16) as u8,
+        }),
+        PacketType::Hv1 | PacketType::Hv2 | PacketType::Hv3 => {
+            data.resize(t.max_user_bytes(), 0x55);
+            packet::Payload::Sco(data)
+        }
+        _ => {
+            data.truncate(t.max_user_bytes());
+            packet::Payload::Acl {
+                llid: packet::Llid::from_code(data.len() as u8 | 1).expect("nonzero code"),
+                flow: data.len().is_multiple_of(3),
+                data,
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn receptions_decode_as_their_built_bits_do(
+        sender in arb_keys(),
+        kind in 0usize..AIR_TYPES.len(),
+        header in (any::<u8>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        data in prop::collection::vec(any::<u8>(), 0..340),
+        fhs in (any::<u64>(), any::<u32>(), any::<u32>()),
+        heard in (0u8..8, any::<u32>(), 0u8..72),
+        noise in (0u8..4, prop::collection::vec(any::<u32>(), 1..6), any::<u32>(), 1u32..80),
+    ) {
+        // A reception's decode through `decode_reception` — the shortcut
+        // or a rebuilt image — must equal decoding the materialised,
+        // flipped bits under the receiver's keys and the collision mask.
+        let ptype = AIR_TYPES[kind];
+        let payload = payload_for(ptype, data, fhs);
+        let header = packet::Header {
+            lt_addr: header.0,
+            ptype,
+            flow: header.1,
+            arqn: header.2,
+            seqn: header.3,
+        };
+        let packet = match ptype {
+            PacketType::Id => packet::AirPacket::id(sender.lap),
+            _ => packet::AirPacket::new(sender, header, &payload),
+        };
+        let mut codec = packet::Codec::new();
+        let mut bits = btsim_coding::BitVec::new();
+        codec.build(&packet, &mut bits);
+        let len = bits.len() as u32;
+
+        // The receiver's keys: the sender's (half the cases), or one
+        // field changed, or a correlator threshold of 0..72.
+        let mut keys = sender;
+        match heard.0 {
+            0..=3 => {}
+            4 => keys.lap = heard.1 & 0xFF_FFFF,
+            5 => keys.uap ^= heard.1 as u8 | 1,
+            6 => keys.whiten = (keys.whiten + 1 + heard.1 as u8 % 63) % 64,
+            _ => keys.sync_threshold = heard.2,
+        }
+        if heard.0 == 3 {
+            keys.fhs_fec = !keys.fhs_fec;
+        }
+        // Noise: none, or a few ascending flip positions; a collision
+        // mask over a span, or none.
+        let mut flips: Vec<u32> = match noise.0 {
+            0 | 1 => Vec::new(),
+            _ => noise.1.iter().map(|f| f % len).collect(),
+        };
+        flips.sort_unstable();
+        flips.dedup();
+        let mask = (noise.0 % 2 == 1).then(|| {
+            let lo = (noise.2 % len) as usize;
+            let mut m = btsim_coding::BitVec::zeros(len as usize);
+            m.fill_range(lo, (lo + noise.3 as usize).min(len as usize));
+            m
+        });
+        for &f in &flips {
+            bits.toggle(f as usize);
+        }
+        let want = packet::decode(&bits, mask.as_ref(), &keys);
+        let got = codec.decode_reception(&packet, &flips, mask.as_ref(), &keys);
+        prop_assert_eq!(got, want);
+        let tally = codec.take_tally();
+        prop_assert_eq!(tally.shortcuts + tally.images_built, 1);
+    }
+}
+
 fn arb_acl_type() -> impl Strategy<Value = PacketType> {
     prop::sample::select(vec![
         PacketType::Dm1,

@@ -10,8 +10,9 @@
 //!
 //! Every figure is timed one way ([`Timer`]): an iteration count is
 //! calibrated once so that one window lasts at least 100 ms, then N
-//! windows are timed (N = 9, or 3 under `--quick`) and the figure is the
-//! `median` and `iqr` of the per-window values over `windows` windows.
+//! windows are timed (N = 9, or 3 under `--quick`, except the campaign
+//! section, which always times 9) and the figure is the `median` and
+//! `iqr` of the per-window values over `windows` windows.
 //! Sides that are compared run alternately, one window each per round,
 //! with one shared iteration count, and a ratio is the median of the
 //! per-round ratios, so a host that slows down mid-run moves both sides
@@ -1075,6 +1076,12 @@ fn formation_section(timer: &Timer, fails: &mut Vec<String>) -> JsonValue {
 /// `creation` unit.
 const CAMPAIGN_RUNS: usize = 10;
 
+/// Windows per side of the campaign section in both modes: its
+/// speedup swings by more than 2× between windows on a shared 2-vCPU
+/// host, and three windows cannot tell the claiming runner from a
+/// chunked one.
+const CAMPAIGN_WINDOWS: usize = 9;
+
 /// The campaign section: one iteration is the Figs. 6-7 creation sweep
 /// (inquiry and page at BER 0 and the paper's eight BERs,
 /// [`CAMPAIGN_RUNS`] runs per point) on 1 vs 2 campaign workers. The
@@ -1083,8 +1090,13 @@ const CAMPAIGN_RUNS: usize = 10;
 /// Both sides run the same seeds, so their results (every point's
 /// mean, CI95 and completion rate) must be equal.
 /// The speedup is reported, not gated: it depends on the host's free
-/// cores.
+/// cores. The section times at least [`CAMPAIGN_WINDOWS`] windows,
+/// `--quick` or not.
 fn campaign_section(timer: &Timer, fails: &mut Vec<String>) -> JsonValue {
+    let timer = &Timer {
+        target: timer.target,
+        windows: timer.windows.max(CAMPAIGN_WINDOWS),
+    };
     let sweep = |threads| {
         let opts = ExpOptions {
             runs: CAMPAIGN_RUNS,

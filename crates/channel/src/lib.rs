@@ -12,9 +12,13 @@
 //!   RF hop channel at the same time, the overlapping bits are forced to
 //!   the undefined value `X` and receivers count them as errors.
 //!
-//! Transmissions are registered with [`Medium::begin_tx`]; the simulator
-//! delivers them to listening devices by calling [`Medium::receive`],
-//! which materialises the noisy bits and the collision mask.
+//! Transmissions are registered with [`Medium::begin_tx`]. A transmission
+//! carries an [`AirImage`]: a bare [`BitVec`], or a packet that builds its
+//! bits only on demand. Noise is drawn at registration and kept as flip
+//! positions, so the image itself is never rewritten. The simulator
+//! delivers a transmission with [`Medium::deliver`], which yields the
+//! collision mask, and reads the sender's image and flips through
+//! [`Medium::image_of`]; [`Medium::receive`] also builds the noisy bits.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,9 +27,10 @@ mod snap_impls;
 
 use std::collections::{BTreeMap, VecDeque};
 
+pub use btsim_coding::AirImage;
 use btsim_coding::BitVec;
 use btsim_kernel::{
-    CaptureDir, CaptureKind, CaptureRecord, CaptureSink, SimDuration, SimRng, SimTime,
+    CaptureDir, CaptureKind, CaptureRecord, CaptureSink, FlipRate, SimDuration, SimRng, SimTime,
 };
 
 /// Number of RF hop channels in the 2.4 GHz band.
@@ -297,32 +302,46 @@ impl Default for ChannelConfig {
     }
 }
 
-/// A transmission in flight (or recently completed).
+/// A transmission in flight (or recently completed). Its id is its place
+/// in the medium's store, so it is not kept here; the small fields keep
+/// the whole within 64 bytes for a 32-byte image.
 #[derive(Debug, Clone)]
-struct Transmission {
-    id: TxId,
+struct Transmission<I> {
     source: usize,
     rf_channel: u8,
     start: SimTime,
-    /// Bit image after noise was applied (what the air carries).
-    noisy_bits: BitVec,
+    /// What the sender put on the air, before noise.
+    image: I,
+    /// Length of `image` in bits.
+    air_bits: u32,
+    /// Where this transmission's flip positions start in the medium's
+    /// flip arena: an arena-wide index modulo 2³², not an offset into
+    /// the vector (the arena never holds 2³² flips, so differences of
+    /// these indices are exact).
+    flip_at: u32,
+    /// How many bits noise flipped.
+    flip_len: u32,
     /// Wiped by a fixed-band interferer burst.
     jammed: bool,
     /// Already counted as collided in the medium's [`TxStats`].
     counted_collided: bool,
-    /// Materialised at least once by [`Medium::receive`]. Garbage
+    /// Delivered at least once by [`Medium::deliver`]. Garbage
     /// collection grants undelivered transmissions one extra retention
-    /// window so a delayed `receive` cannot race the collector.
+    /// window so a delayed delivery cannot race the collector.
     delivered: bool,
 }
 
-impl Transmission {
+// A store slot of a 32-byte image (a `BitVec`, or the simulator's
+// packets) stays at 64 bytes.
+const _: () = assert!(std::mem::size_of::<Option<Transmission<BitVec>>>() == 64);
+
+impl<I> Transmission<I> {
     fn end(&self) -> SimTime {
         self.start + self.air_time()
     }
 
     fn air_time(&self) -> SimDuration {
-        SimDuration::from_bits(self.noisy_bits.len())
+        SimDuration::from_bits(self.air_bits as usize)
     }
 }
 
@@ -337,9 +356,9 @@ struct OnAir {
 }
 
 impl OnAir {
-    fn of(t: &Transmission) -> OnAir {
+    fn of<I>(id: u64, t: &Transmission<I>) -> OnAir {
         OnAir {
-            id: t.id.0,
+            id,
             rf_channel: t.rf_channel,
             start: t.start,
             end: t.end(),
@@ -501,7 +520,30 @@ impl ChannelQuality {
     }
 }
 
-/// What a receiver gets when a transmission is delivered to it.
+/// A delivered transmission before its bits are built: what
+/// [`Medium::deliver`] returns. [`Medium::image_of`] lends the sender's
+/// image and the flips noise drew over it.
+#[derive(Debug, Clone)]
+pub struct Delivery {
+    /// The transmission this delivery came from.
+    pub tx_id: TxId,
+    /// Index of the transmitting device.
+    pub source: usize,
+    /// RF hop channel the packet was sent on.
+    pub rf_channel: u8,
+    /// First bit's air time (without modem delay).
+    pub start: SimTime,
+    /// Last bit's air time (without modem delay).
+    pub end: SimTime,
+    /// Time the demodulated bits become available to the baseband.
+    pub available_at: SimTime,
+    /// Mask of bits that collided with another transmission (`X` values);
+    /// `None` when the packet was collision-free.
+    pub collision_mask: Option<BitVec>,
+}
+
+/// What a receiver gets when a transmission is delivered to it, with the
+/// noisy bits built ([`Medium::receive`]).
 #[derive(Debug, Clone)]
 pub struct Reception {
     /// The transmission this reception came from.
@@ -547,14 +589,22 @@ impl Reception {
 /// assert!(!rx.collided());
 /// ```
 #[derive(Debug, Clone)]
-pub struct Medium {
+pub struct Medium<I = BitVec> {
     cfg: ChannelConfig,
     rng: SimRng,
     /// Retained transmissions in id order: `txs[k]` holds id `first + k`,
     /// or `None` once [`Medium::gc`] collected it. Ids are dense and
     /// starts are non-decreasing along the queue, so a lookup by id is
     /// one offset and the collector works from the old end.
-    txs: VecDeque<Option<Transmission>>,
+    txs: VecDeque<Option<Transmission<I>>>,
+    /// Flip positions of the retained transmissions, each one's
+    /// ascending and contiguous, in id order. [`Medium::gc`] trims the
+    /// front up to the oldest retained transmission.
+    flips: Vec<u32>,
+    /// Arena-wide index of `flips[0]`, modulo 2³².
+    flip_base: u32,
+    /// Noisy bit images built for captures and [`Medium::receive`].
+    images_built: u64,
     /// Id of `txs[0]` (`next_id` when nothing is retained).
     first: u64,
     /// Number of `Some` entries in `txs`.
@@ -569,7 +619,7 @@ pub struct Medium {
     /// Entries ending at or before this instant may be missing from
     /// `on_air`. It trails the newest start by the longest air time
     /// plus the modem delay, so a packet delivered on time starts at or
-    /// after it; [`Medium::receive`] of an older packet scans the store.
+    /// after it; [`Medium::deliver`] of an older packet scans the store.
     /// Monotone.
     floor: SimTime,
     /// Longest air time registered since construction (or, after a
@@ -610,7 +660,7 @@ pub struct Medium {
     /// without scanning the store.
     last_end: SimTime,
     /// Packet-capture sink (disabled by default): air records are pushed
-    /// at [`Medium::begin_tx`] and [`Medium::receive`], and the simulator
+    /// at [`Medium::begin_tx`] and [`Medium::deliver`], and the simulator
     /// interleaves LMP records through [`Medium::capture_mut`], so one
     /// dispatch-ordered stream serializes to btsnoop.
     capture: CaptureSink,
@@ -725,7 +775,7 @@ impl DutyClass {
     }
 }
 
-impl Medium {
+impl<I: AirImage> Medium<I> {
     /// Creates a medium with the given configuration and noise stream.
     ///
     /// With [`ChannelConfig::spatial`] set, every transmitting device
@@ -736,6 +786,9 @@ impl Medium {
             cfg,
             rng,
             txs: VecDeque::new(),
+            flips: Vec::new(),
+            flip_base: 0,
+            images_built: 0,
             first: 0,
             live: 0,
             on_air: Vec::new(),
@@ -967,9 +1020,11 @@ impl Medium {
 
     /// Registers a transmission starting at `start` on `rf_channel`.
     ///
-    /// Noise is applied immediately (single shared corrupted image, as in
-    /// the paper's channel module). Returns the transmission id used for
-    /// later delivery.
+    /// Noise is drawn immediately (single shared corrupted image, as in
+    /// the paper's channel module) and kept as flip positions beside the
+    /// untouched `image`: the geometric draws depend only on the air
+    /// length, so a packet that builds its bits later sees the same
+    /// flips. Returns the transmission id used for later delivery.
     ///
     /// Without a spatial model the bit flips come from the medium's
     /// shared noise stream; with one they come from the source radio's
@@ -979,25 +1034,20 @@ impl Medium {
     ///
     /// # Panics
     ///
-    /// Panics if `rf_channel >= 79`, `bits` is empty, `start` precedes
-    /// the previous transmission's start, or (in spatial mode) `source`
-    /// was never registered.
-    pub fn begin_tx(
-        &mut self,
-        source: usize,
-        rf_channel: u8,
-        start: SimTime,
-        bits: BitVec,
-    ) -> TxId {
+    /// Panics if `rf_channel >= 79`, `image` is empty or longer than
+    /// `u32::MAX` bits, `start` precedes the previous transmission's
+    /// start, or (in spatial mode) `source` was never registered.
+    pub fn begin_tx(&mut self, source: usize, rf_channel: u8, start: SimTime, image: I) -> TxId {
         assert!(rf_channel < RF_CHANNELS, "invalid RF channel {rf_channel}");
-        assert!(!bits.is_empty(), "cannot transmit an empty packet");
+        let len = image.air_bits();
+        assert!(len > 0, "cannot transmit an empty packet");
+        let air_bits = u32::try_from(len).expect("air image longer than u32::MAX bits");
         assert!(
             start >= self.newest_start,
             "transmission at {start} registered after one starting at {}",
             self.newest_start
         );
         self.reindex();
-        let mut noisy = bits;
         let spatial = self.cfg.spatial.is_some();
         // A fault-layer degrade combines independently with the channel
         // BER: a bit survives only if both processes leave it alone.
@@ -1014,21 +1064,23 @@ impl Medium {
         } else {
             &mut self.rng
         };
-        let mut flipped = 0usize;
+        let rate = FlipRate::new(ber);
+        let flips = &mut self.flips;
+        let first_flip = flips.len();
         let mut pos = 0u64;
-        let len = noisy.len() as u64;
         loop {
-            let gap = rng.next_flip_gap(ber);
-            if pos.saturating_add(gap) >= len {
+            let gap = rng.next_flip_gap_at(rate);
+            if pos.saturating_add(gap) >= len as u64 {
                 break;
             }
             pos += gap;
-            noisy.toggle(pos as usize);
-            flipped += 1;
+            flips.push(pos as u32);
             pos += 1;
         }
-        self.total_flipped += flipped as u64;
-        self.total_bits += len;
+        let flip_len = (flips.len() - first_flip) as u32;
+        let flip_at = self.flip_base.wrapping_add(first_flip as u32);
+        self.total_flipped += u64::from(flip_len);
+        self.total_bits += len as u64;
         // Fixed-band interferers wipe in-band packets when the slot the
         // packet starts in is a burst slot.
         let jammed = self.interferer_active(rf_channel, start);
@@ -1036,7 +1088,7 @@ impl Medium {
         // still-retained transmission marks both sides, once each. Every
         // one still on air at `start` ends after the floor, so the
         // on-air index lists it.
-        let air = SimDuration::from_bits(noisy.len());
+        let air = SimDuration::from_bits(len);
         let end = start + air;
         self.max_air = self.max_air.max(air);
         self.floor = self
@@ -1083,6 +1135,8 @@ impl Medium {
             // The TX record carries the verdict known at registration:
             // `collided` covers overlaps with *earlier* traffic only —
             // the RX record carries the final decode verdict.
+            let noisy = noisy_bits(&image, &self.flips[first_flip..]);
+            self.images_built += 1;
             self.capture.push(CaptureRecord {
                 at: start,
                 dir: CaptureDir::Sent,
@@ -1091,7 +1145,7 @@ impl Medium {
                 channel: rf_channel,
                 collided,
                 jammed,
-                orig_bits: noisy.len(),
+                orig_bits: len,
                 data: noisy.to_bytes_lsb(),
             });
         }
@@ -1104,11 +1158,13 @@ impl Medium {
             radio.last_end = radio.last_end.max(end);
         }
         let t = Transmission {
-            id,
             source,
             rf_channel,
             start,
-            noisy_bits: noisy,
+            image,
+            air_bits,
+            flip_at,
+            flip_len,
             jammed,
             counted_collided: collided,
             delivered: false,
@@ -1116,7 +1172,7 @@ impl Medium {
         let floor = self.floor;
         let home = &mut self.on_air[cell];
         home.retain(|e| e.end > floor);
-        home.push(OnAir::of(&t));
+        home.push(OnAir::of(id.0, &t));
         self.txs.push_back(Some(t));
         self.live += 1;
         id
@@ -1185,32 +1241,25 @@ impl Medium {
         self.slot(id.0).map(|t| t.end() + self.cfg.modem_delay)
     }
 
-    /// Materialises the reception of transmission `id`.
+    /// Delivers transmission `id` without building its bits: the
+    /// collision mask and the timing, with the sender's image and the
+    /// noise flips left in the medium for [`Medium::image_of`].
     ///
     /// Must be called at or after the transmission's end so that every
     /// colliding transmission is already registered. Returns `None` if the
     /// id was already garbage collected.
     ///
     /// The transmission stays registered (later `begin_tx` calls within
-    /// the retention window still collide against it), so its bit image
-    /// is copied exactly once into the returned [`Reception`]; masks are
-    /// built with ranged word fills over the co-channel traffic only —
-    /// in spatial mode, further culled to sources within interaction
-    /// range of the transmitter (interference is source-pairwise; every
+    /// the retention window still collide against it). Masks are built
+    /// with ranged word fills over the co-channel traffic only — in
+    /// spatial mode, further culled to sources within interaction range
+    /// of the transmitter (interference is source-pairwise; every
     /// in-range listener sees the same corrupted image, the paper's
     /// single-output channel localised to one neighbourhood).
-    pub fn receive(&mut self, id: TxId) -> Option<Reception> {
-        self.receive_with(id, BitVec::new())
-    }
-
-    /// [`Medium::receive`] that copies the bit image into `buf`'s
-    /// allocation instead of a fresh one. A caller that hands the
-    /// previous reception's `bits` back in receives without allocating
-    /// (a collision mask, when there is one, is still built fresh).
-    pub fn receive_with(&mut self, id: TxId, mut buf: BitVec) -> Option<Reception> {
+    pub fn deliver(&mut self, id: TxId) -> Option<Delivery> {
         self.reindex();
         let tx = self.slot(id.0)?;
-        let len = tx.noisy_bits.len();
+        let len = tx.air_bits as usize;
         let (tx_start, tx_end) = (tx.start, tx.end());
         let jammed = tx.jammed;
         let mut overlapped = false;
@@ -1220,7 +1269,7 @@ impl Medium {
         } else {
             None
         };
-        self.for_each_overlap(tx, |o_start, o_end| {
+        self.for_each_overlap(id.0, tx, |o_start, o_end| {
             overlapped = true;
             // Mark the overlapped bit span [lo, hi).
             let mask = mask.get_or_insert_with(|| BitVec::zeros(len));
@@ -1231,19 +1280,34 @@ impl Medium {
                 .div_ceil(SimDuration::SYMBOL.ns());
             mask.fill_range(lo as usize, hi.min(len as u64) as usize);
         });
-        let rec = Reception {
-            tx_id: tx.id,
+        let delivery = Delivery {
+            tx_id: id,
             source: tx.source,
             rf_channel: tx.rf_channel,
             start: tx_start,
             end: tx_end,
             available_at: tx_end + self.cfg.modem_delay,
-            bits: {
-                buf.clone_from(&tx.noisy_bits);
-                buf
-            },
             collision_mask: mask,
         };
+        if self.capture.is_enabled() {
+            // The RX record mirrors the transmission with the *final*
+            // decode verdict: `collided` now covers overlaps from both
+            // sides of the packet, and a clean record (neither flag) is
+            // one whose air image reached the demodulator undisturbed.
+            let data = noisy_bits(&tx.image, self.flips_of(tx)).to_bytes_lsb();
+            self.images_built += 1;
+            self.capture.push(CaptureRecord {
+                at: delivery.available_at,
+                dir: CaptureDir::Received,
+                kind: CaptureKind::Air,
+                device: delivery.source,
+                channel: delivery.rf_channel,
+                collided: overlapped,
+                jammed,
+                orig_bits: len,
+                data,
+            });
+        }
         let k = (id.0 - self.first) as usize;
         let tx = self.txs[k].as_mut().expect("located above");
         if !tx.delivered {
@@ -1252,24 +1316,39 @@ impl Medium {
                 self.sweep.late.push(id.0);
             }
         }
-        if self.capture.is_enabled() {
-            // The RX record mirrors the transmission with the *final*
-            // decode verdict: `collided` now covers overlaps from both
-            // sides of the packet, and a clean record (neither flag) is
-            // one whose air image reached the demodulator undisturbed.
-            self.capture.push(CaptureRecord {
-                at: rec.available_at,
-                dir: CaptureDir::Received,
-                kind: CaptureKind::Air,
-                device: rec.source,
-                channel: rec.rf_channel,
-                collided: overlapped,
-                jammed,
-                orig_bits: rec.bits.len(),
-                data: rec.bits.to_bytes_lsb(),
-            });
-        }
-        Some(rec)
+        Some(delivery)
+    }
+
+    /// [`Medium::deliver`], then the noisy bit image built from the
+    /// sender's image and its flips.
+    pub fn receive(&mut self, id: TxId) -> Option<Reception> {
+        let d = self.deliver(id)?;
+        let (image, flips) = self.image_of(id).expect("delivered above");
+        let bits = noisy_bits(image, flips);
+        self.images_built += 1;
+        Some(Reception {
+            tx_id: d.tx_id,
+            source: d.source,
+            rf_channel: d.rf_channel,
+            start: d.start,
+            end: d.end,
+            available_at: d.available_at,
+            bits,
+            collision_mask: d.collision_mask,
+        })
+    }
+
+    /// The sender's image of a retained transmission and the positions
+    /// of the bits noise flipped in it, ascending.
+    pub fn image_of(&self, id: TxId) -> Option<(&I, &[u32])> {
+        let tx = self.slot(id.0)?;
+        Some((&tx.image, self.flips_of(tx)))
+    }
+
+    /// Noisy bit images this medium built: one per capture record of an
+    /// air packet and one per [`Medium::receive`].
+    pub fn images_built(&self) -> u64 {
+        self.images_built
     }
 
     /// Whether the interferer occupying `rf_channel` is bursting at
@@ -1297,8 +1376,8 @@ impl Medium {
     }
 
     /// Drops transmissions that ended before `now - retention` — except
-    /// that a transmission never materialised by [`Medium::receive`] is
-    /// granted one extra retention window, so a delayed `receive`
+    /// that a transmission never delivered by [`Medium::deliver`] is
+    /// granted one extra retention window, so a delayed delivery
     /// scheduled behind a burst of other work cannot race the
     /// collector. (Undelivered transmissions with no listeners are
     /// still reclaimed, one window late — the bound is `2 × retention`.)
@@ -1313,7 +1392,7 @@ impl Medium {
     /// longest listener window so receptions are still materialisable.
     pub fn gc(&mut self, now: SimTime, retention: SimDuration) {
         let cutoff = now - retention;
-        let expired = |t: &Transmission| {
+        let expired = |t: &Transmission<I>| {
             !(t.end() >= cutoff || (!t.delivered && t.end() + retention >= cutoff))
         };
         if self
@@ -1382,6 +1461,15 @@ impl Medium {
         if self.txs.is_empty() {
             self.first = self.next_id;
         }
+        // Flips are stored in id order, so everything before the oldest
+        // retained transmission's belongs to collected ones.
+        let keep_from = match self.txs.front() {
+            Some(Some(t)) => t.flip_at,
+            _ => self.flip_base.wrapping_add(self.flips.len() as u32),
+        };
+        self.flips
+            .drain(..keep_from.wrapping_sub(self.flip_base) as usize);
+        self.flip_base = keep_from;
     }
 
     /// Digest of the noise streams' RNG positions (see
@@ -1411,7 +1499,7 @@ impl Medium {
     }
 
     /// The retained transmission with id `id`, found by its offset.
-    fn slot(&self, id: u64) -> Option<&Transmission> {
+    fn slot(&self, id: u64) -> Option<&Transmission<I>> {
         let k = id.checked_sub(self.first)?;
         self.txs.get(usize::try_from(k).ok()?)?.as_ref()
     }
@@ -1429,19 +1517,24 @@ impl Medium {
     }
 
     /// Calls `f` with the air span of every retained transmission that
-    /// overlaps `tx` in time and RF channel from a source within
-    /// interaction range, `tx` itself excepted.
+    /// overlaps `tx` (id `own`) in time and RF channel from a source
+    /// within interaction range, `tx` itself excepted.
     ///
     /// A transmission starting at or after the floor finds its partners
     /// in the on-air index: each one ends after its start, hence after
     /// the floor. An older one scans the store around its own id
     /// instead — ids are start-ordered and no partner started more than
     /// the longest air time before it.
-    fn for_each_overlap(&self, tx: &Transmission, mut f: impl FnMut(SimTime, SimTime)) {
+    fn for_each_overlap(
+        &self,
+        own: u64,
+        tx: &Transmission<I>,
+        mut f: impl FnMut(SimTime, SimTime),
+    ) {
         let (start, end) = (tx.start, tx.end());
         let (cell, reach) = self.home(tx.source);
-        let mut visit = |o: &Transmission| {
-            if o.id != tx.id
+        let mut visit = |id: u64, o: &Transmission<I>| {
+            if id != own
                 && o.rf_channel == tx.rf_channel
                 && o.start < end
                 && o.end() > start
@@ -1457,26 +1550,25 @@ impl Medium {
                         continue;
                     }
                     if let Some(o) = self.slot(e.id) {
-                        visit(o);
+                        visit(e.id, o);
                     }
                 }
             }
             return;
         }
-        let own = tx.id.0;
         for id in (self.first..own).rev() {
             let Some(o) = self.slot(id) else { continue };
             if o.start + self.max_air <= start {
                 break;
             }
-            visit(o);
+            visit(id, o);
         }
         for id in own + 1..self.next_id {
             let Some(o) = self.slot(id) else { continue };
             if o.start >= end {
                 break;
             }
-            visit(o);
+            visit(id, o);
         }
     }
 
@@ -1488,13 +1580,26 @@ impl Medium {
         }
         self.grid = Grid::build(self.cfg.spatial.is_some(), &self.cells, &self.radios);
         let mut on_air = vec![Vec::new(); self.grid.near.len()];
-        for t in self.txs.iter().flatten() {
+        for (id, t) in self.retained() {
             if t.end() > self.floor {
-                on_air[self.home(t.source).0].push(OnAir::of(t));
+                on_air[self.home(t.source).0].push(OnAir::of(id, t));
             }
         }
         self.on_air = on_air;
         self.stale = false;
+    }
+
+    /// The flip positions noise drew for `t`.
+    fn flips_of(&self, t: &Transmission<I>) -> &[u32] {
+        let at = t.flip_at.wrapping_sub(self.flip_base) as usize;
+        &self.flips[at..at + t.flip_len as usize]
+    }
+
+    /// The retained transmissions with their ids, in id order.
+    fn retained(&self) -> impl Iterator<Item = (u64, &Transmission<I>)> {
+        (self.first..)
+            .zip(&self.txs)
+            .filter_map(|(id, t)| Some((id, t.as_ref()?)))
     }
 
     /// Removes a live transmission from the store (its on-air entry, if
@@ -1506,6 +1611,16 @@ impl Medium {
             .expect("collecting a retained transmission");
         self.live -= 1;
     }
+}
+
+/// `image`'s bits with every position in `flips` inverted.
+fn noisy_bits<I: AirImage>(image: &I, flips: &[u32]) -> BitVec {
+    let mut bits = BitVec::new();
+    image.write_bits(&mut bits);
+    for &f in flips {
+        bits.toggle(f as usize);
+    }
+    bits
 }
 
 /// Whether `source` is within `reach` (always, without a spatial model).
@@ -1559,6 +1674,25 @@ mod tests {
         assert!((1500..2500).contains(&flips), "flips {flips}");
         let measured = m.measured_ber();
         assert!((0.015..0.025).contains(&measured), "ber {measured}");
+    }
+
+    #[test]
+    fn flip_arena_indices_survive_wrapping() {
+        // The arena index is kept modulo 2³²: a medium whose index is
+        // about to wrap delivers the same noisy images as a fresh one.
+        let run = |base: u32| {
+            let mut m = medium(0.05, 3);
+            m.flip_base = base;
+            let mut images = Vec::new();
+            for k in 0..40u64 {
+                let at = SimTime::from_us(k * 1_000);
+                let tx = m.begin_tx(0, 3, at, BitVec::zeros(500));
+                images.push(m.receive(tx).unwrap().bits);
+                m.gc(at, SimDuration::from_us(2_500));
+            }
+            images
+        };
+        assert_eq!(run(u32::MAX - 40), run(0));
     }
 
     #[test]
@@ -1976,7 +2110,7 @@ mod tests {
 
     #[test]
     fn stat_tx_records_counters_without_touching_rng_or_ber() {
-        let mut m = Medium::new(
+        let mut m: Medium = Medium::new(
             ChannelConfig {
                 interferers: vec![Interferer::wlan(40, 0.5)],
                 ..ChannelConfig::default()

@@ -5,9 +5,10 @@
 //! noise-stream positions. Retained transmissions are written grouped
 //! the way an earlier bucketed store held them: 79 id-ordered per-channel
 //! buckets (`channels`) without a spatial model, and per source cell in
-//! ascending order (`cell_buckets`, occupied cells only) with one. The
-//! id-ordered queue, the cell table, the on-air index (with its floor
-//! and the longest air time, taken over the retained set) and the
+//! ascending order (`cell_buckets`, occupied cells only) with one. Each
+//! carries the sender's image and its flip positions. The id-ordered
+//! queue, the flip arena, the cell table, the on-air index (with its
+//! floor and the longest air time, taken over the retained set) and the
 //! collector's progress are derived state, rebuilt on decode.
 
 use btsim_kernel::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
@@ -54,23 +55,75 @@ snap_struct! { ChannelCounters { transmissions, collided, jammed } }
 
 snap_struct! { ChannelQuality { counters } }
 
-snap_struct! {
-    Transmission {
-        id,
-        source,
-        rf_channel,
-        start,
-        noisy_bits,
-        jammed,
-        counted_collided,
-        delivered,
+/// A retained transmission as the wire holds it: the image the sender
+/// put on the air and the positions noise flipped in it.
+#[derive(Debug, Clone)]
+struct WireTx<I> {
+    id: TxId,
+    source: usize,
+    rf_channel: u8,
+    start: SimTime,
+    image: I,
+    flips: Vec<u32>,
+    jammed: bool,
+    counted_collided: bool,
+    delivered: bool,
+}
+
+impl<I: AirImage + Snap> Snap for WireTx<I> {
+    fn snap(&self, w: &mut SnapWriter) {
+        let WireTx {
+            id,
+            source,
+            rf_channel,
+            start,
+            image,
+            flips,
+            jammed,
+            counted_collided,
+            delivered,
+        } = self;
+        id.snap(w);
+        source.snap(w);
+        rf_channel.snap(w);
+        start.snap(w);
+        image.snap(w);
+        flips.snap(w);
+        jammed.snap(w);
+        counted_collided.snap(w);
+        delivered.snap(w);
     }
-    check |t| if t.rf_channel >= RF_CHANNELS {
-        Err("transmission RF channel out of range")
-    } else if t.noisy_bits.is_empty() {
-        Err("transmission has no bits")
-    } else {
-        Ok(())
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let t = WireTx {
+            id: Snap::unsnap(r)?,
+            source: Snap::unsnap(r)?,
+            rf_channel: Snap::unsnap(r)?,
+            start: Snap::unsnap(r)?,
+            image: I::unsnap(r)?,
+            flips: Snap::unsnap(r)?,
+            jammed: Snap::unsnap(r)?,
+            counted_collided: Snap::unsnap(r)?,
+            delivered: Snap::unsnap(r)?,
+        };
+        let len = t.image.air_bits();
+        let what = if t.rf_channel >= RF_CHANNELS {
+            Some("transmission RF channel out of range")
+        } else if len == 0 {
+            Some("transmission has no bits")
+        } else if u32::try_from(len).is_err() {
+            Some("transmission longer than u32::MAX bits")
+        } else if t.flips.last().is_some_and(|&f| f as usize >= len) {
+            Some("flip position at or past the packet's length")
+        } else if t.flips.windows(2).any(|p| p[0] >= p[1]) {
+            Some("flip positions not ascending")
+        } else {
+            None
+        };
+        match what {
+            Some(what) => Err(r.malformed(what)),
+            None => Ok(t),
+        }
     }
 }
 
@@ -86,7 +139,7 @@ snap_struct! {
 snap_struct! { Radio { pos, cell, noise, stream, last_end } }
 
 /// One retained-transmission bucket per RF channel, as on the wire.
-type Buckets = Vec<Vec<Transmission>>;
+type Buckets<I> = Vec<Vec<WireTx<I>>>;
 
 /// Widest id range a decoded medium may retain. The id-ordered store
 /// holds one slot per id in that range, so a corrupted snapshot must not
@@ -94,30 +147,29 @@ type Buckets = Vec<Vec<Transmission>>;
 /// it (the range covers about two retention windows of traffic).
 const MAX_RETAINED_SPAN: u64 = 1 << 22;
 
-/// Writes buckets exactly as `Vec<Vec<Transmission>>` would.
-fn snap_buckets(buckets: &[Vec<&Transmission>], w: &mut SnapWriter) {
-    w.put_usize(buckets.len());
-    for bucket in buckets {
-        w.put_usize(bucket.len());
-        for t in bucket {
-            t.snap(w);
-        }
-    }
-}
-
-impl Medium {
+impl<I: AirImage + Snap> Medium<I> {
     /// Retained transmissions grouped by source cell (one implicit cell
     /// without a spatial model), then by RF channel, each in id order.
-    fn wire_buckets(&self) -> BTreeMap<Cell, Vec<Vec<&Transmission>>> {
-        let mut out: BTreeMap<Cell, Vec<Vec<&Transmission>>> = BTreeMap::new();
-        for t in self.txs.iter().flatten() {
+    fn wire_buckets(&self) -> BTreeMap<Cell, Buckets<I>> {
+        let mut out: BTreeMap<Cell, Buckets<I>> = BTreeMap::new();
+        for (id, t) in self.retained() {
             let cell = match self.cfg.spatial {
                 Some(_) => self.radio(t.source).cell,
                 None => (0, 0),
             };
             out.entry(cell)
                 .or_insert_with(|| vec![Vec::new(); RF_CHANNELS as usize])[t.rf_channel as usize]
-                .push(t);
+                .push(WireTx {
+                    id: TxId(id),
+                    source: t.source,
+                    rf_channel: t.rf_channel,
+                    start: t.start,
+                    image: t.image.clone(),
+                    flips: self.flips_of(t).to_vec(),
+                    jammed: t.jammed,
+                    counted_collided: t.counted_collided,
+                    delivered: t.delivered,
+                });
         }
         out
     }
@@ -125,10 +177,10 @@ impl Medium {
     /// Assembles a decoded medium, checking every invariant the store
     /// relies on.
     fn restore(
-        mut m: Medium,
-        channels: Buckets,
-        cell_buckets: BTreeMap<Cell, Buckets>,
-    ) -> Result<Medium, &'static str> {
+        mut m: Medium<I>,
+        channels: Buckets<I>,
+        cell_buckets: BTreeMap<Cell, Buckets<I>>,
+    ) -> Result<Medium<I>, &'static str> {
         let spatial = m.cfg.spatial.is_some();
         let mut bucket_arrays = std::iter::once(&channels).chain(cell_buckets.values());
         if bucket_arrays.any(|buckets| buckets.len() != RF_CHANNELS as usize) {
@@ -187,40 +239,50 @@ impl Medium {
             }
             m.newest_start = last.start;
         }
+        // Arena positions are kept modulo 2³², which is exact only while
+        // the arena holds fewer flips than that.
+        if txs.iter().map(|t| t.flips.len() as u64).sum::<u64>() >= 1 << 32 {
+            return Err("retained flips exceed the flip arena's index range");
+        }
         // The queue covers every id from the oldest retained one up to
         // `next_id`, collected ones as holes.
         m.txs.resize_with((m.next_id - m.first) as usize, || None);
         m.live = txs.len();
-        m.max_air = txs
-            .iter()
-            .map(Transmission::air_time)
-            .max()
-            .unwrap_or_default();
-        m.floor = m.newest_start - (m.max_air + m.cfg.modem_delay);
-        for t in txs {
-            let k = (t.id.0 - m.first) as usize;
+        for w in txs {
+            let k = (w.id.0 - m.first) as usize;
+            let t = Transmission {
+                source: w.source,
+                rf_channel: w.rf_channel,
+                start: w.start,
+                air_bits: w.image.air_bits() as u32,
+                image: w.image,
+                flip_at: m.flips.len() as u32,
+                flip_len: w.flips.len() as u32,
+                jammed: w.jammed,
+                counted_collided: w.counted_collided,
+                delivered: w.delivered,
+            };
+            m.flips.extend_from_slice(&w.flips);
+            m.max_air = m.max_air.max(t.air_time());
             m.txs[k] = Some(t);
         }
+        m.floor = m.newest_start - (m.max_air + m.cfg.modem_delay);
         m.sweep.next = m.first;
         Ok(m)
     }
 }
 
-impl Snap for Medium {
+impl<I: AirImage + Snap> Snap for Medium<I> {
     fn snap(&self, w: &mut SnapWriter) {
         self.cfg.snap(w);
         self.rng.snap(w);
         let mut cells = self.wire_buckets();
         let empty = || vec![Vec::new(); RF_CHANNELS as usize];
         if self.cfg.spatial.is_some() {
-            snap_buckets(&empty(), w);
-            w.put_usize(cells.len());
-            for (cell, buckets) in &cells {
-                cell.snap(w);
-                snap_buckets(buckets, w);
-            }
+            empty().snap(w);
+            cells.snap(w);
         } else {
-            snap_buckets(&cells.remove(&(0, 0)).unwrap_or_else(empty), w);
+            cells.remove(&(0, 0)).unwrap_or_else(empty).snap(w);
             w.put_usize(0);
         }
         self.radios.snap(w);
@@ -234,13 +296,14 @@ impl Snap for Medium {
         self.last_end.snap(w);
         self.capture.snap(w);
         self.degrade.snap(w);
+        self.images_built.snap(w);
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let cfg = ChannelConfig::unsnap(r)?;
         let rng = SimRng::unsnap(r)?;
         let channels = Buckets::unsnap(r)?;
-        let cell_buckets = BTreeMap::<Cell, Buckets>::unsnap(r)?;
+        let cell_buckets = BTreeMap::<Cell, Buckets<I>>::unsnap(r)?;
         let mut m = Medium::new(cfg, rng);
         m.radios = Snap::unsnap(r)?;
         m.cells = Snap::unsnap(r)?;
@@ -253,6 +316,7 @@ impl Snap for Medium {
         m.last_end = Snap::unsnap(r)?;
         m.capture = Snap::unsnap(r)?;
         m.degrade = Snap::unsnap(r)?;
+        m.images_built = Snap::unsnap(r)?;
         Medium::restore(m, channels, cell_buckets).map_err(|what| r.malformed(what))
     }
 }
@@ -369,7 +433,7 @@ mod tests {
 
     /// The wire form of `m` with its retained transmissions replaced
     /// by `channels` and its id counter by `next_id`.
-    fn forged(m: &Medium, channels: &[Vec<Transmission>], next_id: u64) -> Vec<u8> {
+    fn forged(m: &Medium, channels: &[Vec<WireTx<BitVec>>], next_id: u64) -> Vec<u8> {
         let mut w = SnapWriter::new();
         m.cfg.snap(&mut w);
         m.rng.snap(&mut w);
@@ -386,21 +450,31 @@ mod tests {
         m.last_end.snap(&mut w);
         m.capture.snap(&mut w);
         m.degrade.snap(&mut w);
+        m.images_built.snap(&mut w);
         w.into_bytes()
     }
 
     #[test]
     fn inconsistent_stores_are_rejected() {
-        let mut m = Medium::new(ChannelConfig::default(), SimRng::new(1));
+        let mut m = Medium::new(
+            ChannelConfig {
+                ber: 0.05,
+                ..ChannelConfig::default()
+            },
+            SimRng::new(1),
+        );
         for k in 0..3u64 {
             m.begin_tx(0, 5, SimTime::from_us(k * 100), BitVec::ones(50));
         }
-        let txs: Vec<Transmission> = m.txs.iter().flatten().cloned().collect();
-        let mut channels = vec![Vec::new(); RF_CHANNELS as usize];
-        channels[5] = txs.clone();
-        let decode = |channels: &[Vec<Transmission>], next_id: u64| {
+        let mut channels = m.wire_buckets().remove(&(0, 0)).unwrap();
+        let txs = channels[5].clone();
+        assert!(
+            txs.iter().all(|t| !t.flips.is_empty()),
+            "every packet drew flips"
+        );
+        let decode = |channels: &[Vec<WireTx<BitVec>>], next_id: u64| {
             let bytes = forged(&m, channels, next_id);
-            match Medium::unsnap(&mut SnapReader::new(&bytes)) {
+            match Medium::<BitVec>::unsnap(&mut SnapReader::new(&bytes)) {
                 Ok(_) => "ok",
                 Err(SnapshotError::Malformed { what, .. }) => what,
                 Err(e) => panic!("unexpected {e:?}"),
@@ -424,17 +498,56 @@ mod tests {
             decode(&channels, MAX_RETAINED_SPAN + 1),
             "retained transmission ids span too wide"
         );
+        let mut past_end = channels.clone();
+        *past_end[5][1].flips.last_mut().unwrap() = 50;
+        assert_eq!(
+            decode(&past_end, 3),
+            "flip position at or past the packet's length"
+        );
+        let mut unordered = channels.clone();
+        unordered[5][0].flips.reverse();
+        unordered[5][0].flips.push(49);
+        assert_eq!(decode(&unordered, 3), "flip positions not ascending");
+        channels[5][2].image = BitVec::new();
+        assert_eq!(decode(&channels, 3), "transmission has no bits");
+    }
+
+    #[test]
+    fn flips_roundtrip_and_stay_with_their_transmission() {
+        // Noise leaves the image alone; the flips travel beside it and
+        // come back from a decoded medium in the same places.
+        let mut m = Medium::new(
+            ChannelConfig {
+                ber: 0.1,
+                ..ChannelConfig::default()
+            },
+            SimRng::new(9),
+        );
+        let ids: Vec<TxId> = (0..4u64)
+            .map(|k| m.begin_tx(0, 7, SimTime::from_us(k * 500), BitVec::zeros(300)))
+            .collect();
+        m.gc(SimTime::from_us(1_400), SimDuration::from_us(100));
+        let back = roundtrip(&m);
+        for id in ids {
+            let here = m.image_of(id).map(|(i, f)| (i.clone(), f.to_vec()));
+            let there = back.image_of(id).map(|(i, f)| (i.clone(), f.to_vec()));
+            assert_eq!(here, there, "{id:?}");
+            if let Some((image, flips)) = here {
+                assert_eq!(image, BitVec::zeros(300), "the image is never rewritten");
+                assert!(!flips.is_empty());
+            }
+        }
     }
 
     #[test]
     fn malformed_medium_bytes_are_rejected() {
-        let m = Medium::new(ChannelConfig::default(), SimRng::new(1));
+        let m: Medium = Medium::new(ChannelConfig::default(), SimRng::new(1));
         let mut w = SnapWriter::new();
         m.snap(&mut w);
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let mut r = SnapReader::new(&bytes[..cut]);
-            assert!(Medium::unsnap(&mut r).is_err(), "cut at {cut}");
+            assert!(Medium::<BitVec>::unsnap(&mut r).is_err(), "cut at {cut}");
         }
     }
 }

@@ -58,6 +58,12 @@ impl BitVec {
         }
     }
 
+    /// Reserves room for at least `additional` more bits.
+    pub fn reserve(&mut self, additional: usize) {
+        let words = (self.len + additional).div_ceil(64);
+        self.words.reserve(words.saturating_sub(self.words.len()));
+    }
+
     /// Creates a vector of `len` zero bits.
     pub fn zeros(len: usize) -> Self {
         Self {
@@ -391,6 +397,30 @@ impl BitVec {
             .zip(other.words.iter())
             .map(|(a, b)| (a ^ b).count_ones() as usize)
             .sum()
+    }
+}
+
+/// What a transmission carries onto the air: anything with a length in
+/// bits that can write out its exact bit image.
+///
+/// A [`BitVec`] is its own image. A packet that keeps its fields rather
+/// than its bits (`btsim_baseband::AirPacket`) builds them only when
+/// something needs the bits, such as a disturbed reception or a capture.
+pub trait AirImage: Clone + std::fmt::Debug {
+    /// Length of the image in bits (its air time in µs at 1 Mb/s).
+    fn air_bits(&self) -> usize;
+
+    /// Writes the image into `out`, replacing what it held.
+    fn write_bits(&self, out: &mut BitVec);
+}
+
+impl AirImage for BitVec {
+    fn air_bits(&self) -> usize {
+        self.len()
+    }
+
+    fn write_bits(&self, out: &mut BitVec) {
+        out.clone_from(self);
     }
 }
 

@@ -5,7 +5,8 @@
 //! (reproduction of Conti & Moretti, *System Level Analysis of the
 //! Bluetooth Standard*, DATE 2005):
 //!
-//! * [`BitVec`] — packed bit vector in transmission order;
+//! * [`BitVec`] — packed bit vector in transmission order, and
+//!   [`AirImage`], what a transmission carries onto the air;
 //! * [`hec`] — 8-bit header error check;
 //! * [`crc`] — CRC-16 payload check;
 //! * [`fec`] — 1/3 repetition and 2/3 (15,10) shortened-Hamming FEC;
@@ -49,5 +50,5 @@ pub mod hec;
 pub mod syncword;
 mod whitening;
 
-pub use bits::{BitVec, Iter};
+pub use bits::{AirImage, BitVec, Iter};
 pub use whitening::Whitener;

@@ -909,6 +909,11 @@ impl Worlds<'_> {
             "cost.stat_walk_visits",
             self.total(|w| w.cost.stat_walk_visits),
         );
+        s.push_counter(
+            "cost.air_images_built",
+            self.total(|w| w.cost.air_images_built + w.medium.images_built()),
+        );
+        s.push_counter("cost.rx_shortcuts", self.total(|w| w.cost.rx_shortcuts));
         for (d, (w, l)) in locs.enumerate() {
             let world = &self.0[w];
             let rep = world.power_report(l);
@@ -1209,6 +1214,28 @@ mod tests {
         let end = sim.now() + SimDuration::from_slots(slots);
         sim.run_until(end);
         sim
+    }
+
+    #[test]
+    fn receptions_build_air_images_only_when_disturbed() {
+        let counts = |sim: &Simulator| {
+            let hub = sim.metrics_snapshot();
+            let count = |name| hub.counter(name).expect("the hub counts it");
+            (count("cost.air_images_built"), count("cost.rx_shortcuts"))
+        };
+        // A clean channel and two devices: every reception, from the
+        // page handshake on, is heard under the sender's keys.
+        let clean = saturated_pair(15, 0.0, Engine::EventDriven, Fidelity::Bit, 500);
+        let (built, shortcuts) = counts(&clean);
+        assert_eq!(built, 0, "no reception needed its bits");
+        assert!(shortcuts > 450, "{shortcuts} shortcut receptions");
+        // Noise flips a bit in some packets: those are rebuilt.
+        let noisy = saturated_pair(15, 1e-3, Engine::EventDriven, Fidelity::Bit, 500);
+        let (built, shortcuts) = counts(&noisy);
+        assert!(
+            built > 0 && shortcuts > built,
+            "{built} built, {shortcuts} shortcuts"
+        );
     }
 
     #[test]

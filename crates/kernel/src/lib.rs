@@ -54,7 +54,7 @@ mod wire;
 
 pub use calendar::Calendar;
 pub use capture::{CaptureDir, CaptureKind, CaptureRecord, CaptureSink, MAX_AIR_PAYLOAD};
-pub use rng::SimRng;
+pub use rng::{FlipRate, SimRng};
 pub use signal::{SignalInfo, SignalRef, TraceRecord, TraceRecorder, TraceValue};
 pub use snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 pub use time::{SimDuration, SimTime};

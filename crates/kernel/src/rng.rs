@@ -140,14 +140,55 @@ impl SimRng {
     /// `ber >= 1`. Sampling geometric gaps lets the channel corrupt a
     /// packet in O(errors) instead of O(bits).
     pub fn next_flip_gap(&mut self, ber: f64) -> u64 {
+        self.next_flip_gap_at(FlipRate::new(ber))
+    }
+
+    /// [`SimRng::next_flip_gap`] for a rate whose divisor was computed
+    /// once: a packet's noise loop draws many gaps at one BER, and the
+    /// logarithm of the keep probability would otherwise be taken again
+    /// for every one of them. Returns the same gaps from the same draws.
+    pub fn next_flip_gap_at(&mut self, rate: FlipRate) -> u64 {
+        match rate {
+            FlipRate::Never => u64::MAX,
+            FlipRate::Always => 0,
+            FlipRate::Geometric { ln_keep } => {
+                let u = self.unit_f64().max(f64::MIN_POSITIVE);
+                (u.ln() / ln_keep) as u64
+            }
+        }
+    }
+}
+
+/// A bit error rate prepared for [`SimRng::next_flip_gap_at`].
+///
+/// The two extremes stay draw-free, as in [`SimRng::next_flip_gap`]:
+/// BER ≤ 0 never flips and BER ≥ 1 flips every bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FlipRate {
+    /// BER ≤ 0: no flips, no draws.
+    Never,
+    /// BER ≥ 1: every bit flips, no draws.
+    Always,
+    /// Geometric gaps: each draw `u` gives `ln(u) / ln_keep` kept bits.
+    Geometric {
+        /// `(1 - ber).ln()`, the divisor of every gap.
+        ln_keep: f64,
+    },
+}
+
+impl FlipRate {
+    /// Prepares `ber` (a NaN BER draws, as [`SimRng::next_flip_gap`]
+    /// always has).
+    pub fn new(ber: f64) -> Self {
         if ber <= 0.0 {
-            return u64::MAX;
+            FlipRate::Never
+        } else if ber >= 1.0 {
+            FlipRate::Always
+        } else {
+            FlipRate::Geometric {
+                ln_keep: (1.0 - ber).ln(),
+            }
         }
-        if ber >= 1.0 {
-            return 0;
-        }
-        let u = self.unit_f64().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - ber).ln()) as u64
     }
 }
 
@@ -226,6 +267,23 @@ mod tests {
         assert_eq!(r.next_flip_gap(0.0), u64::MAX);
         assert_eq!(r.next_flip_gap(-0.5), u64::MAX);
         assert_eq!(r.next_flip_gap(1.0), 0);
+    }
+
+    #[test]
+    fn prepared_rate_keeps_the_draw_free_extremes() {
+        let mut r = SimRng::new(5);
+        let fp = r.fingerprint();
+        assert_eq!(FlipRate::new(0.0), FlipRate::Never);
+        assert_eq!(FlipRate::new(-0.5), FlipRate::Never);
+        assert_eq!(FlipRate::new(1.0), FlipRate::Always);
+        assert_eq!(FlipRate::new(3.0), FlipRate::Always);
+        assert_eq!(r.next_flip_gap_at(FlipRate::Never), u64::MAX);
+        assert_eq!(r.next_flip_gap_at(FlipRate::Always), 0);
+        assert_eq!(r.fingerprint(), fp, "the extremes draw nothing");
+        assert!(matches!(
+            FlipRate::new(f64::NAN),
+            FlipRate::Geometric { .. }
+        ));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use btsim_kernel::{Calendar, SimDuration, SimRng, SimTime, Wire};
+use btsim_kernel::{Calendar, FlipRate, SimDuration, SimRng, SimTime, Wire};
 use proptest::prelude::*;
 
 /// The calendar's pending entries as sorted `(time, seq)` pairs, read
@@ -135,6 +135,19 @@ proptest! {
             prop_assert_eq!(gap, u64::MAX);
         }
         let _ = gap;
+    }
+
+    #[test]
+    fn flip_gaps_at_a_prepared_rate_equal_the_per_draw_form(seed: u64, draws in 1usize..200) {
+        for ber in [1e-9, 1e-4, 1.0 / 30.0, 0.5] {
+            let mut a = SimRng::new(seed);
+            let mut b = SimRng::new(seed);
+            let rate = FlipRate::new(ber);
+            for _ in 0..draws {
+                prop_assert_eq!(a.next_flip_gap(ber), b.next_flip_gap_at(rate));
+            }
+            prop_assert_eq!(a.fingerprint(), b.fingerprint());
+        }
     }
 
     #[test]

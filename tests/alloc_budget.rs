@@ -7,11 +7,18 @@
 //! after a 200-slot warm-up the next 1,000 slots may allocate at most
 //! [`BUDGET`] times per transmission on the air.
 //!
-//! What still allocates per packet: the air image each transmission
-//! carries into the medium, the fragment an ACL packet's payload is
-//! built from and decoded into, the user bytes the event log keeps, and
-//! the occasional collision mask. Decoding, the link controller's
-//! actions, the listener lists and the receive copy reuse buffers.
+//! What still allocates per packet: the copy of an ACL or SCO packet's
+//! user bytes that the transmission carries, the fragment popped from
+//! the transmit queue, the user bytes a reception decodes (which the
+//! event log keeps), and the occasional collision mask. A header-only
+//! packet (POLL, NULL, ID) allocates nothing: no air image is built for
+//! a reception that takes the sender's packet, and a disturbed one is
+//! rebuilt into its codec's reused buffer. The link controller's
+//! actions and the listener lists reuse buffers too.
+//!
+//! Release builds read 1.5 per transmission. Debug builds read 2.0:
+//! they also decode every shortcut reception from its rebuilt bits to
+//! check it, and that decode allocates its own copy of the user bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,8 +61,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Most heap allocations allowed per transmission.
-const BUDGET: f64 = 5.0;
+/// Most heap allocations allowed per transmission: the release figure
+/// (1.5) with the same 2.5× margin the bound of 5.0 gave the earlier
+/// figure of 2.0.
+const BUDGET: f64 = 3.75;
 
 /// Allocations and transmissions over 1,000 steady-state slots of a
 /// formed, saturated 3×3 floor under `engine`.
@@ -82,7 +91,7 @@ fn steady_state(engine: Engine) -> (u64, u64) {
 }
 
 #[test]
-fn steady_dense_floor_allocates_at_most_five_times_per_transmission() {
+fn steady_dense_floor_allocates_within_budget_per_transmission() {
     let rates: Vec<(Engine, f64)> = [Engine::Lockstep, Engine::EventDriven]
         .into_iter()
         .map(|engine| {

@@ -1,4 +1,4 @@
-//! Pins the snapshot wire bytes (format version 4) across builds.
+//! Pins the snapshot wire bytes (format version 5) across builds.
 //!
 //! `tests/snapshot_equivalence.rs` proves a roundtrip is lossless
 //! within one build, but a codec that swapped two same-width fields on
@@ -219,199 +219,199 @@ fn compute() -> Vec<Pin> {
     out
 }
 
-/// `(name, byte length, FNV-1a-64)` of each snapshot, format version 4.
+/// `(name, byte length, FNV-1a-64)` of each snapshot, format version 5.
 const PINNED: &[(&str, usize, u64)] = &[
-    ("lockstep-bit/acl_mid_transfer", 28837, 0x06bed88fc6b94d9f),
-    ("lockstep-bit/sco_then_sniff", 37106, 0x3d9a485bbf4b3cc7),
-    ("lockstep-bit/hold", 45288, 0x2b5f5443aa690f6f),
-    ("lockstep-bit/park", 65639, 0xbccff2df9c800b69),
-    ("lockstep-bit/set_afh_at_pending", 7045, 0xb09ebfb9e4eefa02),
+    ("lockstep-bit/acl_mid_transfer", 28512, 0x18eeb8bc8beb18d4),
+    ("lockstep-bit/sco_then_sniff", 37244, 0x345cb6cbe005fd05),
+    ("lockstep-bit/hold", 45457, 0xba25493aabd5b0f5),
+    ("lockstep-bit/park", 65661, 0x8f588b606ebc9c4a),
+    ("lockstep-bit/set_afh_at_pending", 6878, 0x2c1228e529556813),
     (
         "lockstep-bit/inquiry_page_scan_traced",
-        97798,
-        0x28cc1744d8dfad97,
+        96018,
+        0x4a1e22a2c5731aa2,
     ),
-    ("lockstep-bit/scatternet_formed", 17780, 0xc57ac3fc558beaf9),
+    ("lockstep-bit/scatternet_formed", 17250, 0xa88f836c244e44fc),
     (
         "lockstep-bit/scatternet_faulted_1500",
-        14580,
-        0x29f52c4ee0fb8175,
+        14604,
+        0xe43c111a3500f009,
     ),
     (
         "lockstep-bit/dense_floor_2x2_shards1",
-        28004,
-        0xdd155bbdf3342d12,
+        28014,
+        0xa9756120d87acda6,
     ),
     (
         "lockstep-bit/dense_floor_2x2_shards4",
-        38446,
-        0x1c99b47d5a779c30,
+        38528,
+        0xd0b731d8e63c8db4,
     ),
-    ("lockstep-stat/acl_mid_transfer", 25099, 0x1d8115494aa0070d),
-    ("lockstep-stat/sco_then_sniff", 37058, 0xb65a9b31fa963ff9),
-    ("lockstep-stat/hold", 45324, 0x8c92fa47dccbad3c),
-    ("lockstep-stat/park", 65675, 0x259912bc0a54d21d),
-    ("lockstep-stat/set_afh_at_pending", 7045, 0xb2bbc40a764d62f0),
+    ("lockstep-stat/acl_mid_transfer", 24969, 0xdcf5aa723105433e),
+    ("lockstep-stat/sco_then_sniff", 37191, 0x21d12591db70d9b1),
+    ("lockstep-stat/hold", 45493, 0xef4fb3bd68a2aea4),
+    ("lockstep-stat/park", 65697, 0x6f5de8d3df8a5dcc),
+    ("lockstep-stat/set_afh_at_pending", 6878, 0x002b2cbaf3a84acd),
     (
         "lockstep-stat/inquiry_page_scan_traced",
-        97798,
-        0x28cc1744d8dfad97,
+        96018,
+        0x4a1e22a2c5731aa2,
     ),
-    ("lockstep-stat/scatternet_formed", 17780, 0xee1578c627a78e54),
+    ("lockstep-stat/scatternet_formed", 17250, 0x60e9aa445a0e46e5),
     (
         "lockstep-stat/scatternet_faulted_1500",
-        14580,
-        0x3d29028079d62f7c,
+        14604,
+        0x43af854606541490,
     ),
     (
         "lockstep-stat/dense_floor_2x2_shards1",
-        28004,
-        0x448367b9cc20a5af,
+        28014,
+        0x83e73bd0cc3dc563,
     ),
     (
         "lockstep-stat/dense_floor_2x2_shards4",
-        38446,
-        0xb85c5cd576f28a10,
+        38528,
+        0x6ec236163a5723b8,
     ),
-    ("lockstep-auto/acl_mid_transfer", 25099, 0xaa8b6c8207e18d7e),
-    ("lockstep-auto/sco_then_sniff", 37058, 0x285c1030354659e6),
-    ("lockstep-auto/hold", 45324, 0x6f276d238867487f),
-    ("lockstep-auto/park", 65675, 0x5912405ee6a4e8ca),
-    ("lockstep-auto/set_afh_at_pending", 7045, 0x6273714f0b96264f),
+    ("lockstep-auto/acl_mid_transfer", 24969, 0x302993d7628d9d99),
+    ("lockstep-auto/sco_then_sniff", 37191, 0x60db0b14b06d256a),
+    ("lockstep-auto/hold", 45493, 0xc29d61758cd88d73),
+    ("lockstep-auto/park", 65697, 0x303d7a42ff133727),
+    ("lockstep-auto/set_afh_at_pending", 6878, 0xce0d7a7a19cac862),
     (
         "lockstep-auto/inquiry_page_scan_traced",
-        97798,
-        0x28cc1744d8dfad97,
+        96018,
+        0x4a1e22a2c5731aa2,
     ),
-    ("lockstep-auto/scatternet_formed", 17780, 0xb9776bca6233d8eb),
+    ("lockstep-auto/scatternet_formed", 17250, 0x87192187dd3d599e),
     (
         "lockstep-auto/scatternet_faulted_1500",
-        14580,
-        0x6d4cb0ae1680b1b3,
+        14604,
+        0x4be1ded495e5dac7,
     ),
     (
         "lockstep-auto/dense_floor_2x2_shards1",
-        28004,
-        0xc0b7e43c6a45b66c,
+        28014,
+        0xaad32d84bc4e2448,
     ),
     (
         "lockstep-auto/dense_floor_2x2_shards4",
-        38446,
-        0xddd982cee07f5688,
+        38528,
+        0x7060c3780efcef14,
     ),
     (
         "eventdriven-bit/acl_mid_transfer",
-        28744,
-        0x0e76152f762c72d2,
+        28425,
+        0xf5538ed3084ddd25,
     ),
-    ("eventdriven-bit/sco_then_sniff", 37206, 0x1faa6d3cfbb7ab72),
-    ("eventdriven-bit/hold", 45111, 0xa279a86f21ef174d),
-    ("eventdriven-bit/park", 65655, 0x6ed9777a9585c4b4),
+    ("eventdriven-bit/sco_then_sniff", 37349, 0xdf1c2b10a12dd273),
+    ("eventdriven-bit/hold", 45270, 0x99759cd41e4d12ff),
+    ("eventdriven-bit/park", 65677, 0x3ab774a12489f47b),
     (
         "eventdriven-bit/set_afh_at_pending",
-        7036,
-        0x81fbc6550474a0f5,
+        6869,
+        0xac4e77d0cc7982be,
     ),
     (
         "eventdriven-bit/inquiry_page_scan_traced",
-        97797,
-        0x73850acf1fb8b9c2,
+        96017,
+        0x64e59790a13a46d9,
     ),
     (
         "eventdriven-bit/scatternet_formed",
-        17669,
-        0x4691890c10c7919f,
+        17139,
+        0x1143697f310044fc,
     ),
     (
         "eventdriven-bit/scatternet_faulted_1500",
-        14470,
-        0x931eba326c8fe78e,
+        14494,
+        0xc99536d7cabf96ea,
     ),
     (
         "eventdriven-bit/dense_floor_2x2_shards1",
-        27757,
-        0xc35edcadb4ff3b01,
+        27767,
+        0x7c93f0506a5e72e3,
     ),
     (
         "eventdriven-bit/dense_floor_2x2_shards4",
-        38274,
-        0xbf86bc0450af73d8,
+        38356,
+        0x5daa0b4d6f7805bc,
     ),
     (
         "eventdriven-stat/acl_mid_transfer",
-        25090,
-        0x989e322563a5bf08,
+        24960,
+        0x2bd5c4b6c5ae7905,
     ),
-    ("eventdriven-stat/sco_then_sniff", 37242, 0xb3a06a3c90deae2b),
-    ("eventdriven-stat/hold", 45147, 0xf5d3b5faa7ea0bc1),
-    ("eventdriven-stat/park", 65691, 0x1fdb403d4d662869),
+    ("eventdriven-stat/sco_then_sniff", 37385, 0x5fb0c4f8e601deb7),
+    ("eventdriven-stat/hold", 45306, 0x49b5cf57a388ef01),
+    ("eventdriven-stat/park", 65713, 0x965ffac853ba30e8),
     (
         "eventdriven-stat/set_afh_at_pending",
-        7036,
-        0xc407ef5d76b57b27,
+        6869,
+        0xd7404eb0be1c34ec,
     ),
     (
         "eventdriven-stat/inquiry_page_scan_traced",
-        97797,
-        0x73850acf1fb8b9c2,
+        96017,
+        0x64e59790a13a46d9,
     ),
     (
         "eventdriven-stat/scatternet_formed",
-        17669,
-        0xcaa216b5d1b6781e,
+        17139,
+        0x2d76e6fff3d42de9,
     ),
     (
         "eventdriven-stat/scatternet_faulted_1500",
-        14470,
-        0x566793197ebe45ff,
+        14494,
+        0x88aa2f7952c0a21b,
     ),
     (
         "eventdriven-stat/dense_floor_2x2_shards1",
-        27757,
-        0x626bfb3391271d4c,
+        27767,
+        0xcf657ea680408fc6,
     ),
     (
         "eventdriven-stat/dense_floor_2x2_shards4",
-        38274,
-        0xe35227ce393f5350,
+        38356,
+        0x7c38e833a39f32a4,
     ),
     (
         "eventdriven-auto/acl_mid_transfer",
-        25090,
-        0x4f07b187c9e7aecf,
+        24960,
+        0xff7f607521679eb6,
     ),
-    ("eventdriven-auto/sco_then_sniff", 37242, 0x1ee41ac5e392ced0),
-    ("eventdriven-auto/hold", 45147, 0x1126e5bfc28da37e),
-    ("eventdriven-auto/park", 65691, 0x59f5fae98bbecfbe),
+    ("eventdriven-auto/sco_then_sniff", 37385, 0x5ce99d58f8044f28),
+    ("eventdriven-auto/hold", 45306, 0x42c286f50cb4f752),
+    ("eventdriven-auto/park", 65713, 0x6e72c86a82a8bff3),
     (
         "eventdriven-auto/set_afh_at_pending",
-        7036,
-        0xaba72186422b0cac,
+        6869,
+        0xbc1f1781d0e148b7,
     ),
     (
         "eventdriven-auto/inquiry_page_scan_traced",
-        97797,
-        0x73850acf1fb8b9c2,
+        96017,
+        0x64e59790a13a46d9,
     ),
     (
         "eventdriven-auto/scatternet_formed",
-        17669,
-        0xbc9c6b01a54e18e9,
+        17139,
+        0x356bdcb6f45a3fea,
     ),
     (
         "eventdriven-auto/scatternet_faulted_1500",
-        14470,
-        0x02ce47dda0e4bd64,
+        14494,
+        0x6373bf75e318feb0,
     ),
     (
         "eventdriven-auto/dense_floor_2x2_shards1",
-        27757,
-        0xec034a11c9d9aadf,
+        27767,
+        0x728bdad15da77c85,
     ),
     (
         "eventdriven-auto/dense_floor_2x2_shards4",
-        38274,
-        0x1d76a8d5c01dedd0,
+        38356,
+        0x60aa0029b9742a40,
     ),
 ];
 
