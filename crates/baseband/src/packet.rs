@@ -446,11 +446,10 @@ impl<'a> Body<'a> {
     }
 
     /// Why this body cannot ride a packet of type `ptype`, if it cannot.
+    /// No body rides a DV packet: the model has no format for DV's
+    /// combined voice and data payload.
     fn check(&self, ptype: PacketType) -> Result<(), &'static str> {
-        let voice = matches!(
-            ptype,
-            PacketType::Hv1 | PacketType::Hv2 | PacketType::Hv3 | PacketType::Dv
-        );
+        let voice = matches!(ptype, PacketType::Hv1 | PacketType::Hv2 | PacketType::Hv3);
         match self {
             _ if ptype == PacketType::Id => Err("ID packets have no header"),
             Body::None if matches!(ptype, PacketType::Null | PacketType::Poll) => Ok(()),
@@ -538,8 +537,8 @@ impl Codec {
     /// # Panics
     ///
     /// Panics if the payload does not match the packet type (wrong
-    /// variant or oversized data) — these are programming errors of the
-    /// caller.
+    /// variant or oversized data, or any DV packet) — these are
+    /// programming errors of the caller.
     pub fn encode(&mut self, keys: &LinkKeys, header: &Header, payload: &Payload) -> BitVec {
         let mut packed = [0; FHS_BYTES];
         let mut air = BitVec::new();
@@ -639,7 +638,8 @@ impl Codec {
 /// # Panics
 ///
 /// Panics if the payload does not match the packet type (wrong variant or
-/// oversized data) — these are programming errors of the caller.
+/// oversized data, or any DV packet) — these are programming errors of
+/// the caller.
 pub fn encode(keys: &LinkKeys, header: &Header, payload: &Payload) -> BitVec {
     Codec::new().encode(keys, header, payload)
 }
@@ -722,9 +722,6 @@ impl AirPacket {
         header: Header,
         payload: &Payload,
     ) -> Result<Self, &'static str> {
-        if header.ptype == PacketType::Dv {
-            return Err("DV packets are not built: the model has no DV payload format");
-        }
         let mut packed = [0; FHS_BYTES];
         let body = Body::of(payload, &mut packed);
         body.check(header.ptype)?;
@@ -1507,12 +1504,11 @@ mod tests {
             PacketType::Hv1,
             PacketType::Hv2,
             PacketType::Hv3,
-            PacketType::Dv,
         ] {
             let payload = match t {
                 PacketType::Null | PacketType::Poll => Payload::None,
                 PacketType::Fhs => Payload::Fhs(fhs_payload()),
-                PacketType::Hv1 | PacketType::Hv2 | PacketType::Hv3 | PacketType::Dv => {
+                PacketType::Hv1 | PacketType::Hv2 | PacketType::Hv3 => {
                     Payload::Sco((0..t.max_user_bytes()).map(|i| i as u8 ^ 0x5A).collect())
                 }
                 _ => Payload::Acl {
@@ -1526,6 +1522,25 @@ mod tests {
                 images.push((encode(&k2, &header(t), &payload), k2));
             }
         }
+        // No DV packet is built, but noise that flips an HV3 header into
+        // a valid DV one (TYPE and HEC bits alike) reaches decode's DV
+        // arm, which refuses the payload.
+        let header_air = |t| {
+            let info = header(t).info_bits();
+            let bits = u64::from(info) | (u64::from(hec::hec(keys().uap, info)) << 10);
+            fec::trip_bits(bits ^ Whitener::from_clk(keys().whiten).next_bits(18), 18)
+        };
+        let flips = header_air(PacketType::Hv3) ^ header_air(PacketType::Dv);
+        let mut dv = encode(
+            &keys(),
+            &header(PacketType::Hv3),
+            &Payload::Sco(vec![0x5A; 30]),
+        );
+        for i in (0..HEADER_AIR_BITS).filter(|i| flips >> i & 1 == 1) {
+            dv.toggle(72 + i);
+        }
+        assert_eq!(decode(&dv, None, &keys()), Err(DecodeError::PayloadFormat));
+        images.push((dv, keys()));
         let mut cases: Vec<(BitVec, Option<BitVec>, LinkKeys)> = Vec::new();
         for (air, k) in &images {
             let len = air.len();
@@ -1684,6 +1699,12 @@ mod tests {
         // `air_bits` (which sizes a real DV packet) has no image to match.
         let dv = AirPacket::try_new(keys(), header(PacketType::Dv), &Payload::Sco(vec![0; 9]));
         assert!(dv.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "payload does not match the packet type: Dv")]
+    fn encode_refuses_dv_as_air_packets_do() {
+        encode(&keys(), &header(PacketType::Dv), &Payload::Sco(vec![0; 9]));
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! equal count would stretch one lockstep window to minutes; each engine
 //! gets its own count there, and the windows still alternate.
 //!
-//! A failed gate exits nonzero after the JSON is written. Speed
-//! regressions are judged by the `perfbench` benchmark.
+//! A failed gate exits nonzero after the JSON is written, as does a JSON
+//! file that cannot be written. Speed regressions are judged by the
+//! `perfbench` benchmark.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -37,12 +38,15 @@ use btsim_baseband::packet::{self, Header, LinkKeys, Payload};
 use btsim_baseband::{BdAddr, ClkVal, LcCommand, LcEvent, Llid, PacketType, SniffParams};
 use btsim_channel::{ChannelConfig, Medium};
 use btsim_coding::{crc, fec, syncword, BitVec, Whitener};
-use btsim_core::experiments::{fig6_inquiry_vs_ber, fig7_page_vs_ber, PAPER_BERS};
+use btsim_core::campaign::Campaign;
+use btsim_core::experiments::PAPER_BERS;
 use btsim_core::net::{
     register_devices, DenseFloorConfig, DenseFloorScenario, ScatternetConfig, ScatternetScenario,
     Topology,
 };
-use btsim_core::scenario::{connect_pair, paper_config, Scenario};
+use btsim_core::scenario::{
+    connect_pair, paper_config, InquiryConfig, InquiryScenario, PageConfig, PageScenario, Scenario,
+};
 use btsim_core::{Engine, ExpOptions, FaultPlan, Fidelity, SimBuilder, Simulator};
 use btsim_kernel::{Calendar, SimDuration, SimRng, SimTime, Snap, SnapWriter};
 use btsim_stats::JsonValue;
@@ -1084,11 +1088,12 @@ const CAMPAIGN_WINDOWS: usize = 9;
 
 /// The campaign section: one iteration is the Figs. 6-7 creation sweep
 /// (inquiry and page at BER 0 and the paper's eight BERs,
-/// [`CAMPAIGN_RUNS`] runs per point) on 1 vs 2 campaign workers. The
-/// high-BER points cost up to ~80× the clean ones, so the speedup shows
-/// whether both workers stay busy through the sweep's expensive tail.
-/// Both sides run the same seeds, so their results (every point's
-/// mean, CI95 and completion rate) must be equal.
+/// [`CAMPAIGN_RUNS`] runs per point, configured as the registry's
+/// `fig6_inquiry_vs_ber` and `fig7_page_vs_ber` entries) on 1 vs 2
+/// campaign workers. The high-BER points cost up to ~80× the clean
+/// ones, so the speedup shows whether both workers stay busy through
+/// the sweep's expensive tail. Both sides run the same seeds, so their
+/// campaign results (every run's outcome, unrounded) must be equal.
 /// The speedup is reported, not gated: it depends on the host's free
 /// cores. The section times at least [`CAMPAIGN_WINDOWS`] windows,
 /// `--quick` or not.
@@ -1097,13 +1102,40 @@ fn campaign_section(timer: &Timer, fails: &mut Vec<String>) -> JsonValue {
         target: timer.target,
         windows: timer.windows.max(CAMPAIGN_WINDOWS),
     };
+    let mut bers = vec![("0", 0.0)];
+    bers.extend(PAPER_BERS);
     let sweep = |threads| {
         let opts = ExpOptions {
             runs: CAMPAIGN_RUNS,
             threads,
             ..ExpOptions::default()
         };
-        (fig6_inquiry_vs_ber(&opts), fig7_page_vs_ber(&opts))
+        let inquiry = Campaign::sweep(bers.iter().map(|&(label, ber)| {
+            (
+                label.to_string(),
+                InquiryScenario::new(InquiryConfig {
+                    ber,
+                    sim: opts.sim(paper_config()),
+                    ..InquiryConfig::default()
+                }),
+            )
+        }))
+        .options(&opts)
+        .run();
+        let page = Campaign::sweep(bers.iter().map(|&(label, ber)| {
+            (
+                label.to_string(),
+                PageScenario::new(PageConfig {
+                    ber,
+                    cap_slots: 2048,
+                    sim: opts.sim(paper_config()),
+                    ..PageConfig::default()
+                }),
+            )
+        }))
+        .options(&opts)
+        .run();
+        (inquiry, page)
     };
     // Each side's results from its last sweep.
     let (mut one, mut two) = (None, None);
@@ -1111,7 +1143,7 @@ fn campaign_section(timer: &Timer, fails: &mut Vec<String>) -> JsonValue {
         &mut each(|| one = Some(sweep(1))),
         &mut each(|| two = Some(sweep(2))),
     ]);
-    let runs = (2 * (PAPER_BERS.len() + 1) * CAMPAIGN_RUNS) as u64;
+    let runs = (2 * bers.len() * CAMPAIGN_RUNS) as u64;
     let (rate1, rate2) = (rate(&ns[0], runs), rate(&ns[1], runs));
     header("campaign (Figs. 6-7 sweep)", "runs/s");
     let exact = one.is_some() && one == two;
@@ -1211,7 +1243,9 @@ fn main() -> ExitCode {
         ("formation", formation_section(&timer, &mut fails)),
         ("campaign", campaign_section(&timer, &mut fails)),
     ]);
-    btsim_bench::write_artifact(&args.json, &format!("{}\n", doc.render()));
+    if let Err(e) = btsim_bench::write_artifact(&args.json, &format!("{}\n", doc.render())) {
+        fails.push(e);
+    }
     if !fails.is_empty() {
         fails.iter().for_each(|f| eprintln!("error: {f}"));
         return ExitCode::FAILURE;

@@ -10,6 +10,10 @@
 //! `all` expands to every registry entry; `--list` prints the registry
 //! with descriptions. New experiments appear here automatically when
 //! they are added to `btsim_core::experiments::registry()`.
+//!
+//! An entry that fails (its experiment returns an error, or one of its
+//! outputs cannot be written) is reported on stderr; the remaining
+//! entries still run, and the binary then exits 1. Usage errors exit 2.
 
 use std::process::ExitCode;
 
@@ -40,6 +44,7 @@ fn main() -> ExitCode {
         }
     }
     let mut json_out = Vec::new();
+    let mut failed = false;
     for (i, entry) in selected.iter().enumerate() {
         if i > 0 {
             println!();
@@ -49,9 +54,16 @@ fn main() -> ExitCode {
         println!("[{}/{}] {}", i + 1, selected.len(), entry.name);
         if let Err(e) = btsim_bench::run_entry(entry, &opts, &mut json_out) {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            failed = true;
         }
     }
-    btsim_bench::finish_json(&opts, &json_out);
-    ExitCode::SUCCESS
+    if let Err(e) = btsim_bench::finish_json(&opts, &json_out) {
+        eprintln!("error: {e}");
+        failed = true;
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }

@@ -64,10 +64,13 @@ pub fn parse_args(args: &[String]) -> Result<BenchOptions, String> {
             "--quick" => quick = true,
             "--runs" => {
                 let v = value("--runs")?;
-                runs = Some(
-                    v.parse()
-                        .map_err(|_| format!("invalid --runs value: {v:?} (expected a count)"))?,
-                );
+                let n: usize = v
+                    .parse()
+                    .map_err(|_| format!("invalid --runs value: {v:?} (expected a count ≥ 1)"))?;
+                if n == 0 {
+                    return Err("invalid --runs value: 0 (expected a count ≥ 1)".into());
+                }
+                runs = Some(n);
             }
             "--seed" => {
                 let v = value("--seed")?;
@@ -220,19 +223,25 @@ pub fn parse_cli() -> BenchOptions {
 
 /// Writes `content` to `name` in the working directory, reporting the
 /// path on stdout (used for VCD waveforms and JSON dumps).
-pub fn write_artifact(name: &str, content: &str) {
-    match std::fs::write(name, content) {
-        Ok(()) => println!("wrote {name}"),
-        Err(e) => eprintln!("could not write {name}: {e}"),
-    }
+///
+/// # Errors
+///
+/// Why the file could not be written, naming it.
+pub fn write_artifact(name: &str, content: &str) -> Result<(), String> {
+    std::fs::write(name, content).map_err(|e| format!("could not write {name}: {e}"))?;
+    println!("wrote {name}");
+    Ok(())
 }
 
 /// [`write_artifact`] for binary content (btsnoop captures).
-pub fn write_binary_artifact(name: &str, bytes: &[u8]) {
-    match std::fs::write(name, bytes) {
-        Ok(()) => println!("wrote {name} ({} bytes)", bytes.len()),
-        Err(e) => eprintln!("could not write {name}: {e}"),
-    }
+///
+/// # Errors
+///
+/// Why the file could not be written, naming it.
+pub fn write_binary_artifact(name: &str, bytes: &[u8]) -> Result<(), String> {
+    std::fs::write(name, bytes).map_err(|e| format!("could not write {name}: {e}"))?;
+    println!("wrote {name} ({} bytes)", bytes.len());
+    Ok(())
 }
 
 /// Runs one registry experiment with the given options: prints the
@@ -240,9 +249,12 @@ pub fn write_binary_artifact(name: &str, bytes: &[u8]) {
 /// `.btsnoop` artifacts to that path), and appends its JSON to
 /// `json_out` when requested.
 ///
-/// Returns the experiment's error — an unreadable, malformed or
-/// mismatched `--resume` snapshot file, for example — for the caller
-/// to report and turn into a nonzero exit.
+/// # Errors
+///
+/// The experiment's error — an unreadable, malformed or mismatched
+/// `--resume` snapshot file, for example — or, once every artifact has
+/// been tried, the artifacts that could not be written. The caller
+/// reports it and turns it into a nonzero exit.
 pub fn run_entry(
     entry: &Experiment,
     opts: &BenchOptions,
@@ -250,15 +262,16 @@ pub fn run_entry(
 ) -> Result<(), String> {
     let report = entry.run(&opts.exp)?;
     print!("{report}");
+    let mut failed = Vec::new();
     for (name, content) in &report.artifacts {
-        write_artifact(name, content);
+        failed.extend(write_artifact(name, content).err());
     }
     for (name, bytes) in &report.binary_artifacts {
         let dest = match &opts.capture {
             Some(path) if name.ends_with(".btsnoop") => path.as_str(),
             _ => name.as_str(),
         };
-        write_binary_artifact(dest, bytes);
+        failed.extend(write_binary_artifact(dest, bytes).err());
     }
     if opts.json.is_some() {
         json_out.push(JsonValue::Obj(vec![
@@ -266,14 +279,25 @@ pub fn run_entry(
             ("report".to_string(), report.to_json()),
         ]));
     }
-    Ok(())
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(failed.join("; "))
+    }
 }
 
 /// Writes the collected JSON reports if `--json` was given.
-pub fn finish_json(opts: &BenchOptions, json_out: &[JsonValue]) {
-    if let Some(path) = &opts.json {
-        let doc = JsonValue::Arr(json_out.to_vec());
-        write_artifact(path, &format!("{}\n", doc.render()));
+///
+/// # Errors
+///
+/// Why the `--json` file could not be written.
+pub fn finish_json(opts: &BenchOptions, json_out: &[JsonValue]) -> Result<(), String> {
+    match &opts.json {
+        Some(path) => {
+            let doc = JsonValue::Arr(json_out.to_vec());
+            write_artifact(path, &format!("{}\n", doc.render()))
+        }
+        None => Ok(()),
     }
 }
 
@@ -334,6 +358,51 @@ mod tests {
         let opts = parse_args(&argv(&["--seed", "9", "--quick"])).unwrap();
         assert_eq!(opts.exp.runs, ExpOptions::quick().runs);
         assert_eq!(opts.exp.base_seed, 9);
+    }
+
+    #[test]
+    fn zero_runs_is_a_usage_error() {
+        // A campaign cannot run zero times; `--runs 0` used to print a
+        // one-run table instead.
+        for args in [
+            &["--runs", "0"][..],
+            &["--quick", "--runs", "0"],
+            &["--runs", "0", "--quick"],
+        ] {
+            let err = parse_args(&argv(args)).unwrap_err();
+            assert_eq!(err, "invalid --runs value: 0 (expected a count ≥ 1)");
+        }
+        assert_eq!(parse_args(&argv(&["--runs", "1"])).unwrap().exp.runs, 1);
+        // The largest count parses; experiments cap what they run.
+        let max = usize::MAX.to_string();
+        assert_eq!(
+            parse_args(&argv(&["--runs", &max])).unwrap().exp.runs,
+            usize::MAX
+        );
+    }
+
+    #[test]
+    fn writes_under_a_missing_directory_are_errors() {
+        let dir = std::env::temp_dir().join(format!("btsim_missing_{}", std::process::id()));
+        let path = dir.join("x.json");
+        let path = path.to_str().unwrap();
+        let err = write_artifact(path, "{}").unwrap_err();
+        assert!(err.starts_with(&format!("could not write {path}")), "{err}");
+        assert!(write_binary_artifact(path, b"x").is_err());
+        let opts = BenchOptions {
+            json: Some(path.to_string()),
+            ..BenchOptions::default()
+        };
+        assert!(finish_json(&opts, &[]).is_err());
+        // An entry whose capture cannot be written fails once it ran.
+        let opts = BenchOptions {
+            capture: Some(path.to_string()),
+            ..BenchOptions::default()
+        };
+        let entry = btsim_core::experiments::find("capture_scan").unwrap();
+        let err = run_entry(entry, &opts, &mut Vec::new()).unwrap_err();
+        assert!(err.starts_with(&format!("could not write {path}")), "{err}");
+        assert!(!dir.exists());
     }
 
     #[test]
@@ -456,7 +525,7 @@ mod tests {
             broken.extend(["", "--quick"].map(|v| [flag.to_string(), v.to_string()]));
         }
         let out_of_range: Vec<&str> = "--seed 18446744073709551616 --runs 18446744073709551616 \
-            --piconets 0 --shards 0 --metrics-every 0 --bridge-duty 0 --bridge-duty 1 \
+            --runs 0 --piconets 0 --shards 0 --metrics-every 0 --bridge-duty 0 --bridge-duty 1 \
             --bridge-duty 1.5 --cell-size 0 --faults crash@4000:dev=2,bogus=1 \
             --faults crash@29514790517936:dev=0"
             .split_whitespace()

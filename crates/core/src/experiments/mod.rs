@@ -14,16 +14,20 @@
 //! `ext_ablation` entry); the shapes — break-even points, bottleneck
 //! ordering, saturation — are the reproduction target.
 //!
-//! A few experiments keep a typed result with a `table()` renderer
-//! because code outside the registry reads it: the BER sweeps of
-//! Figs. 6-8, the waveforms of Figs. 5 and 9, Fig. 10, the low-power
-//! mode sweeps of Figs. 11-12 and Ext-D, Table 1 and Ext-A.
+//! Only the low-power mode sweeps of Figs. 11-12 and Ext-D keep a typed
+//! result ([`ModeSweep`], with a `table()` renderer), because the
+//! benchmark in `perfbench/` imports them. The paper-anchor tests in
+//! the root package's `tests/experiments_smoke.rs` read each figure's
+//! registry report (its table, text block and VCD artifact); the
+//! in-file tests read the private campaign functions (`duty_sweep`,
+//! `collision_sweep`, …) where a check needs what the table rounds
+//! away or does not print.
 
 use std::time::Instant;
 
 use btsim_baseband::{LcCommand, PacketType, SniffParams};
 use btsim_kernel::{SimDuration, SimTime};
-use btsim_stats::{Summary, Table};
+use btsim_stats::{Record, Summary, Table};
 use btsim_trace::{render_ascii, to_vcd, AsciiOptions};
 
 use crate::campaign::{Campaign, CampaignResult};
@@ -34,12 +38,12 @@ use crate::net::{
 };
 use crate::scenario::{
     connect_pair, paper_config, AfhAdaptConfig, AfhAdaptScenario, CoexistenceConfig,
-    CoexistenceScenario, CreationConfig, CreationScenario, GoodputConfig, GoodputScenario,
-    HoldConfig, HoldScenario, InquiryConfig, InquiryScenario, PageConfig, PageScenario, ParkConfig,
-    ParkScenario, Scenario, ScoLinkConfig, ScoLinkScenario, SniffConfig, SniffScenario,
-    TrafficConfig, TrafficScenario,
+    CoexistenceScenario, CreationConfig, CreationScenario, GoodputConfig, GoodputOutcome,
+    GoodputScenario, HoldConfig, HoldScenario, InquiryConfig, InquiryOutcome, InquiryScenario,
+    PageConfig, PageOutcome, PageScenario, ParkConfig, ParkScenario, Scenario, ScoLinkConfig,
+    ScoLinkScenario, SniffConfig, SniffScenario, TrafficConfig, TrafficOutcome, TrafficScenario,
 };
-use crate::{AfhConfig, Engine, SimBuilder};
+use crate::{AfhConfig, SimBuilder};
 
 mod faults;
 mod registry;
@@ -60,204 +64,120 @@ pub const PAPER_BERS: [(&str, f64); 8] = [
     ("1/30", 1.0 / 30.0),
 ];
 
-/// One row of a BER-sweep result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BerRow {
-    /// BER label, e.g. `1/50` (`0` for the noiseless anchor).
-    pub label: String,
-    /// Numeric BER.
-    pub ber: f64,
-    /// Mean slots to completion over completed runs.
-    pub mean_slots: f64,
-    /// 95% confidence half-width of the mean.
-    pub ci95: f64,
-    /// Fraction of runs that completed within the cap.
-    pub completed: f64,
-}
-
-/// Result of the Fig. 6 / Fig. 7 experiments (phase duration vs BER).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BerSweep {
-    /// What was measured (for the table caption).
-    pub phase: &'static str,
-    /// One row per BER point (first row: no noise).
-    pub rows: Vec<BerRow>,
-}
-
-impl BerSweep {
-    /// Renders the paper-style series.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(["BER", "mean TS", "ci95", "completed"]);
-        for r in &self.rows {
-            t.row([
-                r.label.clone(),
-                format!("{:.1}", r.mean_slots),
-                format!("{:.1}", r.ci95),
-                format!("{:.1}%", r.completed * 100.0),
-            ]);
-        }
-        t
-    }
-}
-
-/// The noiseless anchor plus [`PAPER_BERS`].
-fn ber_points() -> Vec<(String, f64)> {
-    let mut points: Vec<(String, f64)> = vec![("0".into(), 0.0)];
-    points.extend(PAPER_BERS.iter().map(|(l, b)| (l.to_string(), *b)));
+/// The noiseless anchor plus [`PAPER_BERS`]: the points of Figs. 6-7.
+fn ber_points() -> Vec<(&'static str, f64)> {
+    let mut points = vec![("0", 0.0)];
+    points.extend(PAPER_BERS);
     points
 }
 
-/// Sweeps a scenario whose outcome reports a `slots` metric over the
-/// paper's BER points in one flattened campaign.
-fn ber_sweep<S, F>(opts: &ExpOptions, phase: &'static str, make: F) -> BerSweep
-where
-    S: Scenario + Sync,
-    F: Fn(f64) -> S,
-{
-    let points = ber_points();
-    let result = Campaign::sweep(points.iter().map(|(l, b)| (l.clone(), make(*b))))
-        .options(opts)
-        .run();
-    let rows = points
-        .iter()
-        .zip(&result.points)
-        .map(|((label, ber), p)| {
-            let slots = p.metric("slots");
-            BerRow {
-                label: label.clone(),
-                ber: *ber,
-                mean_slots: slots.mean(),
-                ci95: slots.ci95(),
-                completed: p.completion_rate(),
-            }
-        })
-        .collect();
-    BerSweep { phase, rows }
-}
-
-/// **Fig. 6** — mean number of time slots to complete the inquiry phase
-/// as a function of the BER (no timeout; mean over completed runs).
-pub fn fig6_inquiry_vs_ber(opts: &ExpOptions) -> BerSweep {
-    ber_sweep(opts, "inquiry", |ber| {
-        InquiryScenario::new(InquiryConfig {
-            ber,
-            sim: opts.sim(paper_config()),
-            ..InquiryConfig::default()
-        })
-    })
-}
-
-/// **Fig. 7** — mean number of time slots to complete the page phase as
-/// a function of the BER (devices already synchronised). As in the paper,
-/// the 1.28 s page timeout applies; the mean is over successful runs.
-pub fn fig7_page_vs_ber(opts: &ExpOptions) -> BerSweep {
-    ber_sweep(opts, "page", |ber| {
-        PageScenario::new(PageConfig {
-            ber,
-            cap_slots: 2048,
-            sim: opts.sim(paper_config()),
-            ..PageConfig::default()
-        })
-    })
-}
-
-/// One row of the Fig. 8 result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailureRow {
-    /// BER label.
-    pub label: String,
-    /// Numeric BER.
-    pub ber: f64,
-    /// Probability the inquiry phase missed the 1.28 s timeout.
-    pub inquiry_failure: f64,
-    /// Probability the page phase missed the 1.28 s timeout.
-    pub page_failure: f64,
-}
-
-/// Result of the Fig. 8 experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig8 {
-    /// One row per BER point.
-    pub rows: Vec<FailureRow>,
-}
-
-impl Fig8 {
-    /// Renders the paper-style series.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(["BER", "inquiry failure", "page failure"]);
-        for r in &self.rows {
-            t.row([
-                r.label.clone(),
-                format!("{:.1}%", r.inquiry_failure * 100.0),
-                format!("{:.1}%", r.page_failure * 100.0),
-            ]);
-        }
-        t
-    }
-}
-
-/// **Fig. 8** — probability of failure of the inquiry and page phases
-/// under the paper's 1.28 s (2048-slot) timeout. The page phase is the
-/// bottleneck: its success probability collapses beyond BER ≈ 1/50.
-pub fn fig8_creation_failure(opts: &ExpOptions) -> Fig8 {
-    const TIMEOUT: u64 = 2048;
-    let inquiry = Campaign::sweep(PAPER_BERS.iter().map(|(l, ber)| {
+/// The inquiry phase at each of `bers` (one point per BER, labelled as
+/// listed), giving up after `cap_slots`.
+fn inquiry_sweep(
+    opts: &ExpOptions,
+    bers: &[(&str, f64)],
+    cap_slots: u64,
+) -> CampaignResult<InquiryOutcome> {
+    Campaign::sweep(bers.iter().map(|&(label, ber)| {
         (
-            l.to_string(),
+            label.to_string(),
             InquiryScenario::new(InquiryConfig {
-                ber: *ber,
-                cap_slots: TIMEOUT,
+                ber,
+                cap_slots,
                 sim: opts.sim(paper_config()),
                 ..InquiryConfig::default()
             }),
         )
     }))
     .options(opts)
-    .run();
-    let page = Campaign::sweep(PAPER_BERS.iter().map(|(l, ber)| {
+    .run()
+}
+
+/// The page phase (devices already synchronised) at each of `bers`,
+/// under the paper's 1.28 s (2048-slot) page timeout.
+fn page_sweep(opts: &ExpOptions, bers: &[(&str, f64)]) -> CampaignResult<PageOutcome> {
+    Campaign::sweep(bers.iter().map(|&(label, ber)| {
         (
-            l.to_string(),
+            label.to_string(),
             PageScenario::new(PageConfig {
-                ber: *ber,
-                cap_slots: TIMEOUT,
+                ber,
+                cap_slots: 2048,
                 sim: opts.sim(paper_config()),
                 ..PageConfig::default()
             }),
         )
     }))
     .options(opts)
-    .run();
-    let rows = PAPER_BERS
-        .iter()
-        .zip(inquiry.points.iter().zip(&page.points))
-        .map(|((label, ber), (inq, pag))| FailureRow {
-            label: label.to_string(),
-            ber: *ber,
-            inquiry_failure: 1.0 - inq.completion_rate(),
-            page_failure: 1.0 - pag.completion_rate(),
-        })
-        .collect();
-    Fig8 { rows }
+    .run()
 }
 
-/// Waveform outputs (Figs. 5 and 9).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Waveforms {
-    /// Terminal rendering of the RF-enable signals.
-    pub ascii: String,
-    /// VCD document for a waveform viewer.
-    pub vcd: String,
-    /// Human-readable notes on what the trace shows.
-    pub notes: String,
+/// The series of Figs. 6-7: mean slots to completion over completed
+/// runs, per BER point.
+fn slots_table<R: Record>(result: &CampaignResult<R>) -> Table {
+    let mut t = Table::new(["BER", "mean TS", "ci95", "completed"]);
+    for p in &result.points {
+        let slots = p.metric("slots");
+        t.row([
+            p.label.clone(),
+            format!("{:.1}", slots.mean()),
+            format!("{:.1}", slots.ci95()),
+            format!("{:.1}%", p.completion_rate() * 100.0),
+        ]);
+    }
+    t
+}
+
+/// **Fig. 6** — mean number of time slots to complete the inquiry phase
+/// as a function of the BER (no timeout; mean over completed runs).
+fn fig6_inquiry_vs_ber(opts: &ExpOptions) -> Result<ExpReport, String> {
+    let result = inquiry_sweep(opts, &ber_points(), InquiryConfig::default().cap_slots);
+    Ok(
+        ExpReport::new("Fig. 6 — mean time slots to complete the INQUIRY phase vs BER")
+            .note("(paper anchors: 1556 TS with no noise, ≈1800 TS at BER 1/30)")
+            .table(slots_table(&result)),
+    )
+}
+
+/// **Fig. 7** — mean number of time slots to complete the page phase as
+/// a function of the BER (devices already synchronised). As in the paper,
+/// the 1.28 s page timeout applies; the mean is over successful runs.
+fn fig7_page_vs_ber(opts: &ExpOptions) -> Result<ExpReport, String> {
+    Ok(
+        ExpReport::new("Fig. 7 — mean time slots to complete the PAGE phase vs BER")
+            .note("(paper anchors: ≈17 TS with no noise; impossible for BER > 1/30)")
+            .table(slots_table(&page_sweep(opts, &ber_points()))),
+    )
+}
+
+/// **Fig. 8** — probability of failure of the inquiry and page phases
+/// under the paper's 1.28 s (2048-slot) timeout. The page phase is the
+/// bottleneck: its success probability collapses beyond BER ≈ 1/50.
+fn fig8_creation_failure(opts: &ExpOptions) -> Result<ExpReport, String> {
+    let inquiry = inquiry_sweep(opts, &PAPER_BERS, 2048);
+    let page = page_sweep(opts, &PAPER_BERS);
+    let mut t = Table::new(["BER", "inquiry failure", "page failure"]);
+    for (inq, pag) in inquiry.points.iter().zip(&page.points) {
+        t.row([
+            inq.label.clone(),
+            format!("{:.1}%", (1.0 - inq.completion_rate()) * 100.0),
+            format!("{:.1}%", (1.0 - pag.completion_rate()) * 100.0),
+        ]);
+    }
+    Ok(
+        ExpReport::new("Fig. 8 — failure probability of inquiry / page with the 1.28 s timeout")
+            .note("(paper: page success very low for BER > 1/50; page is the bottleneck)")
+            .table(t),
+    )
 }
 
 /// **Fig. 5** — waveforms of the creation of a piconet with a master and
 /// three slaves, all switched on simultaneously on a clean channel.
 /// Scanning slaves show continuously asserted `enable_rx_RF`; once in the
-/// piconet they listen only at slot starts.
-pub fn fig5_creation_waveforms(seed: u64, engine: Engine) -> Waveforms {
+/// piconet they listen only at slot starts. The report carries the
+/// terminal rendering as text and the VCD as the `fig5.vcd` artifact.
+fn fig5_creation_waveforms(opts: &ExpOptions) -> Result<ExpReport, String> {
     let mut cfg = paper_config();
-    cfg.engine = engine;
+    cfg.engine = opts.engine;
     cfg.trace = true;
     // A short backoff keeps the interesting region compact, like the
     // paper's figure.
@@ -270,47 +190,50 @@ pub fn fig5_creation_waveforms(seed: u64, engine: Engine) -> Waveforms {
     });
     // Build + drive separately: the simulator outlives the outcome so
     // its recorder can render the figure.
-    let mut sim = scenario.build(seed);
+    let mut sim = scenario.build(opts.base_seed);
     let out = scenario.drive(&mut sim);
-    let end = sim.now();
     let ascii = render_ascii(
         sim.recorder(),
         &AsciiOptions {
             from: SimTime::ZERO,
-            to: end,
+            to: sim.now(),
             columns: 160,
         },
     );
-    let vcd = to_vcd(sim.recorder());
-    let notes = format!(
-        "piconet formed: {} | inquiry: {} slots | pages: {:?}",
-        out.piconet_complete(),
-        out.inquiry_slots,
-        out.pages
-            .iter()
-            .map(|(_, ok, s)| (*ok, *s))
-            .collect::<Vec<_>>()
-    );
-    Waveforms { ascii, vcd, notes }
+    Ok(
+        ExpReport::new("Fig. 5 — piconet creation waveforms (enable_tx_RF / enable_rx_RF)")
+            .note(format!(
+                "piconet formed: {} | inquiry: {} slots | pages: {:?}",
+                out.piconet_complete(),
+                out.inquiry_slots,
+                out.pages
+                    .iter()
+                    .map(|(_, ok, s)| (*ok, *s))
+                    .collect::<Vec<_>>()
+            ))
+            .text(ascii)
+            .artifact("fig5.vcd", to_vcd(sim.recorder())),
+    )
 }
 
 /// **Fig. 9** — waveforms with two slaves placed in sniff mode; their
-/// `enable_rx_RF` pulses only at the sniff anchors.
-pub fn fig9_sniff_waveforms(seed: u64, engine: Engine) -> Waveforms {
+/// `enable_rx_RF` pulses only at the sniff anchors. The report carries
+/// the terminal rendering as text and the VCD as the `fig9.vcd`
+/// artifact.
+fn fig9_sniff_waveforms(opts: &ExpOptions) -> Result<ExpReport, String> {
     let mut cfg = paper_config();
-    cfg.engine = engine;
+    cfg.engine = opts.engine;
     cfg.trace = true;
-    let mut b = SimBuilder::new(seed, cfg);
+    let mut b = SimBuilder::new(opts.base_seed, cfg);
     let master = b.add_device("master");
     let s1 = b.add_device("slave1");
     let s2 = b.add_device("slave2");
     let s3 = b.add_device("slave3");
     let mut sim = b.build();
     let cap = SimTime::from_us(60_000_000);
-    let lt1 = connect_pair(&mut sim, master, s1, cap).expect("slave1 connects");
+    connect_pair(&mut sim, master, s1, cap).expect("slave1 connects");
     let lt2 = connect_pair(&mut sim, master, s2, cap).expect("slave2 connects");
     let lt3 = connect_pair(&mut sim, master, s3, cap).expect("slave3 connects");
-    let _ = lt1;
     // Slaves 2 and 3 go to sniff mode with a 2-slot timeout window, as in
     // the paper's figure.
     let anchor = sim.lc(master).clkn(sim.now()).slot();
@@ -346,53 +269,23 @@ pub fn fig9_sniff_waveforms(seed: u64, engine: Engine) -> Waveforms {
             columns: 160,
         },
     );
-    let vcd = to_vcd(sim.recorder());
-    Waveforms {
-        ascii,
-        vcd,
-        notes: "slave2/slave3 sniffing (Tsniff=12, timeout 2 slots); slave1 active".into(),
-    }
+    Ok(
+        ExpReport::new("Fig. 9 — sniff-mode waveforms (slaves 2 and 3 sniffing)")
+            .note("slave2/slave3 sniffing (Tsniff=12, timeout 2 slots); slave1 active")
+            .text(ascii)
+            .artifact("fig9.vcd", to_vcd(sim.recorder())),
+    )
 }
 
-/// One row of the Fig. 10 result.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DutyRow {
-    /// Channel duty cycle (fraction of available master TX slots used).
-    pub duty: f64,
-    /// Master transmitter activity.
-    pub tx: f64,
-    /// Master receiver activity.
-    pub rx: f64,
-}
+/// The channel duty cycles of Fig. 10.
+const FIG10_DUTIES: [f64; 8] = [0.0025, 0.005, 0.0075, 0.01, 0.0125, 0.015, 0.0175, 0.02];
 
-/// Result of the Fig. 10 experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig10 {
-    /// One row per duty-cycle point.
-    pub rows: Vec<DutyRow>,
-}
-
-impl Fig10 {
-    /// Renders the paper-style series.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(["duty cycle", "TX activity", "RX activity"]);
-        for r in &self.rows {
-            t.row([
-                format!("{:.2}%", r.duty * 100.0),
-                format!("{:.4}%", r.tx * 100.0),
-                format!("{:.4}%", r.rx * 100.0),
-            ]);
-        }
-        t
-    }
-}
-
-/// **Fig. 10** — RF activity of the master (TX and RX) as a function of
-/// the channel duty cycle: linear growth, TX above RX.
-pub fn fig10_master_activity(opts: &ExpOptions) -> Fig10 {
-    let duties = [0.0025, 0.005, 0.0075, 0.01, 0.0125, 0.015, 0.0175, 0.02];
-    let measure = 150_000u64.min(40_000 * opts.runs.max(1) as u64);
-    let result = Campaign::sweep(duties.iter().map(|&duty| {
+/// Fig. 10's campaign: one run of the traffic scenario per duty cycle
+/// (labelled `{duty}`), each measured over 40,000 slots per requested
+/// run, capped at 150,000.
+fn duty_sweep(opts: &ExpOptions) -> CampaignResult<TrafficOutcome> {
+    let measure = 150_000u64.min(40_000u64.saturating_mul(opts.runs.max(1) as u64));
+    Campaign::sweep(FIG10_DUTIES.iter().map(|&duty| {
         (
             format!("{duty}"),
             TrafficScenario::new(TrafficConfig {
@@ -405,20 +298,26 @@ pub fn fig10_master_activity(opts: &ExpOptions) -> Fig10 {
     }))
     .options(opts)
     .runs(1)
-    .run();
-    let rows = duties
-        .iter()
-        .zip(&result.points)
-        .map(|(&duty, p)| {
-            let out = p.first();
-            DutyRow {
-                duty,
-                tx: out.master.tx,
-                rx: out.master.rx,
-            }
-        })
-        .collect();
-    Fig10 { rows }
+    .run()
+}
+
+/// **Fig. 10** — RF activity of the master (TX and RX) as a function of
+/// the channel duty cycle: linear growth, TX above RX.
+fn fig10_master_activity(opts: &ExpOptions) -> Result<ExpReport, String> {
+    let mut t = Table::new(["duty cycle", "TX activity", "RX activity"]);
+    for (duty, p) in FIG10_DUTIES.iter().zip(&duty_sweep(opts).points) {
+        let master = p.first().master;
+        t.row([
+            format!("{:.2}%", duty * 100.0),
+            format!("{:.4}%", master.tx * 100.0),
+            format!("{:.4}%", master.rx * 100.0),
+        ]);
+    }
+    Ok(
+        ExpReport::new("Fig. 10 — RF activity of the master vs channel duty cycle")
+            .note("(paper: linear, TX above RX, ≈0.3% TX at 2% duty)")
+            .table(t),
+    )
 }
 
 /// One row of the Fig. 11 / Fig. 12 results.
@@ -541,43 +440,6 @@ pub fn ext_park_activity(opts: &ExpOptions) -> ModeSweep {
     })
 }
 
-/// Result of the simulation-speed measurement (§3.1's performance note).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimSpeed {
-    /// Simulated seconds (paper: 0.48 s).
-    pub sim_seconds: f64,
-    /// Wall-clock seconds of one run: the median of runs repeated until
-    /// they total at least 100 ms.
-    pub wall_seconds: f64,
-    /// Simulated 1 MHz clock cycles per wall second (paper: 747).
-    pub clock_cycles_per_sec: f64,
-    /// Speedup over the paper's reported 747 cycles/s.
-    pub speedup_vs_paper: f64,
-}
-
-impl SimSpeed {
-    /// Renders the comparison row.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(["metric", "paper (SystemC, 2005)", "btsim (Rust)"]);
-        t.row([
-            "simulated time".into(),
-            "0.48 s".into(),
-            format!("{:.2} s", self.sim_seconds),
-        ]);
-        t.row([
-            "clock cycles / wall second".into(),
-            "747".into(),
-            format!("{:.0}", self.clock_cycles_per_sec),
-        ]);
-        t.row([
-            "speedup".into(),
-            "1x".into(),
-            format!("{:.0}x", self.speedup_vs_paper),
-        ]);
-        t
-    }
-}
-
 /// Least wall time, in seconds, a speed row spends on repeated timed
 /// units before it reports their median.
 const SPEED_BUDGET_SECS: f64 = 0.1;
@@ -600,76 +462,62 @@ fn median_unit_secs(mut unit: impl FnMut() -> f64) -> f64 {
     }
 }
 
-/// **Table 1** (the §3.1 performance paragraph) — simulation speed of the
-/// piconet-creation scenario: the paper simulated 0.48 s in 10′47″
-/// (747 clock cycles per second at the 1 µs symbol clock). One creation
-/// run takes milliseconds, so the row is the median of repeated runs.
-pub fn table1_sim_speed(seed: u64, engine: Engine) -> SimSpeed {
-    let sim_seconds = 0.48;
+/// Simulated seconds of Table 1's creation run (the paper's 0.48 s).
+const TABLE1_SIM_SECS: f64 = 0.48;
+
+/// Simulated 1 MHz clock cycles per wall second of Table 1's
+/// piconet-creation run, timed as the median of repeated runs.
+fn creation_cycles_per_sec(opts: &ExpOptions) -> f64 {
     let mut cfg = paper_config();
-    cfg.engine = engine;
+    cfg.engine = opts.engine;
     let wall = median_unit_secs(|| {
         let started = Instant::now();
         let out = CreationScenario::new(CreationConfig {
             n_slaves: 3,
-            inquiry_timeout_slots: (sim_seconds * 1600.0) as u32,
+            inquiry_timeout_slots: (TABLE1_SIM_SECS * 1600.0) as u32,
             page_timeout_slots: 512,
             sim: cfg.clone(),
             ..CreationConfig::default()
         })
-        .run(seed);
+        .run(opts.base_seed);
         let _ = out.piconet_complete();
         started.elapsed().as_secs_f64()
     });
-    let cycles = sim_seconds * 1e6; // 1 MHz symbol clock
-    let per_sec = cycles / wall;
-    SimSpeed {
-        sim_seconds,
-        wall_seconds: wall,
-        clock_cycles_per_sec: per_sec,
-        speedup_vs_paper: per_sec / 747.0,
-    }
+    TABLE1_SIM_SECS * 1e6 / wall
 }
 
-/// One row of the extension experiment Ext-A.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThroughputRow {
-    /// ACL packet type used.
-    pub ptype: PacketType,
-    /// BER label.
-    pub ber_label: String,
-    /// Numeric BER.
-    pub ber: f64,
-    /// Goodput in kbit/s (acknowledged user payload).
-    pub kbps: f64,
+/// **Table 1** (the §3.1 performance paragraph) — simulation speed of the
+/// piconet-creation scenario: the paper simulated 0.48 s in 10′47″
+/// (747 clock cycles per second at the 1 µs symbol clock). One creation
+/// run takes milliseconds, so the row is the median of repeated runs.
+fn table1_sim_speed(opts: &ExpOptions) -> Result<ExpReport, String> {
+    let per_sec = creation_cycles_per_sec(opts);
+    let mut t = Table::new(["metric", "paper (SystemC, 2005)", "btsim (Rust)"]);
+    t.row([
+        "simulated time".into(),
+        "0.48 s".into(),
+        format!("{TABLE1_SIM_SECS:.2} s"),
+    ]);
+    t.row([
+        "clock cycles / wall second".into(),
+        "747".into(),
+        format!("{per_sec:.0}"),
+    ]);
+    t.row([
+        "speedup".into(),
+        "1x".into(),
+        format!("{:.0}x", per_sec / 747.0),
+    ]);
+    Ok(
+        ExpReport::new("Table 1 — simulation speed of the piconet-creation scenario")
+            .note("(paper: 0.48 s simulated in 10'47'', i.e. 747 clock cycles per wall second)")
+            .table(t),
+    )
 }
 
-/// Result of the Ext-A experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExtThroughput {
-    /// One row per (packet type, BER) combination.
-    pub rows: Vec<ThroughputRow>,
-}
-
-impl ExtThroughput {
-    /// Renders the packet-type × BER goodput matrix.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(["type", "BER", "goodput kbit/s"]);
-        for r in &self.rows {
-            t.row([
-                format!("{:?}", r.ptype),
-                r.ber_label.clone(),
-                format!("{:.1}", r.kbps),
-            ]);
-        }
-        t
-    }
-}
-
-/// **Ext-A** — the packet-type analysis announced in the paper's aims:
-/// goodput of DM1/DH1/DM3/DH3/DM5/DH5 under increasing BER. FEC-protected
-/// DM types overtake the larger unprotected DH types as noise grows.
-pub fn ext_packet_throughput(opts: &ExpOptions) -> ExtThroughput {
+/// Ext-A's campaign: one goodput run per ACL packet type and BER,
+/// labelled `{type:?}@{ber}` in type-major order.
+fn goodput_sweep(opts: &ExpOptions) -> CampaignResult<GoodputOutcome> {
     let types = [
         PacketType::Dm1,
         PacketType::Dh1,
@@ -684,37 +532,39 @@ pub fn ext_packet_throughput(opts: &ExpOptions) -> ExtThroughput {
         ("1/300", 1.0 / 300.0),
         ("1/100", 0.01),
     ];
-    let mut jobs = Vec::new();
-    for t in types {
+    let mut points = Vec::new();
+    for ptype in types {
         for (label, ber) in bers {
-            jobs.push((t, label.to_string(), ber));
+            points.push((
+                format!("{ptype:?}@{label}"),
+                GoodputScenario::new(GoodputConfig {
+                    ptype,
+                    ber,
+                    sim: opts.sim(paper_config()),
+                    ..GoodputConfig::default()
+                }),
+            ));
         }
     }
-    let result = Campaign::sweep(jobs.iter().map(|(ptype, label, ber)| {
-        (
-            format!("{ptype:?}@{label}"),
-            GoodputScenario::new(GoodputConfig {
-                ptype: *ptype,
-                ber: *ber,
-                sim: opts.sim(paper_config()),
-                ..GoodputConfig::default()
-            }),
-        )
-    }))
-    .options(opts)
-    .runs(1)
-    .run();
-    let rows = jobs
-        .iter()
-        .zip(&result.points)
-        .map(|((ptype, label, ber), p)| ThroughputRow {
-            ptype: *ptype,
-            ber_label: label.clone(),
-            ber: *ber,
-            kbps: p.first().kbps,
-        })
-        .collect();
-    ExtThroughput { rows }
+    Campaign::sweep(points).options(opts).runs(1).run()
+}
+
+/// **Ext-A** — the packet-type analysis announced in the paper's aims:
+/// goodput of DM1/DH1/DM3/DH3/DM5/DH5 under increasing BER. FEC-protected
+/// DM types overtake the larger unprotected DH types as noise grows.
+fn ext_packet_throughput(opts: &ExpOptions) -> Result<ExpReport, String> {
+    let mut t = Table::new(["type", "BER", "goodput kbit/s"]);
+    for p in &goodput_sweep(opts).points {
+        let (ptype, ber) = p.label.split_once('@').expect("labelled type@BER");
+        t.row([
+            ptype.to_string(),
+            ber.to_string(),
+            format!("{:.1}", p.first().kbps),
+        ]);
+    }
+    Ok(ExpReport::new("Ext-A — ACL goodput per packet type vs BER")
+        .note("(FEC-protected DM types overtake larger DH types as noise grows)")
+        .table(t))
 }
 
 /// **Ext-B** — collision behaviour with two co-located piconets (the
@@ -1575,49 +1425,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fig6_quick_has_anchor_and_monotone_tail() {
-        let opts = ExpOptions {
-            runs: 6,
+    fn fig10_window_saturates_at_its_cap_for_any_run_count() {
+        // 40,000 slots per requested run overflows u64 at this count.
+        let result = duty_sweep(&ExpOptions {
+            runs: usize::MAX,
             ..ExpOptions::quick()
-        };
-        let f = fig6_inquiry_vs_ber(&opts);
-        assert_eq!(f.rows.len(), 9);
-        assert_eq!(f.rows[0].label, "0");
-        assert!(f.rows[0].completed > 0.9, "noiseless inquiry completes");
-        assert!(f.rows[0].mean_slots > 100.0);
-        let t = f.table();
-        assert_eq!(t.len(), 9);
-    }
-
-    #[test]
-    fn fig8_quick_page_is_bottleneck_at_high_ber() {
-        let opts = ExpOptions {
-            runs: 8,
-            ..ExpOptions::quick()
-        };
-        let f = fig8_creation_failure(&opts);
-        let last = f.rows.last().unwrap();
-        assert!(
-            last.page_failure >= last.inquiry_failure,
-            "page must be the bottleneck at BER 1/30: page {} inquiry {}",
-            last.page_failure,
-            last.inquiry_failure
-        );
-        assert!(last.page_failure > 0.8, "page ~impossible at 1/30");
-    }
-
-    #[test]
-    fn fig5_waveforms_render() {
-        let w = fig5_creation_waveforms(3, Engine::Lockstep);
-        assert!(w.ascii.contains("enable_rx_RF"));
-        assert!(w.vcd.contains("$enddefinitions"));
-    }
-
-    #[test]
-    fn table1_reports_speedup() {
-        let s = table1_sim_speed(1, Engine::Lockstep);
-        assert!(s.clock_cycles_per_sec > 747.0, "should beat 2005 SystemC");
-        assert!(s.speedup_vs_paper > 1.0);
+        });
+        assert!(result.points.iter().all(|p| p.outcomes.len() == 1));
     }
 
     #[test]

@@ -172,32 +172,32 @@ static REGISTRY: [Experiment; 25] = [
     Experiment {
         name: "fig5_waveform",
         description: "Fig. 5 — piconet-creation waveforms (enable_tx_RF / enable_rx_RF)",
-        runner: |o| Ok(run_fig5(o)),
+        runner: fig5_creation_waveforms,
     },
     Experiment {
         name: "fig6_inquiry_vs_ber",
         description: "Fig. 6 — mean slots to complete the inquiry phase vs BER",
-        runner: |o| Ok(run_fig6(o)),
+        runner: fig6_inquiry_vs_ber,
     },
     Experiment {
         name: "fig7_page_vs_ber",
         description: "Fig. 7 — mean slots to complete the page phase vs BER",
-        runner: |o| Ok(run_fig7(o)),
+        runner: fig7_page_vs_ber,
     },
     Experiment {
         name: "fig8_creation_failure",
         description: "Fig. 8 — failure probability of inquiry/page with the 1.28 s timeout",
-        runner: |o| Ok(run_fig8(o)),
+        runner: fig8_creation_failure,
     },
     Experiment {
         name: "fig9_sniff_waveform",
         description: "Fig. 9 — waveforms with two slaves in sniff mode",
-        runner: |o| Ok(run_fig9(o)),
+        runner: fig9_sniff_waveforms,
     },
     Experiment {
         name: "fig10_master_rf",
         description: "Fig. 10 — master RF activity vs channel duty cycle",
-        runner: |o| Ok(run_fig10(o)),
+        runner: fig10_master_activity,
     },
     Experiment {
         name: "fig11_sniff_activity",
@@ -212,12 +212,12 @@ static REGISTRY: [Experiment; 25] = [
     Experiment {
         name: "table1_sim_speed",
         description: "Table 1 — simulation speed vs the paper's 747 clock cycles/s",
-        runner: |o| Ok(run_table1(o)),
+        runner: table1_sim_speed,
     },
     Experiment {
         name: "ext_packet_throughput",
         description: "Ext-A — ACL goodput per packet type vs BER",
-        runner: |o| Ok(run_ext_throughput(o)),
+        runner: ext_packet_throughput,
     },
     Experiment {
         name: "ext_coexistence",
@@ -296,49 +296,8 @@ static REGISTRY: [Experiment; 25] = [
     },
 ];
 
-fn run_fig5(opts: &ExpOptions) -> ExpReport {
-    let w = fig5_creation_waveforms(opts.base_seed, opts.engine);
-    ExpReport::new("Fig. 5 — piconet creation waveforms (enable_tx_RF / enable_rx_RF)")
-        .note(w.notes.clone())
-        .text(w.ascii)
-        .artifact("fig5.vcd", w.vcd)
-}
-
-fn run_fig6(opts: &ExpOptions) -> ExpReport {
-    let f = fig6_inquiry_vs_ber(opts);
-    ExpReport::new("Fig. 6 — mean time slots to complete the INQUIRY phase vs BER")
-        .note("(paper anchors: 1556 TS with no noise, ≈1800 TS at BER 1/30)")
-        .table(f.table())
-}
-
-fn run_fig7(opts: &ExpOptions) -> ExpReport {
-    let f = fig7_page_vs_ber(opts);
-    ExpReport::new("Fig. 7 — mean time slots to complete the PAGE phase vs BER")
-        .note("(paper anchors: ≈17 TS with no noise; impossible for BER > 1/30)")
-        .table(f.table())
-}
-
-fn run_fig8(opts: &ExpOptions) -> ExpReport {
-    let f = fig8_creation_failure(opts);
-    ExpReport::new("Fig. 8 — failure probability of inquiry / page with the 1.28 s timeout")
-        .note("(paper: page success very low for BER > 1/50; page is the bottleneck)")
-        .table(f.table())
-}
-
-fn run_fig9(opts: &ExpOptions) -> ExpReport {
-    let w = fig9_sniff_waveforms(opts.base_seed, opts.engine);
-    ExpReport::new("Fig. 9 — sniff-mode waveforms (slaves 2 and 3 sniffing)")
-        .note(w.notes.clone())
-        .text(w.ascii)
-        .artifact("fig9.vcd", w.vcd)
-}
-
-fn run_fig10(opts: &ExpOptions) -> ExpReport {
-    let f = fig10_master_activity(opts);
-    ExpReport::new("Fig. 10 — RF activity of the master vs channel duty cycle")
-        .note("(paper: linear, TX above RX, ≈0.3% TX at 2% duty)")
-        .table(f.table())
-}
+// The mode sweeps keep a typed result because the benchmark imports it,
+// so their entries render it here.
 
 fn run_fig11(opts: &ExpOptions) -> ExpReport {
     let f = fig11_sniff_activity(opts);
@@ -357,20 +316,6 @@ fn run_fig12(opts: &ExpOptions) -> ExpReport {
             "(paper: active floor 2.6%, hold wins above ≈120 slots; measured break-even: {:?})",
             f.break_even()
         ))
-        .table(f.table())
-}
-
-fn run_table1(opts: &ExpOptions) -> ExpReport {
-    let s = table1_sim_speed(opts.base_seed, opts.engine);
-    ExpReport::new("Table 1 — simulation speed of the piconet-creation scenario")
-        .note("(paper: 0.48 s simulated in 10'47'', i.e. 747 clock cycles per wall second)")
-        .table(s.table())
-}
-
-fn run_ext_throughput(opts: &ExpOptions) -> ExpReport {
-    let f = ext_packet_throughput(opts);
-    ExpReport::new("Ext-A — ACL goodput per packet type vs BER")
-        .note("(FEC-protected DM types overtake larger DH types as noise grows)")
         .table(f.table())
 }
 

@@ -145,6 +145,15 @@ pub trait Scenario {
 ///   to ≈1800 at BER 1/30;
 /// * 27 µs slot-start carrier-detect windows and T_poll = 100, which land
 ///   the active-mode slave RF floor at the paper's 2.6%.
+///
+/// To retune a knob, print the series it is calibrated against with the
+/// `experiments` binary of `btsim-bench` (seed 11599966 = `0xB1005E`,
+/// the registry's default base seed):
+///
+/// ```text
+/// experiments fig6_inquiry_vs_ber fig7_page_vs_ber fig8_creation_failure --runs 60 --seed 11599966
+/// experiments fig10_master_rf fig11_sniff_activity fig12_hold_activity --runs 1 --seed 11599966
+/// ```
 pub fn paper_config() -> SimConfig {
     let mut cfg = SimConfig::default();
     cfg.lc.page_fhs_fec = false;

@@ -16,12 +16,29 @@
 //! stripped, line endings unified); timestamps and value changes are
 //! compared exactly — they are the behaviour being pinned.
 
-use btsim::core::experiments::{fig5_creation_waveforms, fig9_sniff_waveforms};
+use btsim::core::experiments::{find, ExpOptions};
 use btsim::core::Engine;
 
 /// The registry's default base seed — the same realisation the
 /// `experiments -- fig5_waveform` artifact is generated from.
 const GOLDEN_SEED: u64 = 0x00B1_005E;
+
+/// The VCD artifact `name` (`fig5.vcd` / `fig9.vcd`) of the registry
+/// entry `entry`, run at [`GOLDEN_SEED`] under `engine`.
+fn registry_vcd(entry: &str, name: &str, engine: Engine) -> String {
+    let opts = ExpOptions {
+        base_seed: GOLDEN_SEED,
+        engine,
+        ..ExpOptions::quick()
+    };
+    let report = find(entry).expect("registered").run(&opts).unwrap();
+    report
+        .artifacts
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, vcd)| vcd)
+        .unwrap_or_else(|| panic!("{entry} has no {name} artifact"))
+}
 
 fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -105,14 +122,14 @@ fn assert_matches_golden(name: &str, vcd: &str, bless: Bless) {
 
 #[test]
 fn fig5_waveform_matches_golden_vcd() {
-    let w = fig5_creation_waveforms(GOLDEN_SEED, Engine::Lockstep);
-    assert_matches_golden("fig5.vcd", &w.vcd, Bless::FromOracle);
+    let vcd = registry_vcd("fig5_waveform", "fig5.vcd", Engine::Lockstep);
+    assert_matches_golden("fig5.vcd", &vcd, Bless::FromOracle);
 }
 
 #[test]
 fn fig9_waveform_matches_golden_vcd() {
-    let w = fig9_sniff_waveforms(GOLDEN_SEED, Engine::Lockstep);
-    assert_matches_golden("fig9.vcd", &w.vcd, Bless::FromOracle);
+    let vcd = registry_vcd("fig9_sniff_waveform", "fig9.vcd", Engine::Lockstep);
+    assert_matches_golden("fig9.vcd", &vcd, Bless::FromOracle);
 }
 
 /// The event-driven engine must reproduce the *same golden waveforms*:
@@ -120,10 +137,10 @@ fn fig9_waveform_matches_golden_vcd() {
 /// that moves an RF edge is caught at the waveform level too.
 #[test]
 fn event_engine_matches_the_same_goldens() {
-    let w5 = fig5_creation_waveforms(GOLDEN_SEED, Engine::EventDriven);
-    assert_matches_golden("fig5.vcd", &w5.vcd, Bless::Never);
-    let w9 = fig9_sniff_waveforms(GOLDEN_SEED, Engine::EventDriven);
-    assert_matches_golden("fig9.vcd", &w9.vcd, Bless::Never);
+    let vcd5 = registry_vcd("fig5_waveform", "fig5.vcd", Engine::EventDriven);
+    assert_matches_golden("fig5.vcd", &vcd5, Bless::Never);
+    let vcd9 = registry_vcd("fig9_sniff_waveform", "fig9.vcd", Engine::EventDriven);
+    assert_matches_golden("fig9.vcd", &vcd9, Bless::Never);
 }
 
 #[test]
